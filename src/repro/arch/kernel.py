@@ -11,7 +11,7 @@ compute-cycle gap preceding them, which is how compute-bound kernels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,13 @@ class MemoryInstruction:
 
 @dataclass
 class WarpTrace:
-    """Ordered memory-instruction stream of one warp."""
+    """Ordered memory-instruction stream of one warp.
 
-    instructions: List[MemoryInstruction] = field(default_factory=list)
+    Generated kernels store it as a tuple: they are shared read-only by
+    every run in the process (see :func:`repro.workloads.make_benchmark`).
+    """
+
+    instructions: Sequence[MemoryInstruction] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.instructions)

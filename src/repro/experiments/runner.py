@@ -92,7 +92,6 @@ class ExperimentRunner:
     #: supervised worker processes used by :meth:`prefetch`; 1 keeps
     #: every cell sequential and in-process (the default behaviour)
     parallel: int = 1
-    _kernels: Dict[str, Kernel] = field(default_factory=dict)
     _results: Dict[CellKey, RunResult] = field(default_factory=dict)
     _failed: Dict[CellKey, RunResult] = field(default_factory=dict)
     #: terminal failures keyed like results (inspect after a degraded run)
@@ -174,11 +173,7 @@ class ExperimentRunner:
     # Workload construction
     # ------------------------------------------------------------------ #
     def kernel(self, benchmark: str) -> Kernel:
-        if benchmark not in self._kernels:
-            self._kernels[benchmark] = make_benchmark(
-                benchmark, scale=self.scale, seed=self.seed
-            )
-        return self._kernels[benchmark]
+        return make_benchmark(benchmark, scale=self.scale, seed=self.seed)
 
     # ------------------------------------------------------------------ #
     # Cell execution

@@ -190,10 +190,30 @@ def make_kernel(
     registers_per_thread: int = 32,
     shared_mem_per_tb: int = 0,
 ) -> Kernel:
+    """Assemble a kernel with interned, read-only warp traces.
+
+    Equal instructions (frozen, hashable) become one shared object and
+    every warp's instruction stream becomes a tuple, which keeps a kernel
+    that :func:`~repro.workloads.make_benchmark` holds for the whole
+    process small and safe to share.  ``TBTrace`` objects stay distinct:
+    a TB's identity keys its tenant in multi-tenant runs.
+    """
+    canonical: Dict[MemoryInstruction, MemoryInstruction] = {}
+    intern = canonical.setdefault
+    tbs = [
+        TBTrace(
+            tb.tb_index,
+            [
+                WarpTrace(tuple([intern(i, i) for i in warp.instructions]))
+                for warp in tb.warps
+            ],
+        )
+        for tb in tb_traces
+    ]
     return Kernel(
         name=name,
         threads_per_tb=threads_per_tb,
-        tbs=list(tb_traces),
+        tbs=tbs,
         registers_per_thread=registers_per_thread,
         shared_mem_per_tb=shared_mem_per_tb,
     )

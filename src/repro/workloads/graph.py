@@ -11,8 +11,10 @@ spreading over the whole id range (large reuse distances).
 from __future__ import annotations
 
 import os
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +53,66 @@ class CSRGraph:
             raise ValueError("col_idx out of range")
 
 
+class BoundedWords:
+    """numpy's bounded-integer draws, replayed in Python from bulk words.
+
+    For ``2 <= n < 2**32``, ``Generator.integers(0, n, size=k)`` takes
+    the bit generator's 32-bit words one at a time and applies Lemire's
+    rule to each: ``x = word * n``, rejected while the low 32 bits of
+    ``x`` fall below ``(2**32 - n) % n``, else ``x >> 32`` is the draw.
+    :meth:`integers` applies the same rule to words fetched in bulk, so
+    a long run of small draws costs one numpy call per chunk instead of
+    one per draw.  Bulk fetching reads ahead of the words the draws
+    use; :meth:`sync` rewinds the generator to exactly where numpy's own
+    per-draw calls would have left it.
+    """
+
+    #: 32-bit words fetched per bulk draw
+    CHUNK = 1 << 16
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._words: list = []
+        self._pos = 0
+        #: generator state before the current chunk was drawn
+        self._state = None
+
+    def integers(self, n: int, k: int) -> list:
+        """The values ``rng.integers(0, n, size=k)`` would return."""
+        if not 2 <= n < 1 << 32:
+            raise ValueError(f"bound {n} is outside [2, 2**32)")
+        threshold = ((1 << 32) - n) % n
+        words, pos = self._words, self._pos
+        out = []
+        while len(out) < k:
+            if pos == len(words):
+                words, pos = self._refill(), 0
+            # each word yields at most one draw: take no more than needed
+            end = min(pos + k - len(out), len(words))
+            for word in words[pos:end]:
+                x = word * n
+                if x & 0xFFFFFFFF >= threshold:
+                    out.append(x >> 32)
+            pos = end
+        self._pos = pos
+        return out
+
+    def _refill(self) -> list:
+        self._state = self._rng.bit_generator.state
+        self._words = self._rng.integers(
+            0, 1 << 32, size=self.CHUNK, dtype=np.uint32
+        ).tolist()
+        return self._words
+
+    def sync(self) -> None:
+        """Rewind the generator to just past the words actually used."""
+        if self._state is None:
+            return
+        self._rng.bit_generator.state = self._state
+        self._rng.integers(0, 1 << 32, size=self._pos, dtype=np.uint32)
+        self._state, self._words, self._pos = None, [], 0
+
+
 def generate_power_law_graph(
     num_nodes: int, edges_per_node: int = 8, seed: int = 0
 ) -> CSRGraph:
@@ -60,17 +122,27 @@ def generate_power_law_graph(
     proportionally to degree (repeated-endpoint sampling), yielding a
     power-law degree distribution with hubs among the low node ids —
     the same skew a citation graph shows.
+
+    The picks consume the random stream exactly as one
+    ``rng.integers(0, len(pool), size=m)`` call per node would (see
+    :class:`BoundedWords`), so the graph for a given seed never changes.
     """
     if num_nodes <= edges_per_node:
         raise ValueError(
             f"need more than {edges_per_node} nodes, got {num_nodes}"
         )
-    rng = np.random.default_rng(seed)
     m = edges_per_node
+    if 2 * m * num_nodes >= 1 << 32:
+        # numpy draws from a pool of 2**32 or more endpoints differently
+        raise ValueError(
+            f"{num_nodes} nodes x {m} edges per node needs a pool of "
+            f"2**32 endpoints or more"
+        )
+    rng = np.random.default_rng(seed)
+    draws = BoundedWords(rng)
     # Repeated-endpoint pool: every edge contributes both endpoints, so
     # sampling uniformly from the pool is degree-proportional sampling.
-    pool = np.empty(2 * m * (num_nodes + 1), dtype=np.int64)
-    fill = 0
+    pool = []
     src_list = []
     dst_list = []
     # Seed ring over the first m nodes.
@@ -78,17 +150,14 @@ def generate_power_law_graph(
         j = (i + 1) % m
         src_list.append(i)
         dst_list.append(j)
-        pool[fill] = i
-        pool[fill + 1] = j
-        fill += 2
+        pool += (i, j)
     for v in range(m, num_nodes):
-        picks = pool[rng.integers(0, fill, size=m)]
-        for u in np.unique(picks):
-            src_list.append(v)
-            dst_list.append(int(u))
-            pool[fill] = v
-            pool[fill + 1] = u
-            fill += 2
+        picks = sorted({pool[k] for k in draws.integers(len(pool), m)})
+        src_list += [v] * len(picks)
+        dst_list += picks
+        for u in picks:
+            pool += (v, u)
+    draws.sync()
     src = np.asarray(src_list, dtype=np.int64)
     dst = np.asarray(dst_list, dtype=np.int64)
     # Relabel nodes with a random permutation: citation-graph node ids do
@@ -118,6 +187,22 @@ def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
+def _load_cached(path: Path, num_nodes: int) -> Optional[CSRGraph]:
+    """The graph stored at ``path``, or ``None`` when the file is missing,
+    unreadable (torn, empty, not an ``.npz``) or holds an invalid graph."""
+    try:
+        with np.load(path) as data:
+            graph = CSRGraph(
+                int(data["num_nodes"]), data["row_ptr"], data["col_idx"]
+            )
+        if graph.num_nodes != num_nodes:
+            return None
+        graph.validate()
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        return None
+    return graph
+
+
 def cached_power_law_graph(
     num_nodes: int, edges_per_node: int = 8, seed: int = 0
 ) -> CSRGraph:
@@ -125,16 +210,13 @@ def cached_power_law_graph(
 
     All four graph benchmarks at one scale share one graph, and separate
     processes (pytest, benchmarks, examples) reuse it via an ``.npz``
-    cache keyed by (nodes, edges-per-node, seed).
+    cache keyed by (nodes, edges-per-node, seed).  An entry that cannot
+    be read back is a miss: the graph is regenerated and rewritten.
     """
     cache = _cache_dir()
     path = cache / f"powerlaw_n{num_nodes}_m{edges_per_node}_s{seed}.npz"
-    if path.exists():
-        data = np.load(path)
-        graph = CSRGraph(
-            int(data["num_nodes"]), data["row_ptr"], data["col_idx"]
-        )
-        graph.validate()
+    graph = _load_cached(path, num_nodes)
+    if graph is not None:
         return graph
     graph = generate_power_law_graph(num_nodes, edges_per_node, seed)
     try:

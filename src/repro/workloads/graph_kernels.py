@@ -150,15 +150,18 @@ def _trace_tb(
     return builder.build(tb_index)
 
 
+def graph_nodes(spec: GraphKernelSpec, scale: str) -> int:
+    """Node count of ``spec``'s graph at ``scale``, in whole TBs."""
+    size_factor = get_scale(scale).size_factor
+    num_nodes = max(THREADS_PER_TB * 4, int(spec.nominal_nodes * size_factor))
+    return (num_nodes // THREADS_PER_TB) * THREADS_PER_TB
+
+
 def make_graph_kernel(name: str, scale: str = "small", seed: int = 0) -> Kernel:
     """Build one of the four graph benchmarks at the given scale."""
     spec = SPECS[name]
     sc = get_scale(scale)
-    num_nodes = max(
-        THREADS_PER_TB * 4, int(spec.nominal_nodes * sc.size_factor)
-    )
-    # Round to whole TBs.
-    num_nodes = (num_nodes // THREADS_PER_TB) * THREADS_PER_TB
+    num_nodes = graph_nodes(spec, scale)
     graph = cached_power_law_graph(
         num_nodes, edges_per_node=spec.edges_per_node, seed=seed
     )

@@ -1,6 +1,7 @@
 """Benchmark registry (paper Table II).
 
-``make_benchmark(name, scale)`` builds any of the 10 benchmarks.  The
+``make_benchmark(name, scale, seed)`` builds any of the 10 benchmarks,
+once per process: every caller gets the same read-only kernel.  The
 paper's suites/inputs/footprints are recorded here so the Table II
 regeneration can print the paper's values next to the synthetic
 generators' actual traced footprints.
@@ -60,6 +61,10 @@ TABLE2: Dict[str, BenchmarkMeta] = {
 
 _FACTORIES: Dict[str, Callable[[str, int], Kernel]] = {}
 
+#: validated kernels by (name, scale, seed); cleared whenever the set of
+#: factories changes
+_KERNELS: Dict[Tuple[str, str, int], Kernel] = {}
+
 
 def register_benchmark(
     name: str,
@@ -78,6 +83,7 @@ def register_benchmark(
             f"name or unregister_benchmark({name!r}) first"
         )
     _FACTORIES[name] = factory
+    _KERNELS.clear()
     if meta is not None:
         TABLE2[name] = meta
 
@@ -85,6 +91,7 @@ def register_benchmark(
 def unregister_benchmark(name: str) -> None:
     """Remove a registered benchmark (no-op if absent)."""
     _FACTORIES.pop(name, None)
+    _KERNELS.clear()
 
 
 for _name, _factory in (
@@ -106,10 +113,17 @@ del _name, _factory
 def make_benchmark(name: str, scale: str = "small", seed: int = 0) -> Kernel:
     """Build a benchmark kernel trace by Table II name.
 
+    Each ``(name, scale, seed)`` is built once per process; later calls
+    return the same kernel object, which callers must treat as read-only.
     Raises :class:`~repro.engine.errors.WorkloadError` (a ``ValueError``
     subclass) for unknown names and trace-validation failures, so
-    supervised sweeps classify workload problems distinctly.
+    supervised sweeps classify workload problems distinctly.  Failures
+    are not remembered: the next call runs the factory again.
     """
+    key = (name, scale, seed)
+    kernel = _KERNELS.get(key)
+    if kernel is not None:
+        return kernel
     try:
         factory = _FACTORIES[name]
     except KeyError:
@@ -126,6 +140,7 @@ def make_benchmark(name: str, scale: str = "small", seed: int = 0) -> Kernel:
             f"benchmark {name!r} at scale {scale!r} produced an invalid "
             f"trace: {exc}"
         ) from exc
+    _KERNELS[key] = kernel
     return kernel
 
 
