@@ -11,6 +11,7 @@ frees).
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional
@@ -129,6 +130,26 @@ class RunResult:
         )
 
 
+def _weak_method(method):
+    """Call ``method`` through a :class:`weakref.WeakMethod`.
+
+    The SMs and the Simulator are owned by the GPU; a strong reference
+    back to it would make every machine a reference cycle that only the
+    cyclic collector frees.  Calling after the GPU is gone raises
+    :class:`ReferenceError`.
+    """
+    ref = weakref.WeakMethod(method)
+    name = method.__qualname__
+
+    def call(*args):
+        bound = ref()
+        if bound is None:
+            raise ReferenceError(f"{name}: the GPU was freed")
+        return bound(*args)
+
+    return call
+
+
 class GPU:
     """The assembled machine: SMs, shared L2 TLB/walkers, memory system."""
 
@@ -156,9 +177,11 @@ class GPU:
         self._age = 0
         self._tbs_remaining = 0
         self._dispatch_scheduled = False
+        # weak back-edges: a finished machine is freed by reference counting
+        on_tb_finished = _weak_method(self._tb_finished)
         for sm in sms:
-            sm.on_tb_finished = self._tb_finished
-        sim.add_diagnostic_hook(self._livelock_diagnostic)
+            sm.on_tb_finished = on_tb_finished
+        sim.add_diagnostic_hook(_weak_method(self._livelock_diagnostic))
 
     # ------------------------------------------------------------------ #
     # Kernel execution
@@ -213,8 +236,9 @@ class GPU:
             # completions that cluster inside one period free several
             # slots at once, giving the scheduler an actual choice of SM.
             self._dispatch_scheduled = True
-            self.sim.schedule_after(
-                self.config.tb_dispatch_interval, self._dispatch_tick
+            self.sim.post(
+                self.sim.now + self.config.tb_dispatch_interval,
+                self._dispatch_tick,
             )
 
     def _dispatch_tick(self) -> None:

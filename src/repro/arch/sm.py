@@ -160,7 +160,7 @@ class StreamingMultiprocessor:
             self._schedule_ready(warp)
         if not started:
             # Degenerate TB with no memory instructions: completes at once.
-            self.sim.schedule(now, lambda: self._finish_tb(tb))
+            self._post(now, self._finish_tb, tb)
         return tb
 
     def _finish_tb(self, tb: TBRuntime) -> None:
@@ -190,6 +190,11 @@ class StreamingMultiprocessor:
         if hook is not None:
             hook(tb.hw_tb_id)
         self.on_tb_finished(self, tb)
+        # break the warp <-> closure <-> TB cycles so the retired TB is
+        # freed by reference counting, not left for the cyclic collector
+        for warp in tb.warps:
+            warp.request_cb = warp.grant_cb = warp.complete_cb = None
+            warp.tb = None
 
     # ------------------------------------------------------------------ #
     # Warp issue
@@ -199,7 +204,8 @@ class StreamingMultiprocessor:
 
         The issue request, grant, and transaction-completion callbacks
         close only over the warp, so one set per warp replaces the three
-        allocations per transaction the profile showed.
+        allocations per transaction the profile showed.  They make each
+        warp a reference cycle, so :meth:`_finish_tb` drops them again.
         """
         warp.grant_cb = lambda t: self._on_grant(warp, t)
         warp.request_cb = lambda: issue_port.request(warp, warp.grant_cb)
@@ -251,13 +257,11 @@ class StreamingMultiprocessor:
         self._pending[vpn] = [(warp, vaddr, is_write, hw_tb_id, now)]
         self._translations_sent.inc()
         arrival_at_l2 = self.memory.noc.traverse(self.sm_id, lookup_done)
-        self.translation.translate(
-            vpn, arrival_at_l2, lambda ppn, level: self._translation_reply(vpn, ppn)
-        )
+        self.translation.translate(vpn, arrival_at_l2, self._translation_reply)
 
-    def _translation_reply(self, vpn: int, ppn: int) -> None:
+    def _translation_reply(self, vpn: int, ppn: int, level: str) -> None:
         back_at_sm = self._queue.now + self.memory.noc.traversal_latency
-        self._post(back_at_sm, lambda: self._translation_filled(vpn, ppn))
+        self._post(back_at_sm, self._translation_filled, vpn, ppn)
 
     def _translation_filled(self, vpn: int, ppn: int) -> None:
         now = self._queue.now
@@ -287,9 +291,7 @@ class StreamingMultiprocessor:
     ) -> None:
         if now > self._queue.now:
             self._post(
-                now, lambda: self.memory.access(
-                    paddr, now, warp.complete_cb, is_write
-                )
+                now, self.memory.access, paddr, now, warp.complete_cb, is_write
             )
         else:
             self.memory.access(paddr, now, warp.complete_cb, is_write)

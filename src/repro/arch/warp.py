@@ -42,7 +42,8 @@ class WarpRuntime:
         self.ready_time = 0.0        # earliest time the warp can issue
         self.done = len(trace.instructions) == 0
         # issue/completion closures, bound once by the SM at dispatch so
-        # the per-transaction hot path allocates no lambdas
+        # the per-transaction hot path allocates no lambdas, and dropped
+        # (with ``tb``) when the TB finishes
         self.request_cb = None
         self.grant_cb = None
         self.complete_cb = None

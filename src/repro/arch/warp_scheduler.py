@@ -70,7 +70,7 @@ class GTOIssuePort:
         queue = self._queue
         now = queue.now
         when = now if now >= self._busy_until else self._busy_until
-        queue.post(when, self._arbitrate, -1)
+        queue.post(when, self._arbitrate, priority=-1)
 
     def _arbitrate(self) -> None:
         self._arbitration_pending = False
@@ -94,7 +94,7 @@ class GTOIssuePort:
         # callback cannot advance the clock, only event pops do)
         if not self._arbitration_pending and self._waiting:
             self._arbitration_pending = True
-            self._queue.post(busy, self._arbitrate, -1)
+            self._queue.post(busy, self._arbitrate, priority=-1)
 
     def _pick(self) -> WarpRuntime:
         """GTO: greedy (last issued) if ready, else oldest by dispatch age."""

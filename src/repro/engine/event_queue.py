@@ -8,18 +8,22 @@ compared).
 
 Hot-path representation
 -----------------------
-Heap entries are plain mutable lists ``[time, priority, seq, callback]``
-rather than objects: CPython compares lists element-wise in C, so a heap
-sift never enters a Python ``__lt__`` frame (the previous dataclass
-ordering built two tuples per comparison and dominated the event loop's
-profile).  The unique ``seq`` guarantees the comparison always resolves
-before reaching the callback slot.
+Heap entries are plain mutable lists ``[time, priority, seq, callback,
+args]`` rather than objects: CPython compares lists element-wise in C, so
+a heap sift never enters a Python ``__lt__`` frame (the previous
+dataclass ordering built two tuples per comparison and dominated the
+event loop's profile).  The unique ``seq`` guarantees the comparison
+always resolves before reaching the callback slot.  An event runs as
+``callback(*args)``: components post a method plus its int arguments
+instead of a closure, so the per-transaction path allocates no
+function, closure tuple or cells for the cyclic collector to track.
 
-A cancelled entry has ``entry[3] is None``; it stays in the heap and is
-dropped lazily when it reaches the top.  Popped and lazily-dropped
-entries are recycled through a free pool (``seq`` is reset to ``-1`` so
-a stale :class:`EventHandle` can never cancel a recycled entry — the
-sequence number doubles as a generation tag).
+A cancelled entry has ``entry[E_CALLBACK] is None``; it stays in the
+heap and is dropped lazily when it reaches the top.  Popped and
+lazily-dropped entries are recycled through a free pool (``seq`` is
+reset to ``-1`` so a stale :class:`EventHandle` can never cancel a
+recycled entry — the sequence number doubles as a generation tag — and
+``args`` is reset to ``()`` so a pooled entry keeps no payload alive).
 
 :meth:`run_batch` is the batched drain used by
 :class:`~repro.engine.simulator.Simulator` when no sanitizer or stop
@@ -34,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional
 
 #: heap entry layout (documented for the white-box sanitizer checkers)
-E_TIME, E_PRIO, E_SEQ, E_CALLBACK = 0, 1, 2, 3
+E_TIME, E_PRIO, E_SEQ, E_CALLBACK, E_ARGS = 0, 1, 2, 3, 4
 
 
 class EventHandle:
@@ -60,6 +64,7 @@ class EventHandle:
         entry = self._entry
         if entry[2] == self._seq:
             entry[3] = None
+            entry[4] = ()
 
     @property
     def time(self) -> float:
@@ -125,23 +130,26 @@ class EventQueue:
             entry[1] = priority
             entry[2] = seq
             entry[3] = callback
+            # a pooled entry's args were already reset to () on pop
         else:
-            entry = [time, priority, seq, callback]
+            entry = [time, priority, seq, callback, ()]
         heappush(self._heap, entry)
         return EventHandle(entry, seq, time)
 
     def post(
         self,
         time: float,
-        callback: Callable[[], Any],
+        callback: Callable[..., Any],
+        *args: Any,
         priority: int = 0,
     ) -> None:
-        """Schedule ``callback`` at ``time`` without returning a handle.
+        """Schedule ``callback(*args)`` at ``time`` without a handle.
 
         Identical semantics to :meth:`schedule` minus cancellation
         support.  Hot components that never cancel use this to skip the
         :class:`EventHandle` allocation (tens of thousands of discarded
-        handles per run showed up in profiles).
+        handles per run showed up in profiles), and pass a method plus
+        its arguments rather than a closure.
         """
         if time < self.now:
             raise ValueError(
@@ -156,8 +164,9 @@ class EventQueue:
             entry[1] = priority
             entry[2] = seq
             entry[3] = callback
+            entry[4] = args
         else:
-            entry = [time, priority, seq, callback]
+            entry = [time, priority, seq, callback, args]
         heappush(self._heap, entry)
 
     def schedule_after(
@@ -209,9 +218,11 @@ class EventQueue:
             entry[2] = -1
             pool.append(entry)
         time = entry[0]
+        args = entry[4]
         # recycle before running: the callback may schedule and reuse it
         entry[2] = -1
         entry[3] = None
+        entry[4] = ()
         pool.append(entry)
         sanitizer = self.sanitizer
         if sanitizer is not None and time < self.now:
@@ -226,7 +237,7 @@ class EventQueue:
                 sanitizer.check_watch(time)
             # observe the new cycle *before* its first event mutates state
             watcher(time)
-        callback()
+        callback(*args)
         return True
 
     def run_batch(self, budget: int, tally=None) -> int:
@@ -263,8 +274,10 @@ class EventQueue:
                 pool_append(entry)
                 continue
             time = entry[0]
+            args = entry[4]
             entry[2] = -1
             entry[3] = None
+            entry[4] = ()
             pool_append(entry)
             if time > now:
                 watcher = self.time_watcher
@@ -272,7 +285,7 @@ class EventQueue:
                     watcher(time)
                 now = time
                 self.now = time
-            callback()
+            callback(*args)
             n += 1
             if tally is not None:
                 tally._events_run += 1

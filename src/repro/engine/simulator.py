@@ -139,10 +139,14 @@ class Simulator:
         return self.queue.schedule_after(delay, callback, priority)
 
     def post(
-        self, time: float, callback: Callable[[], None], priority: int = 0
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args,
+        priority: int = 0,
     ) -> None:
-        """:meth:`EventQueue.post` — schedule with no cancellation handle."""
-        self.queue.post(time, callback, priority)
+        """:meth:`EventQueue.post` — ``callback(*args)`` with no handle."""
+        self.queue.post(time, callback, *args, priority=priority)
 
     def run(self, until: Optional[Callable[[], bool]] = None) -> float:
         """Run events until the queue drains (or ``until()`` is true).

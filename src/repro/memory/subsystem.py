@@ -86,7 +86,7 @@ class SMMemoryPath:
         at_partition = self._noc_traverse(self.sm_id, l1_done)
         serviced = self._partitions_access(paddr, at_partition, is_write)
         back_at_sm = serviced + self.noc.traversal_latency
-        self._post(back_at_sm, lambda: self._finish_fill(line, paddr, is_write))
+        self._post(back_at_sm, self._finish_fill, line, paddr, is_write)
 
     def _finish_fill(self, line: int, paddr: int, is_write: bool) -> None:
         self.l1.fill(paddr, is_write)

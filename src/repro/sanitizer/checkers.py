@@ -63,14 +63,15 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Set
 
-from ..engine.event_queue import E_CALLBACK, E_PRIO, E_TIME
+from ..engine.event_queue import E_ARGS, E_CALLBACK, E_PRIO, E_SEQ, E_TIME
 
 
 class QueueChecker:
     """Event-queue structural invariants (pending events vs the clock).
 
-    Heap entries are plain ``[time, priority, seq, callback]`` lists
-    (see :mod:`repro.engine.event_queue`); a ``None`` callback marks a
+    Heap entries are plain ``[time, priority, seq, callback, args]``
+    lists indexed by the ``E_*`` constants of
+    :mod:`repro.engine.event_queue`; a ``None`` callback marks a
     cancelled entry awaiting lazy removal.
     """
 
@@ -97,10 +98,13 @@ class QueueChecker:
         # bypass schedule()'s monotonicity guard — exactly what a
         # component mutating a handed-out event (or a heap-corruption
         # bug) would do
-        heapq.heappush(
-            self.queue._heap,
-            [self.queue.now - 1.0, 0, -1, lambda: None],
-        )
+        entry = [None] * (E_ARGS + 1)
+        entry[E_TIME] = self.queue.now - 1.0
+        entry[E_PRIO] = 0
+        entry[E_SEQ] = -1
+        entry[E_CALLBACK] = lambda: None
+        entry[E_ARGS] = ()
+        heapq.heappush(self.queue._heap, entry)
 
     def _inject_watcher_disorder(self) -> None:
         san = self.queue.sanitizer

@@ -18,8 +18,9 @@ from ..engine.stats import StatGroup
 from .tlb import SetAssociativeTLB
 from .walker import WalkerPool
 
-#: callback(ppn, level) where level is "l2" or "walk"
-TranslationCallback = Callable[[int, str], None]
+#: callback(vpn, ppn, level) where level is "l2" or "walk"; requesters
+#: pass one method for every VPN instead of a closure per miss
+TranslationCallback = Callable[[int, int, str], None]
 
 
 class SharedTranslationService:
@@ -55,7 +56,7 @@ class SharedTranslationService:
         self.walks_completed = 0
 
     def translate(self, vpn: int, now: float, callback: TranslationCallback) -> None:
-        """Resolve ``vpn``; ``callback(ppn, level)`` fires at completion time.
+        """Resolve ``vpn``; ``callback(vpn, ppn, level)`` fires at completion.
 
         ``now`` is the arrival time at the L2 TLB.  The callback runs as a
         scheduled simulator event (never synchronously), so callers can
@@ -67,8 +68,7 @@ class SharedTranslationService:
         lookup_done = granted + self.l2_tlb.lookup_latency
         result = self.l2_tlb.probe(vpn)
         if result.hit:
-            ppn = result.ppn
-            self._post(lookup_done, lambda: callback(ppn, "l2"))
+            self._post(lookup_done, callback, vpn, result.ppn, "l2")
             return
         waiting = self._pending.get(vpn)
         if waiting is not None:
@@ -78,11 +78,11 @@ class SharedTranslationService:
             return
         self._pending[vpn] = [callback]
         walk_done, ppn = self.walkers.walk(vpn, lookup_done)
-        self._post(walk_done, lambda: self._finish_walk(vpn, ppn))
+        self._post(walk_done, self._finish_walk, vpn, ppn)
 
     def _finish_walk(self, vpn: int, ppn: int) -> None:
         # Fill the shared L2 TLB (Fig 1 step 5), then wake every waiter.
         self.walks_completed += 1
         self.l2_tlb.insert(vpn, ppn)
         for callback in self._pending.pop(vpn, ()):  # pragma: no branch
-            callback(ppn, "walk")
+            callback(vpn, ppn, "walk")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 
 import pytest
 
@@ -39,17 +40,37 @@ FALLBACK_SEEDS = range(20)
 # --------------------------------------------------------------------- #
 # Event queue vs plain-heapq oracle
 # --------------------------------------------------------------------- #
+class _Payload:
+    """Event argument whose lifetime the oracle watches through a weakref."""
+
+    __slots__ = ("seq", "value", "__weakref__")
+
+    def __init__(self, seq, value):
+        self.seq = seq
+        self.value = value
+
+
+class _Tally:
+    _events_run = 0
+
+
 def run_queue_ops(ops):
     """Drive an EventQueue and a naive oracle with one op stream.
 
-    Ops: ``("push", delay_quarters, priority)``, ``("cancel", index)``
-    (cancels the index-th handle ever created — including handles whose
-    event already ran or whose pooled entry was recycled, which must be
-    safe no-ops), and ``("pop",)``.
+    Ops: ``("push", delay_quarters, priority)``, ``("post", delay_quarters,
+    priority, value)`` (a handle-less event whose one shared callback
+    receives a payload object as its argument, no closure),
+    ``("cancel", index)`` (cancels the index-th handle ever created —
+    including handles whose event already ran or whose pooled entry was
+    recycled, which must be safe no-ops), and ``("pop",)``.  The tail is
+    drained through :meth:`EventQueue.run_batch`, the production drain.
+    A popped event must drop its payload: every payload's weakref dies
+    once its event ran.
     """
     q = EventQueue()
     ran = []
     handles = []
+    payloads = {}  # seq -> (weakref to the posted payload, its value)
     oracle = []  # heap of (time, priority, seq)
     status = {}  # seq -> "pending" | "cancelled" | "run"
     next_seq = 0
@@ -58,12 +79,26 @@ def run_queue_ops(ops):
     def make_cb(seq):
         return lambda: ran.append(seq)
 
+    def receive(payload):
+        assert payload.value == payloads[payload.seq][1]
+        ran.append(payload.seq)
+
+    def assert_payload_freed(seq):
+        if seq in payloads:
+            assert payloads[seq][0]() is None, "popped entry kept its payload"
+
     for op in ops:
-        if op[0] == "push":
+        if op[0] in ("push", "post"):
             t = now + op[1] * 0.25
             seq = next_seq
             next_seq += 1
-            handles.append((q.schedule(t, make_cb(seq), op[2]), seq))
+            if op[0] == "push":
+                handles.append((q.schedule(t, make_cb(seq), op[2]), seq))
+            else:
+                payload = _Payload(seq, op[3])
+                payloads[seq] = (weakref.ref(payload), op[3])
+                q.post(t, receive, payload, priority=op[2])
+                del payload
             heapq.heappush(oracle, (t, op[2], seq))
             status[seq] = "pending"
         elif op[0] == "cancel":
@@ -85,32 +120,49 @@ def run_queue_ops(ops):
                 assert len(ran) == n_before + 1, "exactly one callback ran"
                 assert ran[-1] == seq, "pop order diverged from oracle"
                 assert q.now == t
+                assert_payload_freed(seq)
                 status[seq] = "run"
                 now = t
         live = sum(1 for s in status.values() if s == "pending")
         assert len(q) == live
-    # drain the rest: the full remaining order must match the oracle
+    # drain the rest in small batches: the full remaining order must
+    # match the oracle and every batch but the last must run its budget
     expected_tail = []
+    last_time = now
     while oracle:
         t, _prio, seq = heapq.heappop(oracle)
         if status[seq] == "pending":
             expected_tail.append(seq)
             status[seq] = "run"
-    drained = []
+            last_time = t
     mark = len(ran)
-    while q.pop_and_run():
-        drained.append(ran[-1])
+    tally = _Tally()
+    total = 0
+    while True:
+        n = q.run_batch(3, tally)
+        total += n
+        if n < 3:
+            break
+    assert total == tally._events_run == len(expected_tail)
     assert ran[mark:] == expected_tail
-    assert drained == expected_tail
+    assert q.now == last_time
     assert len(q) == 0
+    assert q.run_batch(3) == 0
+    for seq in payloads:
+        assert_payload_freed(seq)
 
 
 def _random_queue_ops(rng: random.Random, n: int = 150):
     ops = []
     for _ in range(n):
         r = rng.random()
-        if r < 0.5:
+        if r < 0.3:
             ops.append(("push", rng.randrange(0, 12), rng.randrange(-1, 2)))
+        elif r < 0.5:
+            ops.append(
+                ("post", rng.randrange(0, 12), rng.randrange(-1, 2),
+                 rng.randrange(0, 1000))
+            )
         elif r < 0.7:
             ops.append(("cancel", rng.randrange(0, 256)))
         else:
@@ -125,6 +177,12 @@ if HAVE_HYPOTHESIS:
                 st.just("push"),
                 st.integers(min_value=0, max_value=12),
                 st.integers(min_value=-1, max_value=1),
+            ),
+            st.tuples(
+                st.just("post"),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=-1, max_value=1),
+                st.integers(min_value=0, max_value=999),
             ),
             st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255)),
             st.tuples(st.just("pop")),
