@@ -53,18 +53,31 @@ class CSRGraph:
             raise ValueError("col_idx out of range")
 
 
+def _lemire(words: np.ndarray, n) -> "tuple[np.ndarray, np.ndarray]":
+    """numpy's bounded draw from ``[0, n)`` applied to 32-bit ``words``.
+
+    ``n`` (``2 <= n < 2**32``) is a scalar or broadcasts against
+    ``words``.  Returns ``(draws, rejected)``: each word gives the draw
+    ``(word * n) >> 32``, or is rejected when the low 32 bits of the
+    product fall below ``(2**32 - n) % n``.
+    """
+    n = np.asarray(n, dtype=np.uint64)
+    x = words.astype(np.uint64) * n
+    rejected = (x & np.uint64(0xFFFFFFFF)) < (np.uint64(1 << 32) - n) % n
+    return (x >> np.uint64(32)).astype(np.int64), rejected
+
+
 class BoundedWords:
-    """numpy's bounded-integer draws, replayed in Python from bulk words.
+    """numpy's bounded-integer draws, replayed from bulk 32-bit words.
 
     For ``2 <= n < 2**32``, ``Generator.integers(0, n, size=k)`` takes
     the bit generator's 32-bit words one at a time and applies Lemire's
-    rule to each: ``x = word * n``, rejected while the low 32 bits of
-    ``x`` fall below ``(2**32 - n) % n``, else ``x >> 32`` is the draw.
-    :meth:`integers` applies the same rule to words fetched in bulk, so
-    a long run of small draws costs one numpy call per chunk instead of
-    one per draw.  Bulk fetching reads ahead of the words the draws
-    use; :meth:`sync` rewinds the generator to exactly where numpy's own
-    per-draw calls would have left it.
+    rule to each (:func:`_lemire`), skipping rejected words.  This class
+    fetches the words in chunks: :meth:`integers` replays the rule, and
+    :meth:`peek`/:meth:`advance` hand words to callers that apply it
+    themselves.  Bulk fetching reads ahead of the words used; :meth:`sync`
+    rewinds the generator to exactly where numpy's own per-draw calls
+    would have left it.
     """
 
     #: 32-bit words fetched per bulk draw
@@ -72,37 +85,37 @@ class BoundedWords:
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._words: list = []
+        self._words = np.empty(0, dtype=np.uint32)
         self._pos = 0
-        #: generator state before the current chunk was drawn
+        #: generator state just before ``_words[0]`` was drawn
         self._state = None
+
+    def peek(self, count: int) -> np.ndarray:
+        """The next ``count`` words, without consuming them."""
+        if self._pos + count > len(self._words):
+            self.sync()
+            self._state = self._rng.bit_generator.state
+            self._words = self._rng.integers(
+                0, 1 << 32, size=max(count, self.CHUNK), dtype=np.uint32
+            )
+        return self._words[self._pos: self._pos + count]
+
+    def advance(self, count: int) -> None:
+        """Consume ``count`` words (at most the last :meth:`peek`)."""
+        self._pos += count
 
     def integers(self, n: int, k: int) -> list:
         """The values ``rng.integers(0, n, size=k)`` would return."""
         if not 2 <= n < 1 << 32:
             raise ValueError(f"bound {n} is outside [2, 2**32)")
-        threshold = ((1 << 32) - n) % n
-        words, pos = self._words, self._pos
-        out = []
+        out: list = []
         while len(out) < k:
-            if pos == len(words):
-                words, pos = self._refill(), 0
             # each word yields at most one draw: take no more than needed
-            end = min(pos + k - len(out), len(words))
-            for word in words[pos:end]:
-                x = word * n
-                if x & 0xFFFFFFFF >= threshold:
-                    out.append(x >> 32)
-            pos = end
-        self._pos = pos
+            need = min(k - len(out), self.CHUNK)
+            draws, rejected = _lemire(self.peek(need), n)
+            out += draws[~rejected].tolist()
+            self.advance(need)
         return out
-
-    def _refill(self) -> list:
-        self._state = self._rng.bit_generator.state
-        self._words = self._rng.integers(
-            0, 1 << 32, size=self.CHUNK, dtype=np.uint32
-        ).tolist()
-        return self._words
 
     def sync(self) -> None:
         """Rewind the generator to just past the words actually used."""
@@ -110,7 +123,45 @@ class BoundedWords:
             return
         self._rng.bit_generator.state = self._state
         self._rng.integers(0, 1 << 32, size=self._pos, dtype=np.uint32)
-        self._state, self._words, self._pos = None, [], 0
+        self._state = None
+        self._words, self._pos = self._words[:0], 0
+
+
+#: rows per speculative block: the first and smallest, and the largest
+BLOCK_MIN, BLOCK_MAX = 16, 4096
+
+
+def _block_picks(
+    pool: np.ndarray, fill: int, v0: int, words: np.ndarray, m: int
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Speculative picks of nodes ``v0 .. v0 + B - 1`` from ``(B, m)`` words.
+
+    Bets that every node before row ``i`` added ``m`` distinct picks with
+    no rejected word, so row ``i`` draws from a pool of ``fill + 2*m*i``
+    endpoints.  Returns the sorted picks and, per row, whether the bet
+    fails there (a rejected word or a repeated pick).  Rows before the
+    first failing one are exact.
+    """
+    rows = np.arange(words.shape[0])
+    k, rejected = _lemire(words, (fill + 2 * m * rows)[:, None])
+    vals = pool[np.minimum(k, fill - 1)]  # k >= fill: resolved below
+    # pool[k] past ``fill`` is an endpoint this block adds: slot 2j of
+    # row r is node v0 + r, slot 2j + 1 its j-th sorted pick
+    inside = np.flatnonzero(k >= fill)
+    row, slot = np.divmod(k.flat[inside] - fill, 2 * m)
+    vals.flat[inside] = v0 + row
+    odd = slot & 1 == 1
+    inside, row, col = inside[odd], row[odd], slot[odd] >> 1
+    # row < the row that reads it, so the passes reach the one fixed
+    # point in at most one pass per link of the longest chain
+    while True:
+        picks = np.sort(vals, axis=1)
+        resolved = picks[row, col]
+        if np.array_equal(resolved, vals.flat[inside]):
+            break
+        vals.flat[inside] = resolved
+    failed = rejected.any(axis=1) | (picks[:, 1:] == picks[:, :-1]).any(axis=1)
+    return picks, failed
 
 
 def generate_power_law_graph(
@@ -124,9 +175,15 @@ def generate_power_law_graph(
     the same skew a citation graph shows.
 
     The picks consume the random stream exactly as one
-    ``rng.integers(0, len(pool), size=m)`` call per node would (see
-    :class:`BoundedWords`), so the graph for a given seed never changes.
+    ``rng.integers(0, len(pool), size=m)`` call per node would, so the
+    graph for a given seed never changes.  Nodes are built in
+    speculative blocks (:func:`_block_picks`); the first node where the
+    block's bet fails takes the exact per-node step (:class:`BoundedWords`).
     """
+    if edges_per_node <= 0:
+        raise ValueError(
+            f"edges_per_node must be positive, got {edges_per_node}"
+        )
     if num_nodes <= edges_per_node:
         raise ValueError(
             f"need more than {edges_per_node} nodes, got {num_nodes}"
@@ -140,42 +197,56 @@ def generate_power_law_graph(
         )
     rng = np.random.default_rng(seed)
     draws = BoundedWords(rng)
-    # Repeated-endpoint pool: every edge contributes both endpoints, so
+    # Repeated-endpoint pool: edge e is (pool[2e], pool[2e + 1]), so
     # sampling uniformly from the pool is degree-proportional sampling.
-    pool = []
-    src_list = []
-    dst_list = []
+    pool = np.empty(2 * m * num_nodes, dtype=np.int64)
     # Seed ring over the first m nodes.
-    for i in range(m):
-        j = (i + 1) % m
-        src_list.append(i)
-        dst_list.append(j)
-        pool += (i, j)
-    for v in range(m, num_nodes):
-        picks = sorted({pool[k] for k in draws.integers(len(pool), m)})
-        src_list += [v] * len(picks)
-        dst_list += picks
-        for u in picks:
-            pool += (v, u)
+    pool[0: 2 * m: 2] = np.arange(m)
+    pool[1: 2 * m: 2] = (np.arange(m) + 1) % m
+    fill = 2 * m
+    v = m
+    block = BLOCK_MIN
+    while v < num_nodes:
+        b = min(block, num_nodes - v)
+        picks, failed = _block_picks(
+            pool, fill, v, draws.peek(b * m).reshape(b, m), m
+        )
+        ok = int(failed.argmax()) if failed.any() else b
+        added = pool[fill: fill + 2 * m * ok].reshape(ok, m, 2)
+        added[:, :, 0] = np.arange(v, v + ok)[:, None]
+        added[:, :, 1] = picks[:ok]
+        draws.advance(ok * m)
+        fill += 2 * m * ok
+        v += ok
+        if ok < b:
+            # the exact per-node step for the node the bet failed on
+            ks = draws.integers(fill, m)
+            for u in sorted(set(pool[ks].tolist())):
+                pool[fill: fill + 2] = v, u
+                fill += 2
+            v += 1
+        # grow while bets hold, else aim at twice the run that held
+        block = min(max(2 * ok, BLOCK_MIN), BLOCK_MAX)
     draws.sync()
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
     # Relabel nodes with a random permutation: citation-graph node ids do
     # not correlate with degree, so hubs must not cluster at low ids
     # (which preferential attachment would otherwise produce).
     perm = rng.permutation(num_nodes).astype(np.int64)
-    src = perm[src]
-    dst = perm[dst]
-    # Undirected: mirror every edge, then build CSR with bincount/argsort.
+    src = perm[pool[0:fill:2]]
+    dst = perm[pool[1:fill:2]]
+    # Undirected: mirror every edge, then build CSR.  Sorting the unique
+    # keys ``src * arcs + arc`` orders arcs by source and, within a
+    # source, by arc index: the order a stable argsort of ``src`` gives.
     all_src = np.concatenate([src, dst])
     all_dst = np.concatenate([dst, src])
-    order = np.argsort(all_src, kind="stable")
-    all_src = all_src[order]
-    all_dst = all_dst[order]
+    order = all_src * fill  # fill == number of arcs
+    order += np.arange(fill)
+    order.sort()
+    order %= fill
     counts = np.bincount(all_src, minlength=num_nodes)
     row_ptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=row_ptr[1:])
-    graph = CSRGraph(num_nodes, row_ptr, all_dst.astype(np.int32))
+    graph = CSRGraph(num_nodes, row_ptr, all_dst[order].astype(np.int32))
     graph.validate()
     return graph
 

@@ -1,5 +1,7 @@
 """Tests for the 10 benchmark generators (micro scale for speed)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.workloads import (
     make_benchmark,
     traced_footprint_bytes,
 )
+from repro.workloads import graph as graph_module
 from repro.workloads.graph import BoundedWords, cached_power_law_graph
 from repro.workloads.graph_kernels import SPECS, graph_nodes
 
@@ -144,6 +147,11 @@ class TestPowerLawGraph:
         with pytest.raises(ValueError):
             generate_power_law_graph(4, edges_per_node=8)
 
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_non_positive_edges_per_node_rejected(self, m):
+        with pytest.raises(ValueError, match="edges_per_node"):
+            generate_power_law_graph(100, edges_per_node=m)
+
     def test_deterministic_generation(self):
         g1 = generate_power_law_graph(1000, 4, seed=9)
         g2 = generate_power_law_graph(1000, 4, seed=9)
@@ -196,8 +204,8 @@ def reference_power_law_graph(num_nodes, edges_per_node=8, seed=0):
 
 #: (num_nodes, edges_per_node): the smallest legal graph, a small one, and
 #: the graphs bfs (m=8) and pagerank (m=6) build at micro scale.  The tiny
-#: and small graphs take minutes through the reference; their pool sizes
-#: are covered by the direct bound tests of TestBoundedWords.
+#: and small graphs take minutes through the reference: TestPinnedGraphs
+#: checks them by digest, and TestBoundedWords covers their pool sizes.
 ORACLE_GRAPHS = [
     (m + 1, m) for m in (8, 6)
 ] + [(512, m) for m in (8, 6)] + [
@@ -220,6 +228,176 @@ class TestExactStream:
     def test_pool_of_2_32_endpoints_rejected(self):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             generate_power_law_graph(1 << 28, edges_per_node=8)
+
+
+def _graph_digests(graph):
+    return (
+        hashlib.sha256(graph.row_ptr.tobytes()).hexdigest(),
+        hashlib.sha256(graph.col_idx.tobytes()).hexdigest(),
+    )
+
+
+#: sha256 of the ``row_ptr`` and ``col_idx`` bytes of the bfs (m=8) and
+#: pagerank (m=6) graphs, pinned from the per-node generator.
+PINNED_GRAPHS = {
+    ("bfs", "tiny", 0): (
+        "57232d7df6bf4001b0bb3c313d186a291c9291eb6debe03d97daf401da29b2cd",
+        "40e5aee6e768db0525aa1caa34bf4fd2516036e6774666a8047e63cebab149b8",
+    ),
+    ("bfs", "tiny", 1): (
+        "ba95fe5df0fab82b51e7da2f124e0359aa6c86659a547a2fb10dbcc5992b4587",
+        "0890973c3fa55955ec93e8ce39cf0814a81962e2e73b8219a63eb8fc86b5f441",
+    ),
+    ("pagerank", "tiny", 0): (
+        "57065bd928b26143cff6258d1d5ebb8acb446383d58682fd7b966da88bb9ce0c",
+        "44e78e778c8d6fc89db78f9f586dfd610942834bcf48d525e8056ffb0931dc1e",
+    ),
+    ("pagerank", "tiny", 1): (
+        "93676a2c40b8be7fda36ce670b666c698ff6e620b3e2857a67b923886d053910",
+        "c282fb2bd061d30a43f432aac2e09c34c1b55cb989ba0c4bdbb59b36a856dced",
+    ),
+    ("bfs", "small", 0): (
+        "5c027fea900e58ff8c4669066fdd477c874da0dcdc15798c63c69c6aa73e9fe2",
+        "e71745b94ae2dc540dab4ecb758fcafb6cfc7835f172a7b5dde513318a609dee",
+    ),
+    ("pagerank", "small", 0): (
+        "7c9d5403cc06008b7bd1a709e156ed0b7cda6f5f9b3bc7b2ecdfb29b50359ad3",
+        "60667b2c2a6167eeae6b4190127c82075acdfede50bd87fc40e32940b328e3da",
+    ),
+}
+
+
+class TestPinnedGraphs:
+    @pytest.mark.parametrize(
+        "name,scale,seed",
+        [
+            pytest.param(
+                *key, marks=[pytest.mark.slow] if key[1] == "small" else []
+            )
+            for key in PINNED_GRAPHS
+        ],
+    )
+    def test_graph_bytes_match_pinned_digests(self, name, scale, seed):
+        spec = SPECS[name]
+        graph = generate_power_law_graph(
+            graph_nodes(spec, scale), spec.edges_per_node, seed
+        )
+        assert _graph_digests(graph) == PINNED_GRAPHS[name, scale, seed]
+
+
+class ScriptedRng:
+    """A ``numpy.random.Generator`` stand-in with scripted 32-bit words.
+
+    Serves the calls the generator and its reference make: raw words,
+    bounded draws (Lemire's rule per word, in Python ints), a state that
+    is the word position, and a permutation seeded by that position, so
+    two runs agree only if they leave the stream at the same word.
+    """
+
+    #: words after the script: enough for the generator's bulk reads
+    FILLER = np.random.default_rng(99).integers(
+        0, 1 << 32, size=4 * BoundedWords.CHUNK, dtype=np.uint32
+    )
+
+    def __init__(self, script):
+        self.words = np.concatenate([np.array(script, np.uint32), self.FILLER])
+        self.pos = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.pos
+
+    @state.setter
+    def state(self, pos):
+        self.pos = pos
+
+    def integers(self, low, high, size, dtype=np.int64):
+        assert low == 0
+        if high == 1 << 32:
+            self.pos += size
+            return self.words[self.pos - size: self.pos].astype(dtype)
+        out = []
+        while len(out) < size:
+            x = int(self.words[self.pos]) * high
+            self.pos += 1
+            if x & 0xFFFFFFFF >= ((1 << 32) - high) % high:
+                out.append(x >> 32)
+        return np.array(out, dtype=dtype)
+
+    def permutation(self, n):
+        return np.random.Generator(np.random.PCG64(self.pos)).permutation(n)
+
+
+def _word_for(k, n):
+    """A word numpy maps to the draw ``k`` from ``[0, n)``: the largest
+    such word, which is never rejected."""
+    return (((k + 1) << 32) - 1) // n
+
+
+#: blocks of 4 rows, edges_per_node 3: with no failure blocks start at
+#: nodes 3, 7, 11, ... and node v draws from 6 * (v - 2) endpoints
+FORCED_BLOCK, FORCED_M = 4, 3
+
+
+def _forced_script(event, target):
+    """Words for nodes ``3 .. target``: each node picks pool entries 0,
+    2, 4 (nodes 0, 1, 2 of the seed ring) unless ``event`` says else."""
+    m, script = FORCED_M, []
+    first = target - (target - m) % FORCED_BLOCK  # first node of its block
+    start = 2 * m * (first - m + 1)  # pool size when that block starts
+    for v in range(m, target + 1):
+        n = 2 * m * (v - m + 1)
+        ks = [0, 2, 4]
+        if v == target and event == "rejected":
+            # word 0 is rejected (n is never a power of two); read as a
+            # draw, it would not repeat a pick but shift the stream
+            script.append(0)
+            ks = [2, 4, 0]
+        elif v == target and event == "duplicate":
+            ks = [0, 5, 4]  # pool entries 0 and 5 both hold node 0
+        elif event == "into-block" and v == first == target:
+            ks = [start - 1, start - 2, 0]  # the previous block's last edge
+        elif event == "into-block" and first < v <= target:
+            # a chain through the block: each row picks the previous
+            # row's owner and the node 2 that row picked
+            j = 2 if v == first + 1 else 1  # where 2 sits in that row
+            ks = [n - 2 * m + 2 * j + 1, n - 2 * m, 0]
+        script += [_word_for(k, n) for k in ks]
+    return script
+
+
+class TestBlockFallbacks:
+    """Force each case a block bet must handle at a block's first and
+    last row, and check the graph against the per-node reference."""
+
+    @pytest.mark.parametrize("event", ["rejected", "duplicate", "into-block"])
+    @pytest.mark.parametrize("target,row", [(7, 0), (10, 3)], ids=["first", "last"])
+    def test_forced_event_matches_reference(self, monkeypatch, event, target, row):
+        monkeypatch.setattr(graph_module, "BLOCK_MIN", FORCED_BLOCK)
+        monkeypatch.setattr(graph_module, "BLOCK_MAX", FORCED_BLOCK)
+        script = _forced_script(event, target)
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: ScriptedRng(script)
+        )
+        blocks = []
+        block_picks = graph_module._block_picks
+
+        def spy(pool, fill, v0, words, m):
+            picks, failed = block_picks(pool, fill, v0, words, m)
+            blocks.append((v0, failed.tolist()))
+            return picks, failed
+
+        monkeypatch.setattr(graph_module, "_block_picks", spy)
+        num_nodes = 16
+        g = generate_power_law_graph(num_nodes, FORCED_M)
+        row_ptr, col_idx = reference_power_law_graph(num_nodes, FORCED_M)
+        assert g.row_ptr.tobytes() == row_ptr.tobytes()
+        assert g.col_idx.tobytes() == col_idx.tobytes()
+        # the forced node sits at ``row`` of a block, and fails the bet
+        # there unless its picks only point into the block
+        failed = dict(blocks)[target - row]
+        assert failed[: row + 1] == [False] * row + [event != "into-block"]
 
 
 class TestBoundedWords:
@@ -257,6 +435,27 @@ class TestBoundedWords:
     def test_bounds_outside_the_32_bit_path_rejected(self, n):
         with pytest.raises(ValueError):
             BoundedWords(np.random.default_rng(0)).integers(n, 1)
+
+    def test_peek_and_advance_match_numpy_words_and_state(self):
+        ours, theirs = np.random.default_rng(13), np.random.default_rng(13)
+        draws = BoundedWords(ours)
+
+        def words(k):
+            return theirs.integers(0, 1 << 32, size=k, dtype=np.uint32).tolist()
+
+        # peeked words are not consumed: only advanced ones are
+        peeked = draws.peek(100).tolist()
+        draws.advance(60)
+        assert peeked[:60] == words(60)
+        assert draws.integers(1000, 5) == theirs.integers(0, 1000, size=5).tolist()
+        # a peek past the chunk end refetches from the first unused word
+        draws.advance(BoundedWords.CHUNK - 80)
+        words(BoundedWords.CHUNK - 80)
+        assert draws.peek(40).tolist() == words(40)
+        draws.advance(40)
+        draws.sync()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert ours.random() == theirs.random()
 
 
 class TestGraphCache:
