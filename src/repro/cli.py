@@ -557,7 +557,6 @@ def _make_service(args: argparse.Namespace):
         breaker_policy=breaker,
         lease_ttl=getattr(args, "lease_ttl", 60.0),
         compact_after=getattr(args, "compact_after", 256),
-        worker_ttl=getattr(args, "worker_ttl", 15.0),
         cache_bytes=getattr(args, "cache_bytes", None),
     )
 
@@ -646,7 +645,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                     service,
                     socket_path=getattr(args, "socket", None),
                     client_ttl=getattr(args, "client_ttl", 30.0),
-                    remote_only=getattr(args, "remote_only", False),
                 )
                 print(f"listening        {daemon.socket_path}", flush=True)
                 depths = daemon.serve_forever(interrupt)
@@ -711,17 +709,6 @@ def cmd_status(args: argparse.Namespace) -> int:
               f"{stats['evicted']} evicted, "
               f"{stats['rejected_frames']} rejected frame(s), "
               f"{stats['requests_served']} request(s) served")
-        fleet = stats.get("fleet")
-        if fleet is not None:
-            workers = fleet.get("workers") or {}
-            counts = " ".join(
-                f"{state.lower()}={workers[state]}"
-                for state in sorted(workers)
-            ) or "none"
-            print(f"fleet            workers: {counts}; "
-                  f"fenced_commits={fleet.get('fenced', 0)} "
-                  f"(suspect>{fleet.get('suspect_after'):g}s, "
-                  f"dead>{fleet.get('dead_after'):g}s)")
         return 0
     directory = _service_dir(args)
     journal_path = os.path.join(directory, JOURNAL_NAME)
@@ -754,40 +741,6 @@ def cmd_status(args: argparse.Namespace) -> int:
         for line in lines:
             print(f"[{mark}] goldens: {line}")
         return 0 if passed else 1
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    """Join a daemon's fleet as a remote worker (lease/run/commit)."""
-    import os
-
-    from .engine.supervision import RetryPolicy
-    from .service import DaemonClient, RemoteWorker
-
-    client = DaemonClient(
-        args.connect,
-        socket_path=getattr(args, "socket", None),
-        timeout=getattr(args, "client_timeout", 10.0),
-        identity=f"worker-{os.getpid()}",
-    )
-    worker = RemoteWorker(
-        client,
-        benchmarks=args.benchmarks or [],
-        parallelism=args.parallelism,
-        timeout=args.timeout,
-        retry=RetryPolicy(
-            max_attempts=args.retries,
-            jitter=getattr(args, "retry_jitter", 0.1),
-        ),
-        fault_plan=FaultPlan.from_env(),
-        heartbeat_every=args.heartbeat_every,
-        max_cells=args.max_cells,
-        idle_exit=args.idle_exit,
-    )
-    with client:
-        cells = worker.run()
-    print(f"served           {cells} commit(s), {worker.fenced} fenced, "
-          f"as {worker.worker_id}")
     return 0
 
 
@@ -827,7 +780,7 @@ def _add_daemon_group(parser: argparse.ArgumentParser) -> None:
 
 def _add_service_group(
     parser: argparse.ArgumentParser, admission: bool = True
-) -> None:
+) -> "argparse._ArgumentGroup":
     group = parser.add_argument_group("sweep service")
     group.add_argument(
         "--service-dir", default=None, metavar="DIR", dest="service_dir",
@@ -835,7 +788,7 @@ def _add_service_group(
              "(default: .repro_service.<scale>)",
     )
     if not admission:
-        return
+        return group
     group.add_argument(
         "--max-depth", type=int, default=256, dest="max_depth",
         help="hard queue-depth cap; submissions beyond it are shed",
@@ -849,6 +802,7 @@ def _add_service_group(
         "--low-watermark", type=int, default=32, dest="low_watermark",
         help="depth at which backpressure releases",
     )
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1082,7 +1036,14 @@ def build_parser() -> argparse.ArgumentParser:
         dest="breaker_cooldown",
         help="denied jobs before an open breaker half-opens for a probe",
     )
-    _add_service_group(p_srv)
+    sgroup = _add_service_group(p_srv)
+    sgroup.add_argument(
+        "--cache-bytes", type=int, default=None, dest="cache_bytes",
+        metavar="BYTES",
+        help="bound the result cache: after each store, least-recently-"
+             "used entries are evicted until it fits (default: "
+             "unbounded)",
+    )
     _add_daemon_group(p_srv)
     p_srv.add_argument(
         "--client-ttl", type=float, default=30.0, dest="client_ttl",
@@ -1090,88 +1051,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --daemon: evict clients idle past this TTL "
              "(heartbeat loss)",
     )
-    fgroup = p_srv.add_argument_group("worker fleet")
-    fgroup.add_argument(
-        "--worker-ttl", type=float, default=15.0, dest="worker_ttl",
-        metavar="SECONDS",
-        help="failure-detector budget for remote workers: SUSPECT at "
-             "half this idle time, DEAD (cells reclaimed and "
-             "reassigned) at the full TTL",
-    )
-    fgroup.add_argument(
-        "--remote-only", action="store_true", dest="remote_only",
-        help="with --daemon: never execute cells in-process; every "
-             "cell waits for a fleet worker (repro worker --connect)",
-    )
-    fgroup.add_argument(
-        "--cache-bytes", type=int, default=None, dest="cache_bytes",
-        metavar="BYTES",
-        help="bound the result cache: after each store, least-recently-"
-             "used entries are evicted until it fits (default: "
-             "unbounded)",
-    )
     p_srv.set_defaults(func=cmd_serve)
-
-    p_wrk = sub.add_parser(
-        "worker",
-        help="join a daemon's fleet as a remote worker: register, "
-             "lease cells, heartbeat, commit fenced results",
-    )
-    p_wrk.add_argument(
-        "--connect", required=True, metavar="DIR",
-        help="service directory of the daemon to join (its socket "
-             "lives there unless --socket overrides)",
-    )
-    p_wrk.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="socket path (default: <connect-dir>/daemon.sock)",
-    )
-    p_wrk.add_argument(
-        "--benchmarks", nargs="+", default=None, choices=BENCHMARKS,
-        metavar="BENCH",
-        help="only lease cells for these benchmarks (default: any)",
-    )
-    p_wrk.add_argument(
-        "--parallelism", type=int, default=1, metavar="N",
-        help="declared capacity (informational in this build)",
-    )
-    p_wrk.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell (supervised subprocess)",
-    )
-    p_wrk.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="max attempts per cell before committing a failure",
-    )
-    p_wrk.add_argument(
-        "--retry-jitter", type=float, default=0.1, dest="retry_jitter",
-        metavar="FRACTION",
-        help="max extra backoff as a fraction of the base delay",
-    )
-    p_wrk.add_argument(
-        "--heartbeat-every", type=float, default=None,
-        dest="heartbeat_every", metavar="SECONDS",
-        help="heartbeat interval while a cell runs (default: what the "
-             "daemon advertises at registration)",
-    )
-    p_wrk.add_argument(
-        "--max-cells", type=int, default=None, dest="max_cells",
-        metavar="N",
-        help="exit after N commit attempts (accepted or fenced); "
-             "default: serve until idle-exit or interrupt",
-    )
-    p_wrk.add_argument(
-        "--idle-exit", type=float, default=None, dest="idle_exit",
-        metavar="SECONDS",
-        help="exit after this long with no work to lease "
-             "(default: keep polling forever)",
-    )
-    p_wrk.add_argument(
-        "--client-timeout", type=float, default=10.0,
-        dest="client_timeout", metavar="SECONDS",
-        help="per-request socket timeout before reconnect+retry",
-    )
-    p_wrk.set_defaults(func=cmd_worker)
 
     p_st = sub.add_parser(
         "status",

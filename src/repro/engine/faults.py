@@ -30,7 +30,7 @@ way for network faults — matched and fired by the protocol shim
 (:mod:`repro.service.protocol`), carried here for round-tripping::
 
     REPRO_FAULT="net:server:drop"               # 1st request lost
-    REPRO_FAULT="net:worker.heartbeat:drop:*"   # partition a worker
+    REPRO_FAULT="net:client.submit:duplicate"   # 1st submit sent twice
 
 Checkpoint corruption is injected directly on the file with
 :func:`corrupt_file` (deterministic byte flip), since it attacks the
@@ -78,17 +78,6 @@ class FaultKind(enum.Enum):
     SANITIZER = "sanitizer"
     #: raise a generic SimulationError (non-transient, not retried)
     ERROR = "error"
-    #: sleep a bounded time, then run the cell *normally* — a slow
-    #: worker, not a dead one.  The optional 4th grammar field is the
-    #: stall in seconds (default ``STALL_SECONDS``), reinterpreting the
-    #: ``times`` slot; a stall applies on every attempt.  This is how
-    #: fleet chaos tests manufacture a zombie: the worker outlives the
-    #: failure detector, wakes up, and tries to commit a stale lease.
-    STALL = "stall"
-
-
-#: default sleep for an injected ``stall`` fault
-STALL_SECONDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -100,15 +89,7 @@ class FaultSpec:
     times: int = -1
 
     def applies(self, attempt: int) -> bool:
-        if self.kind is FaultKind.STALL:
-            # `times` is the stall duration, not an attempt budget
-            return True
         return self.times < 0 or attempt < self.times
-
-    @property
-    def stall_seconds(self) -> float:
-        """Sleep duration for a STALL fault (``times`` reinterpreted)."""
-        return float(self.times) if self.times > 0 else STALL_SECONDS
 
 
 @dataclass
@@ -210,10 +191,6 @@ class FaultPlan:
 
 def trigger(spec: FaultSpec) -> None:
     """Execute an injected fault (called inside the worker body)."""
-    if spec.kind is FaultKind.STALL:
-        # Slow, not dead: sleep, then let the cell run normally.
-        time.sleep(spec.stall_seconds)
-        return
     if spec.kind is FaultKind.CRASH:
         # Bypass Python teardown entirely so no error message escapes —
         # exactly what an OOM-killed or SIGKILLed worker looks like.

@@ -342,9 +342,7 @@ class Supervisor:
         alive without journal traffic proportional to cell runtime.  The
         wait *leads* with one heartbeat, so even a cell that finishes
         inside the first interval proves liveness (and observes a
-        pending cancel/preempt/abort decision) at least once per
-        attempt — remote workers rely on this to keep their fleet
-        registration fresh while chewing through short cells.
+        pending cancel/preempt decision) at least once per attempt.
         """
         if self.heartbeat is None:
             return parent_conn.poll(self.timeout)

@@ -65,16 +65,9 @@ from .state import (
     RUNNING,
     SUBMITTED,
     TERMINAL_STATES,
-    WORKER_ALIVE,
-    WORKER_DEAD,
-    WORKER_LEFT,
-    WORKER_STATES,
-    WORKER_SUSPECT,
     Job,
     QueueState,
-    WorkerRecord,
 )
-from .workers import RemoteWorker, WorkerAbort, WorkerFleet
 
 __all__ = [
     "AckFact",
@@ -115,7 +108,6 @@ __all__ = [
     "QUARANTINED",
     "QueueState",
     "RESULTS_DIR",
-    "RemoteWorker",
     "ResultCache",
     "RUNNING",
     "SchedulingPolicy",
@@ -124,14 +116,6 @@ __all__ = [
     "SweepDaemon",
     "SweepService",
     "TERMINAL_STATES",
-    "WORKER_ALIVE",
-    "WORKER_DEAD",
-    "WORKER_LEFT",
-    "WORKER_STATES",
-    "WORKER_SUSPECT",
-    "WorkerAbort",
-    "WorkerFleet",
-    "WorkerRecord",
     "check_service_invariants",
     "explore",
     "get_net_faults",

@@ -16,7 +16,7 @@ end-to-end failure semantics:
   hint is slept *before* the next attempt, so shedding actually sheds;
 * **deadlines propagate** — the requested deadline rides the submit
   frame and becomes the job's absolute deadline on the server, carried
-  through queue and worker lease;
+  through queue and lease;
 * **deadline-capped backoff** — a ``deadline=`` on :meth:`request`
   bounds the *cumulative* retry sleep: each standoff is clamped to the
   remaining budget and an exhausted budget raises
@@ -86,10 +86,6 @@ class DaemonClient:
             identity if identity is not None else f"client-{os.getpid()}"
         )
         self.sleep = sleep
-        #: which end of the wire we are for the ``net:`` fault shim
-        #: (RemoteWorker flips this to "worker" so worker-side faults
-        #: can be injected without touching client traffic)
-        self.side = "client"
         self._sock: Optional[socket.socket] = None
         #: monotonically increasing per-client request counter: the
         #: ``rq`` stamp echoed by the server (stale-response discard)
@@ -140,7 +136,6 @@ class DaemonClient:
         self,
         body: Dict[str, Any],
         deadline: Optional[float] = None,
-        max_attempts: Optional[int] = None,
     ) -> Dict[str, Any]:
         """One request/response exchange, retried until the budget runs
         out.
@@ -162,9 +157,7 @@ class DaemonClient:
         rq = self._request_no
         body = dict(body)
         body["rq"] = rq
-        budget = max_attempts if max_attempts is not None else (
-            self.max_attempts
-        )
+        budget = self.max_attempts
         started = time.monotonic()
         last_failure = "never attempted"
         shed_hint = 0.0
@@ -187,7 +180,7 @@ class DaemonClient:
             try:
                 if self._sock is None:
                     self._sock = self._connect()
-                send_frame(self._sock, body, side=self.side)
+                send_frame(self._sock, body, side="client")
                 response = self._recv_matching(rq)
             except (OSError, ProtocolError) as exc:
                 # covers ConnectionRefused/Reset, socket.timeout, EOF
@@ -274,29 +267,6 @@ class DaemonClient:
 
     def shutdown(self) -> Dict[str, Any]:
         return self.request({"op": "shutdown"})
-
-    # -- fleet operations (used by RemoteWorker) ----------------------- #
-    def register(self, capabilities: Dict[str, Any]) -> Dict[str, Any]:
-        return self.request(
-            {"op": "register", "capabilities": capabilities}
-        )
-
-    def lease_cell(self, worker_id: str) -> Dict[str, Any]:
-        return self.request({"op": "lease", "worker_id": worker_id})
-
-    def worker_heartbeat(
-        self, worker_id: str, jobs: Optional[list] = None
-    ) -> Dict[str, Any]:
-        # liveness signal: one shot, never retried — a missed beat must
-        # cost nothing, and the next beat supersedes it anyway
-        return self.request(
-            {"op": "heartbeat", "worker_id": worker_id,
-             "jobs": list(jobs or [])},
-            max_attempts=1,
-        )
-
-    def deregister(self, worker_id: str) -> Dict[str, Any]:
-        return self.request({"op": "deregister", "worker_id": worker_id})
 
     def wait(
         self,

@@ -6,11 +6,9 @@ sample that space with a handful of well-aimed ``kill -9``s; this
 module enumerates it.
 
 The explorer runs one **scripted session** — submit two cells, submit
-one of them again (the idempotent duplicate), run one cell through the
-*remote fleet protocol* (register → lease → partition → reassign →
-commit, with the revived zombie's stale-token commit fenced), serve the
-rest of the queue with canned deterministic results, submit the
-finished cell a third time, snapshot-compact — through a recording
+one of them again (the idempotent duplicate), serve the queue with
+canned deterministic results, submit a finished cell a third time,
+snapshot-compact — through a recording
 :class:`~repro.engine.storage.Storage` shim, which yields the exact
 sequence of mutating storage operations (journal appends and fsyncs,
 result-cache writes, snapshot renames, ...).  It then replays the
@@ -114,34 +112,6 @@ def _run_script(service: SweepService) -> None:
         service.submit(benchmark, config_name)
     # duplicate idempotent submit of a queued cell: joins, no record
     service.submit(*SCRIPT_JOBS[0])
-    # fleet interlude: the first cell travels the remote-worker path —
-    # register/lease/reclaim/commit/fence are all journaled transitions,
-    # so every one of them becomes a crash boundary to explore.  Worker
-    # ids are journal-seq-derived, so the script stays deterministic.
-    fleet = service.fleet
-    w1 = fleet.register({"benchmarks": [SCRIPT_JOBS[0][0]]})["worker_id"]
-    lease1 = fleet.lease(w1)["job"]
-    # partition: w1 is declared dead mid-cell and its cell reclaimed
-    fleet.declare_dead(w1, "scripted partition")
-    w2 = fleet.register({"benchmarks": [SCRIPT_JOBS[0][0]]})["worker_id"]
-    lease2 = fleet.lease(w2)["job"]
-    fleet.commit(
-        w2,
-        lease2["job_id"],
-        lease2["fence"],
-        "done",
-        result=canned_result(lease2["benchmark"], lease2["config_name"]),
-    )
-    # the zombie wakes up and presents its stale token: answered,
-    # journaled as an audit ``fenced`` record, result discarded
-    fleet.commit(
-        w1,
-        lease1["job_id"],
-        lease1["fence"],
-        "done",
-        result=canned_result(lease1["benchmark"], lease1["config_name"]),
-    )
-    fleet.deregister(w2)
     service.run()
     # duplicate submit of a *finished* cell: still the same DONE job
     service.submit(*SCRIPT_JOBS[0])

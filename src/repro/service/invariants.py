@@ -25,9 +25,6 @@ from .state import (
     LEASED,
     QUARANTINED,
     RUNNING,
-    WORKER_ALIVE,
-    WORKER_STATES,
-    WORKER_SUSPECT,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -54,25 +51,8 @@ def check_service_invariants(state: "QueueState", leases: "LeaseTable") -> None:
       the lease table;
     * ``service.counter.desync`` — terminal-state job counts disagree
       with the journal's counters;
-    * ``service.counter.negative`` — any counter went negative;
-    * ``service.worker.unknown`` — a fleet worker is in a state outside
-      its machine;
-    * ``service.worker.dead_owner`` — a LEASED/RUNNING job is owned by
-      a worker the journal says is DEAD or LEFT (its cells must have
-      been reclaimed in the same breath it was declared dead).
+    * ``service.counter.negative`` — any counter went negative.
     """
-    attached = {
-        worker.worker_id
-        for worker in state.workers.values()
-        if worker.state in (WORKER_ALIVE, WORKER_SUSPECT)
-    }
-    for worker in state.workers.values():
-        if worker.state not in WORKER_STATES:
-            _violate(
-                "service.worker.unknown",
-                f"worker {worker.worker_id!r} is in unknown state "
-                f"{worker.state!r}",
-            )
     for job in state.jobs.values():
         if job.state not in JOB_STATES:
             _violate(
@@ -84,13 +64,6 @@ def check_service_invariants(state: "QueueState", leases: "LeaseTable") -> None:
                 _violate(
                     "service.lease.missing",
                     f"job {job.job_id!r} is {job.state} but holds no lease",
-                )
-            if job.owner in state.workers and job.owner not in attached:
-                _violate(
-                    "service.worker.dead_owner",
-                    f"job {job.job_id!r} is {job.state} but its owner "
-                    f"{job.owner!r} is "
-                    f"{state.workers[job.owner].state}",
                 )
     for lease in leases.leases():
         job = state.jobs.get(lease.job_id)

@@ -264,27 +264,6 @@ class Journal:
             self._write_line(_encode(1, _HEADER_TYPE, self._header_payload()))
             self._flush()
 
-    def mint_fence(self) -> int:
-        """Mint a fencing token: the ``seq`` the *next* append will get.
-
-        Fencing tokens are journal sequence numbers, so they inherit
-        every property the WAL already guarantees: strictly monotonic,
-        durable across crash/recovery, and monotonic across compaction
-        (the snapshot base preserves ``seq``).  The caller must append
-        the record that *carries* the token immediately — a lease
-        record whose payload says ``fence: N`` lands at ``seq == N``,
-        which replay verifies, so a spliced or replayed token is caught
-        structurally.
-        """
-        try:
-            self._ensure_open()
-        except OSError as exc:
-            raise JournalError(
-                f"{self.path}: journal open failed: {exc}"
-            ) from exc
-        assert self._seq is not None
-        return self._seq + 1
-
     def append(self, rtype: str, payload: Dict[str, Any]) -> int:
         """Durably journal one record; returns its ``seq``.
 

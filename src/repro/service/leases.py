@@ -41,9 +41,6 @@ class Lease:
     #: (0 = none); the worker heartbeat checks it so a cell past its
     #: deadline is preempted, never silently kept running
     deadline_unix: float = 0.0
-    #: fencing token of this ownership generation (the journal seq of
-    #: the lease record); a commit must present it to be accepted
-    fence: int = 0
 
     def age(self, now: float) -> float:
         return now - self.granted_at
@@ -82,7 +79,6 @@ class LeaseTable:
         job_id: str,
         owner: str,
         deadline_unix: float = 0.0,
-        fence: int = 0,
     ) -> Lease:
         if job_id in self._leases:
             raise JournalError(
@@ -97,7 +93,6 @@ class LeaseTable:
             last_heartbeat=now,
             ttl=self.ttl,
             deadline_unix=deadline_unix,
-            fence=fence,
         )
         self._leases[job_id] = lease
         return lease

@@ -26,7 +26,7 @@ reads :class:`~repro.service.state.QueueState` and answers questions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .state import SUBMITTED, Job, QueueState
 
@@ -57,19 +57,8 @@ class SchedulingPolicy:
         deadline = job.deadline_unix if job.deadline_unix else float("inf")
         return (-job.priority, deadline, position[job.job_id])
 
-    def runnable(
-        self,
-        state: QueueState,
-        now_unix: float,
-        capable: Optional[Callable[[str], bool]] = None,
-    ) -> List[Job]:
-        """Pending jobs in run order, expired deadlines excluded.
-
-        ``capable`` (benchmark -> bool) restricts the view to jobs the
-        asking worker can run — the fleet passes each worker's declared
-        capability set, so a bfs-only worker never leases an atax cell
-        while the run order among the jobs it *can* take is unchanged.
-        """
+    def runnable(self, state: QueueState, now_unix: float) -> List[Job]:
+        """Pending jobs in run order, expired deadlines excluded."""
         # submission positions resolved once per call: order.index()
         # inside the sort key would be O(n^2) in queue depth, and this
         # runs on every next_job() and heartbeat preemption check
@@ -80,19 +69,13 @@ class SchedulingPolicy:
             job
             for job in state.pending()
             if not job.past_deadline(now_unix)
-            and (capable is None or capable(job.benchmark))
         ]
         ready.sort(key=lambda job: self._rank(position, job))
         return ready
 
-    def pick_next(
-        self,
-        state: QueueState,
-        now_unix: float,
-        capable: Optional[Callable[[str], bool]] = None,
-    ) -> Optional[Job]:
+    def pick_next(self, state: QueueState, now_unix: float) -> Optional[Job]:
         """The job the pool should lease next, or None when idle."""
-        ready = self.runnable(state, now_unix, capable=capable)
+        ready = self.runnable(state, now_unix)
         return ready[0] if ready else None
 
     def expired(self, state: QueueState, now_unix: float) -> List[Job]:

@@ -58,12 +58,9 @@ from .state import (
     RUNNING,
     SUBMITTED,
     TERMINAL_STATES,
-    WORKER_ALIVE,
-    WORKER_SUSPECT,
     Job,
     QueueState,
 )
-from .workers import WorkerFleet
 
 #: pidfile guarding one live server per service directory
 PIDFILE_NAME = "serve.pid"
@@ -146,7 +143,6 @@ class SweepService:
         policy: Optional[SchedulingPolicy] = None,
         wall_clock: Callable[[], float] = time.time,
         storage: Optional[Storage] = None,
-        worker_ttl: float = 15.0,
         cache_bytes: Optional[int] = None,
     ) -> None:
         self.directory = directory
@@ -188,14 +184,6 @@ class SweepService:
             os.path.join(directory, RESULTS_DIR),
             storage=self.storage,
             max_bytes=cache_bytes,
-        )
-        #: remote worker fleet: registration, leasing, failure
-        #: detection, and the fencing gate (see service/workers.py)
-        self.worker_ttl = worker_ttl
-        self.fleet = WorkerFleet(
-            self,
-            suspect_after=worker_ttl / 2.0,
-            dead_after=worker_ttl,
         )
         #: journal records appended since the last snapshot compaction
         #: (storage-health observability for ``repro status``)
@@ -245,15 +233,12 @@ class SweepService:
             self.stats.counter(name).inc()
         elif rtype == "quarantine":
             self.stats.counter("quarantined").inc()
-        elif rtype == "fenced":
-            self.stats.counter("fenced").inc()
         # lease table bookkeeping
         if rtype == "lease":
             job = self.state.jobs[payload["job_id"]]
             self.leases.grant(
                 payload["job_id"], payload["owner"],
                 deadline_unix=job.deadline_unix,
-                fence=job.fence,
             )
         elif rtype in ("done", "fail", "quarantine", "reclaim", "cancel"):
             if payload.get("job_id") in self.leases:
@@ -321,20 +306,6 @@ class SweepService:
             for job in list(self.state.leased()):
                 self._journal("reclaim", {"job_id": job.job_id})
                 reclaimed += 1
-            # every worker the journal believes is attached was talking
-            # to the dead incarnation; its connection is gone, so its
-            # identity dies with it.  A surviving worker re-registers
-            # under a fresh id — its old fencing tokens stay dead,
-            # which is exactly what makes post-restart zombies safe.
-            for worker in self.state.fleet():
-                if worker.state in (WORKER_ALIVE, WORKER_SUSPECT):
-                    self._journal(
-                        "worker_dead",
-                        {
-                            "worker_id": worker.worker_id,
-                            "reason": "daemon restarted",
-                        },
-                    )
             check_service_invariants(self.state, self.leases)
         return reclaimed
 
@@ -480,23 +451,9 @@ class SweepService:
         worker), then returns the policy's choice among the survivors.
         """
         now = self.wall_clock()
-        self.expire_deadlines(now)
-        return self.policy.pick_next(self.state, now)
-
-    def expire_deadlines(self, now: Optional[float] = None) -> int:
-        """Journal ``FAILED(deadline)`` for every overdue pending job.
-
-        Shared by the local loop, the fleet's lease path, and the
-        remote-only daemon's idle pump, so a dead-on-arrival job is
-        failed promptly no matter which scheduler would have seen it.
-        """
-        if now is None:
-            now = self.wall_clock()
-        expired = 0
         for job in self.policy.expired(self.state, now):
             self._fail_deadline(job)
-            expired += 1
-        return expired
+        return self.policy.pick_next(self.state, now)
 
     def _fail_deadline(self, job: Job) -> None:
         overdue = self.wall_clock() - job.deadline_unix
@@ -510,7 +467,6 @@ class SweepService:
                     f"could run"
                 ),
                 "attempts": job.attempts,
-                "fence": job.fence,
             },
         )
 
@@ -592,9 +548,6 @@ class SweepService:
                 # wall clock so `repro status` from another process can
                 # report lease ages (liveness is the in-memory table)
                 "unix": time.time(),
-                # the fencing token is the lease record's own seq; the
-                # reducer verifies the two agree (splice detection)
-                "fence": self.journal.mint_fence(),
             },
         )
         self._journal("start", {"job_id": job.job_id})
@@ -671,7 +624,6 @@ class SweepService:
                     "error_class": classify(exc),
                     "message": str(exc).splitlines()[0],
                     "attempts": getattr(exc, "attempts", 1),
-                    "fence": job.fence,
                 },
             )
             return
@@ -681,7 +633,6 @@ class SweepService:
                 "job_id": job.job_id,
                 "result": result,
                 "attempts": job.attempts + 1,
-                "fence": job.fence,
             },
         )
         done = self.state.jobs[job.job_id]
@@ -815,18 +766,6 @@ class SweepService:
             lines.append(
                 f"lease            {job.job_id} -> {job.owner} "
                 f"({job.state}, {age_text}, ttl {self.lease_ttl:g}s{stale})"
-            )
-        for worker in self.state.fleet():
-            caps = ",".join(worker.benchmarks) or "*"
-            owned = sum(
-                1 for job in self.state.leased()
-                if job.owner == worker.worker_id
-            )
-            reason = f", {worker.reason}" if worker.reason else ""
-            lines.append(
-                f"worker           {worker.worker_id} {worker.state} "
-                f"benchmarks={caps} parallelism={worker.parallelism} "
-                f"jobs={owned}{reason}"
             )
         counters = " ".join(
             f"{name}={value}"

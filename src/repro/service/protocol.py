@@ -37,16 +37,16 @@ and reset frames deterministically::
 
     net:<side>[.<op>]:<kind>[:<nth>|:*]
 
-``side`` names *where* the fault fires: ``client`` and ``worker``
-attack frames as that peer *sends* them (a ``drop`` is a request lost
-in flight); ``server`` attacks requests as the daemon *receives* them
-(after decode, so ``.<op>`` can scope the fault to one operation, e.g.
-``net:server.heartbeat:drop:*`` partitions every heartbeat while
-control traffic flows).  ``nth`` counts matching frames 1-based and the
+``side`` names *where* the fault fires: ``client`` attacks frames as
+the client *sends* them (a ``drop`` is a request lost in flight);
+``server`` attacks requests as the daemon *receives* them (after
+decode, so ``.<op>`` can scope the fault to one operation, e.g.
+``net:server.submit:drop:*`` loses every submission while status
+traffic flows).  ``nth`` counts matching frames 1-based and the
 fault fires exactly once (single-shot, like disk faults); ``*`` fires
 on *every* matching frame, which is how a sustained partition is
 spelled.  ``reorder`` only makes sense where requests are processed and
-is rejected at parse time for the client/worker sides.  Decisions are
+is rejected at parse time for the client side.  Decisions are
 made by one process-wide :class:`NetFaults` instance that re-reads the
 environment whenever it changes — byte-identical pass-through when no
 ``net:`` spec is configured.
@@ -66,9 +66,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.errors import ConfigError, ProtocolError
 
-#: protocol version spoken by this build (both sides check it in hello)
-#: (2 = worker-fleet ops + request-sequence echo)
-PROTOCOL_VERSION = 2
+#: protocol version spoken by this build (``ping`` reports it)
+#: (2 = request-sequence echo; 3 = the worker-fleet ops are gone)
+PROTOCOL_VERSION = 3
 
 #: hard cap on one frame's body; larger prefixes are rejected unread
 MAX_FRAME_BYTES = 1 << 20
@@ -79,7 +79,6 @@ SOCKET_NAME = "daemon.sock"
 #: request operations the daemon understands
 OPS = (
     "ping", "submit", "status", "wait", "cancel", "stats", "shutdown",
-    "register", "lease", "heartbeat", "commit", "deregister",
 )
 
 _LEN = struct.Struct(">I")
@@ -94,7 +93,7 @@ NET_PREFIX = "net"
 NET_FAULT_ENV_VAR = "REPRO_FAULT"
 
 #: sides a net fault can attach to
-NET_SIDES = ("client", "worker", "server")
+NET_SIDES = ("client", "server")
 
 #: how long an injected ``delay`` stalls a frame
 NET_DELAY_SECONDS = 0.25
@@ -329,8 +328,8 @@ def send_frame(
 ) -> None:
     """Send one frame over a connected socket.
 
-    ``side`` tags the sender for the net-fault shim (``"client"`` /
-    ``"worker"``); without it the send is never attacked.  A ``drop``
+    ``side`` tags the sender for the net-fault shim (``"client"``);
+    without it the send is never attacked.  A ``drop``
     loses the request in flight (the caller's read times out), a
     ``duplicate`` delivers it twice, a ``reset`` tears the connection
     down, and a ``delay`` stalls it — all decided deterministically.

@@ -26,10 +26,7 @@ way rather than served or trusted.
 With ``max_bytes`` set, the cache is *bounded*: after each store, the
 least-recently-used entries (mtime order; reads touch it) are evicted
 until the budget holds, so a long-lived daemon cannot grow disk without
-limit.  Unbounded (the default) behaves exactly as before.  Writes can
-also be *fenced*: a put presenting a stale fencing token is counted in
-``fenced_writes`` and discarded — the cache-level backstop of the
-fleet's zombie-commit gate.
+limit.  Unbounded (the default) behaves exactly as before.
 """
 
 from __future__ import annotations
@@ -76,8 +73,6 @@ class ResultCache:
         self.store_failures = 0
         #: entries evicted to hold the byte budget
         self.evictions = 0
-        #: stores refused because they presented a stale fencing token
-        self.fenced_writes = 0
 
     def path_for(self, key: str) -> str:
         if (
@@ -164,8 +159,6 @@ class ResultCache:
         config_hash: str = "",
         scale: str = "",
         seed: int = 0,
-        fence: Optional[int] = None,
-        fence_expected: Optional[int] = None,
     ) -> str:
         """Store one completed cell; idempotent (first write wins).
 
@@ -181,21 +174,8 @@ class ResultCache:
         guarantees no partial entry became visible, the journal's DONE
         record remains the durable truth, and a later request for the
         same key simply re-serves from the journal state.
-
-        When both ``fence`` and ``fence_expected`` are given, a
-        mismatch means the write comes from a stale ownership
-        generation (a zombie worker): it is counted in
-        ``fenced_writes`` and never touches disk.  (The fleet answers
-        the zombie *before* calling put; this is defense in depth.)
         """
         path = self.path_for(key)
-        if (
-            fence is not None
-            and fence_expected is not None
-            and fence != fence_expected
-        ):
-            self.fenced_writes += 1
-            return path
         if os.path.exists(path):
             return path
         entry = {
@@ -281,5 +261,4 @@ class ResultCache:
             "stores": self.stores,
             "store_failures": self.store_failures,
             "evictions": self.evictions,
-            "fenced_writes": self.fenced_writes,
         }

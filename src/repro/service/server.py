@@ -91,12 +91,8 @@ class SweepDaemon:
         socket_path: Optional[str] = None,
         client_ttl: float = 30.0,
         idle_poll: float = 0.2,
-        remote_only: bool = False,
     ) -> None:
         self.pool = pool
-        #: when set, the daemon never executes cells in-process — every
-        #: cell waits for a fleet worker to lease it (pure coordinator)
-        self.remote_only = remote_only
         self.socket_path = socket_path or os.path.join(
             pool.directory, SOCKET_NAME
         )
@@ -143,12 +139,6 @@ class SweepDaemon:
                 self.pump(wait=self.idle_poll)
                 if self._drain(interrupt):
                     break
-                if self.remote_only:
-                    # coordinator mode: cells are executed by fleet
-                    # workers; the loop still owes pending jobs their
-                    # deadline honesty
-                    self.pool.expire_deadlines()
-                    continue
                 job = self.pool.next_job()
                 if job is not None:
                     self.pool._run_job(job)
@@ -216,10 +206,6 @@ class SweepDaemon:
             if mask & selectors.EVENT_READ and client.sock.fileno() >= 0:
                 self._read(client)
         self._evict_stale()
-        # failure detection rides the pump: it runs between cells AND
-        # mid-cell (supervisor heartbeat), so a dead worker is noticed
-        # even while the daemon is busy simulating locally
-        self.pool.fleet.sweep()
 
     def _accept(self) -> None:
         assert self.listener is not None and self.selector is not None
@@ -568,92 +554,7 @@ class SweepDaemon:
             requests_served=self.requests_served,
             evicted=self.evicted,
             rejected_frames=self.rejected_frames,
-            fleet=self.pool.fleet.stats(),
         )
-
-    # ------------------------------------------------------------------ #
-    # Fleet operations (remote workers)
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _worker_id_of(request: Dict[str, Any]) -> Optional[str]:
-        worker_id = request.get("worker_id")
-        if not isinstance(worker_id, str) or not worker_id:
-            return None
-        return worker_id
-
-    def _op_register(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        capabilities = request.get("capabilities")
-        if capabilities is not None and not isinstance(capabilities, dict):
-            return error_response(
-                "protocol", "'capabilities' must be an object or absent"
-            )
-        return ok_response(**self.pool.fleet.register(capabilities))
-
-    def _op_lease(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = self._worker_id_of(request)
-        if worker_id is None:
-            return error_response(
-                "protocol", "lease needs string 'worker_id'"
-            )
-        return ok_response(**self.pool.fleet.lease(worker_id))
-
-    def _op_heartbeat(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = self._worker_id_of(request)
-        if worker_id is None:
-            return error_response(
-                "protocol", "heartbeat needs string 'worker_id'"
-            )
-        jobs = request.get("jobs", [])
-        if not isinstance(jobs, list) or any(
-            not isinstance(job_id, str) for job_id in jobs
-        ):
-            return error_response(
-                "protocol", "'jobs' must be a list of job ids"
-            )
-        return ok_response(**self.pool.fleet.heartbeat(worker_id, jobs))
-
-    def _op_commit(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = self._worker_id_of(request)
-        job_id = request.get("job_id")
-        fence = request.get("fence")
-        if worker_id is None or not isinstance(job_id, str):
-            return error_response(
-                "protocol", "commit needs string 'worker_id' and 'job_id'"
-            )
-        if not isinstance(fence, int):
-            return error_response(
-                "protocol", "commit needs integer 'fence'"
-            )
-        result = request.get("result")
-        if result is not None and not isinstance(result, dict):
-            return error_response(
-                "protocol", "'result' must be an object or absent"
-            )
-        attempts = request.get("attempts")
-        if attempts is not None and not isinstance(attempts, int):
-            return error_response(
-                "protocol", "'attempts' must be an int or absent"
-            )
-        return ok_response(
-            **self.pool.fleet.commit(
-                worker_id,
-                job_id,
-                fence,
-                str(request.get("status") or ""),
-                result=result,
-                error_class=str(request.get("error_class") or ""),
-                message=str(request.get("message") or ""),
-                attempts=attempts,
-            )
-        )
-
-    def _op_deregister(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        worker_id = self._worker_id_of(request)
-        if worker_id is None:
-            return error_response(
-                "protocol", "deregister needs string 'worker_id'"
-            )
-        return ok_response(**self.pool.fleet.deregister(worker_id))
 
     def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
         self._shutdown_requested = True

@@ -20,19 +20,17 @@ An arrow not in :data:`LEGAL_TRANSITIONS` raises
 checksummed log means the log was produced by a buggy or foreign
 writer, and replaying it would corrupt the sweep.
 
-Remote workers travel a second, simpler machine journaled alongside::
+Only one process ever takes those arrows: the service incarnation that
+holds the directory's pidfile (see
+:meth:`~repro.service.pool.SweepService.assert_no_live_server`), so a
+lease needs no ownership token: replay trusts the log's per-record CRC,
+strictly rising ``seq`` and :data:`LEGAL_TRANSITIONS` instead.
 
-    (register) ──► ALIVE ◄──heartbeat── SUSPECT ──missed──► DEAD
-                     │        (worker_alive)  ▲                │
-                     ├──missed (worker_suspect)┘               │
-                     └──deregister──► LEFT                (terminal)
-
-Every lease carries a **fencing token**: the journal ``seq`` of its own
-lease record, minted by :meth:`Journal.mint_fence`.  ``Job.fence``
-advances on every ownership change (lease *and* reclaim), and a
-``done``/``fail`` record carrying a stale token is refused — live, the
-fleet answers the zombie and journals an audit ``fenced`` record; on
-replay a stale-token commit in the WAL is a corruption and raises.
+Journals written while the service still had a remote worker fleet
+replay as long as they only hold local records (their legacy ``fence``
+payload keys are ignored); a ``worker_*`` or ``fenced`` record, or a
+snapshot that lists workers, is refused with a
+:class:`~repro.engine.errors.JournalError`.
 """
 
 from __future__ import annotations
@@ -84,70 +82,7 @@ COUNTER_NAMES = (
     "failed",
     "quarantined",
     "cancelled",
-    "fenced",
 )
-
-# Worker states (stable strings: they appear in journal payloads)
-WORKER_ALIVE = "ALIVE"
-WORKER_SUSPECT = "SUSPECT"
-WORKER_DEAD = "DEAD"
-WORKER_LEFT = "LEFT"
-
-WORKER_STATES = (WORKER_ALIVE, WORKER_SUSPECT, WORKER_DEAD, WORKER_LEFT)
-
-#: legal (from, to) worker-state arrows
-LEGAL_WORKER_TRANSITIONS = frozenset(
-    {
-        (WORKER_ALIVE, WORKER_SUSPECT),   # missed heartbeats
-        (WORKER_SUSPECT, WORKER_ALIVE),   # heartbeat resumed
-        (WORKER_ALIVE, WORKER_DEAD),      # declared dead
-        (WORKER_SUSPECT, WORKER_DEAD),    # declared dead
-        (WORKER_ALIVE, WORKER_LEFT),      # clean deregistration
-        (WORKER_SUSPECT, WORKER_LEFT),    # clean deregistration
-    }
-)
-
-
-@dataclass
-class WorkerRecord:
-    """One registered remote worker (durable identity + suspicion state).
-
-    Worker ids are minted from the journal seq of the registration
-    record, so a worker that reconnects after being declared dead gets
-    a *new*, strictly larger id — its old identity (and every fencing
-    token issued under it) stays dead forever.
-    """
-
-    worker_id: str
-    #: benchmarks the worker can execute ([] = all)
-    benchmarks: List[str]
-    #: advertised parallel cell capacity (informational for now)
-    parallelism: int = 1
-    state: str = WORKER_ALIVE
-    #: journal seq of the registration record
-    registered_seq: int = 0
-    #: journal seq of the last record that touched this worker
-    updated_seq: int = 0
-    #: why the worker left ALIVE (suspicion / death / deregistration)
-    reason: str = ""
-
-    def capable(self, benchmark: str) -> bool:
-        return not self.benchmarks or benchmark in self.benchmarks
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "worker_id": self.worker_id,
-            "benchmarks": list(self.benchmarks),
-            "parallelism": self.parallelism,
-            "state": self.state,
-            "registered_seq": self.registered_seq,
-            "updated_seq": self.updated_seq,
-            "reason": self.reason,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "WorkerRecord":
-        return cls(**{k: payload[k] for k in payload})
 
 
 @dataclass
@@ -185,10 +120,6 @@ class Job:
     #: (benchmark, config-hash, scale, seed) — a retried submission
     #: with the same key joins this job instead of duplicating it
     idempotency_key: str = ""
-    #: fencing token of the current ownership generation: the journal
-    #: seq of the last lease/reclaim record.  A commit presenting any
-    #: other token is from a previous generation (a zombie) and refused.
-    fence: int = 0
 
     @property
     def marker(self) -> str:
@@ -221,12 +152,12 @@ class Job:
             "priority": self.priority,
             "deadline_unix": self.deadline_unix,
             "idempotency_key": self.idempotency_key,
-            "fence": self.fence,
         }
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "Job":
-        return cls(**{k: payload[k] for k in payload})
+        # older journals also carry the removed fleet's lease ``fence``
+        return cls(**{k: v for k, v in payload.items() if k != "fence"})
 
 
 class QueueState:
@@ -239,8 +170,6 @@ class QueueState:
         #: idempotency key -> job_id (dedup joins; rebuilt on replay)
         self.by_key: Dict[str, str] = {}
         self.counters: Dict[str, int] = {name: 0 for name in COUNTER_NAMES}
-        #: registered remote workers by id (insertion = registration order)
-        self.workers: Dict[str, WorkerRecord] = {}
         #: breaker snapshots restored from a compaction record
         self.breaker_payloads: Dict[str, Dict[str, Any]] = {}
         #: True once a clean-shutdown record has been applied with no
@@ -257,6 +186,12 @@ class QueueState:
         seq = record["seq"]
         handler = getattr(self, f"_apply_{rtype}", None)
         if handler is None:
+            if rtype.startswith("worker_") or rtype == "fenced":
+                raise JournalError(
+                    f"journal record {rtype!r} (seq {seq}) was written by "
+                    f"the remote worker fleet, which this build no longer "
+                    f"has; start a fresh service directory"
+                )
             raise JournalError(
                 f"unknown journal record type {rtype!r} (seq {seq})"
             )
@@ -306,37 +241,11 @@ class QueueState:
         # the job never entered the queue; only the counter remembers it
         self.counters["shed"] += 1
 
-    def _check_fence(
-        self, job: Job, payload: Dict[str, Any], seq: int
-    ) -> None:
-        """Refuse a commit record carrying a stale fencing token.
-
-        Live, the fleet fences zombies *before* journaling (the stale
-        commit becomes an audit ``fenced`` record, never a ``done``);
-        finding one in the WAL means a foreign or buggy writer bypassed
-        that gate, so replay must refuse it like any other corruption.
-        """
-        fence = payload.get("fence")
-        if fence is not None and int(fence) != job.fence:
-            raise JournalError(
-                f"stale fencing token {fence} for job {job.job_id!r} "
-                f"(current fence {job.fence}, seq {seq})"
-            )
-
     def _apply_lease(self, payload: Dict[str, Any], seq: int) -> None:
         job = self._job(payload, seq)
         self._transition(job, LEASED, seq)
         job.owner = payload["owner"]
         job.leased_unix = float(payload.get("unix", 0.0))
-        # the fencing token IS the lease record's seq; a payload that
-        # disagrees was spliced from another journal
-        fence = payload.get("fence")
-        if fence is not None and int(fence) != seq:
-            raise JournalError(
-                f"lease record for job {job.job_id!r} carries fence "
-                f"{fence} but landed at seq {seq}"
-            )
-        job.fence = seq
         self.counters["leased"] += 1
 
     def _apply_start(self, payload: Dict[str, Any], seq: int) -> None:
@@ -357,7 +266,6 @@ class QueueState:
 
     def _apply_done(self, payload: Dict[str, Any], seq: int) -> None:
         job = self._job(payload, seq)
-        self._check_fence(job, payload, seq)
         self._transition(job, DONE, seq)
         job.result = payload["result"]
         job.attempts = payload.get("attempts", job.attempts + 1)
@@ -368,7 +276,6 @@ class QueueState:
 
     def _apply_fail(self, payload: Dict[str, Any], seq: int) -> None:
         job = self._job(payload, seq)
-        self._check_fence(job, payload, seq)
         self._transition(job, FAILED, seq)
         job.error_class = payload["error_class"]
         job.message = payload.get("message", "")
@@ -396,81 +303,7 @@ class QueueState:
         job = self._job(payload, seq)
         self._transition(job, SUBMITTED, seq)
         job.owner = ""
-        # reclamation starts a new ownership generation: any token the
-        # previous owner still holds is stale from this seq on
-        job.fence = seq
         self.counters["reclaimed"] += 1
-
-    def _apply_fenced(self, payload: Dict[str, Any], seq: int) -> None:
-        """Audit record: a zombie commit was answered and discarded."""
-        self._job(payload, seq)  # must reference a known job
-        self.counters["fenced"] += 1
-
-    # --- worker records ------------------------------------------------ #
-    def _worker(self, payload: Dict[str, Any], seq: int) -> WorkerRecord:
-        worker_id = payload["worker_id"]
-        worker = self.workers.get(worker_id)
-        if worker is None:
-            raise JournalError(
-                f"journal record (seq {seq}) references unknown worker "
-                f"{worker_id!r}"
-            )
-        return worker
-
-    def _worker_transition(
-        self, worker: WorkerRecord, to_state: str, payload: Dict[str, Any],
-        seq: int,
-    ) -> None:
-        if (worker.state, to_state) not in LEGAL_WORKER_TRANSITIONS:
-            raise JournalError(
-                f"illegal worker transition {worker.state} -> {to_state} "
-                f"for worker {worker.worker_id!r} (seq {seq})"
-            )
-        worker.state = to_state
-        worker.updated_seq = seq
-        worker.reason = str(payload.get("reason", ""))
-
-    def _apply_worker_register(
-        self, payload: Dict[str, Any], seq: int
-    ) -> None:
-        worker = WorkerRecord.from_payload(payload["worker"])
-        if worker.worker_id in self.workers:
-            raise JournalError(
-                f"duplicate registration of worker {worker.worker_id!r} "
-                f"(seq {seq})"
-            )
-        if worker.state != WORKER_ALIVE:
-            raise JournalError(
-                f"worker {worker.worker_id!r} registered in state "
-                f"{worker.state} (seq {seq})"
-            )
-        worker.registered_seq = seq
-        worker.updated_seq = seq
-        self.workers[worker.worker_id] = worker
-
-    def _apply_worker_suspect(
-        self, payload: Dict[str, Any], seq: int
-    ) -> None:
-        self._worker_transition(
-            self._worker(payload, seq), WORKER_SUSPECT, payload, seq
-        )
-
-    def _apply_worker_alive(self, payload: Dict[str, Any], seq: int) -> None:
-        self._worker_transition(
-            self._worker(payload, seq), WORKER_ALIVE, payload, seq
-        )
-
-    def _apply_worker_dead(self, payload: Dict[str, Any], seq: int) -> None:
-        self._worker_transition(
-            self._worker(payload, seq), WORKER_DEAD, payload, seq
-        )
-
-    def _apply_worker_deregister(
-        self, payload: Dict[str, Any], seq: int
-    ) -> None:
-        self._worker_transition(
-            self._worker(payload, seq), WORKER_LEFT, payload, seq
-        )
 
     def _apply_serve_start(self, payload: Dict[str, Any], seq: int) -> None:
         pass  # provenance only: incarnation id, pid, wall time
@@ -479,6 +312,12 @@ class QueueState:
         self.clean_shutdown = bool(payload.get("clean", False))
 
     def _apply_snapshot(self, payload: Dict[str, Any], seq: int) -> None:
+        if payload.get("workers"):
+            raise JournalError(
+                f"journal record 'snapshot' (seq {seq}) lists remote "
+                f"workers of the removed worker fleet; start a fresh "
+                f"service directory"
+            )
         self.jobs = {
             job_id: Job.from_payload(job_payload)
             for job_id, job_payload in payload["jobs"].items()
@@ -492,12 +331,6 @@ class QueueState:
         self.counters = {
             name: int(payload["counters"].get(name, 0))
             for name in COUNTER_NAMES
-        }
-        self.workers = {
-            worker_id: WorkerRecord.from_payload(worker_payload)
-            for worker_id, worker_payload in payload.get(
-                "workers", {}
-            ).items()
         }
         self.breaker_payloads = dict(payload.get("breakers", {}))
 
@@ -514,10 +347,6 @@ class QueueState:
             },
             "order": list(self.order),
             "counters": dict(self.counters),
-            "workers": {
-                worker_id: worker.to_payload()
-                for worker_id, worker in self.workers.items()
-            },
             "breakers": dict(breakers or {}),
         }
 
@@ -560,7 +389,3 @@ class QueueState:
             (job.benchmark, job.config_name): job
             for job in self.jobs.values()
         }
-
-    def fleet(self) -> List[WorkerRecord]:
-        """Registered workers in registration order."""
-        return list(self.workers.values())

@@ -271,3 +271,71 @@ class TestServiceCli:
         assert code == 14  # protocol: daemon unreachable
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "protocol"
+
+
+class TestServiceOptionGroups:
+    """One option group per concern; the remote worker fleet is gone."""
+
+    @pytest.mark.parametrize("argv", [
+        ["worker", "--connect", "svc"],
+        ["serve", "--remote-only"],
+        ["serve", "--worker-ttl", "15"],
+    ])
+    def test_fleet_commands_and_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    def test_cache_bytes_sits_in_the_service_group(self, capsys):
+        args = build_parser().parse_args(["serve", "--cache-bytes", "4096"])
+        assert args.cache_bytes == 4096
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        groups = {}
+        title = None
+        for line in capsys.readouterr().out.splitlines():
+            if line and not line[0].isspace() and line.endswith(":"):
+                title = line[:-1]
+            elif title is not None:
+                groups[title] = groups.get(title, "") + line + "\n"
+        assert "--cache-bytes" in groups["sweep service"]
+        assert not any("fleet" in name for name in groups)
+
+    def test_stall_fault_kind_is_a_config_error(self, capsys, monkeypatch):
+        from repro.engine.errors import ConfigError
+        from repro.engine.faults import FaultPlan
+
+        with pytest.raises(ConfigError, match="stall"):
+            FaultPlan.parse("bfs:*:stall:9")
+        monkeypatch.setenv("REPRO_FAULT", "bfs:*:stall:9")
+        assert main(["run", "bfs", "--scale", "micro"]) == 3
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "config"
+
+    def test_daemon_status_has_no_fleet_line(self, capsys, tmp_path):
+        import threading
+
+        from repro.service import DaemonClient, SweepDaemon, SweepService
+
+        svc = str(tmp_path / "svc")
+        pool = SweepService(svc, scale="micro", seed=0)
+        pool.recover()
+        daemon = SweepDaemon(pool, idle_poll=0.02)
+        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+        thread.start()
+        client = DaemonClient(svc, timeout=5.0, max_attempts=8)
+        try:
+            client.ping()
+            assert main(
+                ["status", "--daemon", "--scale", "micro",
+                 "--service-dir", svc]
+            ) == 0
+        finally:
+            client.shutdown()
+            client.close()
+            thread.join(timeout=10.0)
+            pool.close()
+        out = capsys.readouterr().out
+        assert "result cache" in out
+        assert "fleet" not in out
+        assert "fenced" not in out

@@ -23,6 +23,7 @@ from repro.engine.errors import (
     AdmissionError,
     CancelledJobError,
     DeadlineError,
+    ProtocolError,
 )
 from repro.engine.faults import FaultKind, FaultPlan
 from repro.engine.supervision import RetryPolicy
@@ -32,12 +33,17 @@ from repro.service import (
     FAILED,
     AdmissionPolicy,
     DaemonClient,
+    DaemonUnavailable,
     Journal,
+    NetFaultKind,
+    NetFaults,
+    NetFaultSpec,
     SweepDaemon,
     SweepService,
+    set_net_faults,
 )
 from repro.service.pool import PreemptRequest
-from repro.service.protocol import MAX_FRAME_BYTES
+from repro.service.protocol import MAX_FRAME_BYTES, encode_frame
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -380,6 +386,101 @@ def test_shed_retry_sleeps_hint_instead_of_backoff(tmp_path):
         client.close()
         server_side.close()
         thread.join(timeout=5.0)
+
+
+def test_client_discards_stale_rq_responses(tmp_path):
+    client = DaemonClient(str(tmp_path), timeout=2.0)
+    ours, theirs = socket.socketpair()
+    try:
+        client._sock = ours
+        theirs.sendall(encode_frame({"ok": True, "rq": 1, "tag": "stale"}))
+        theirs.sendall(encode_frame({"ok": True, "rq": 2, "tag": "fresh"}))
+        assert client._recv_matching(2)["tag"] == "fresh"
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def test_client_rejects_response_from_the_future(tmp_path):
+    client = DaemonClient(str(tmp_path), timeout=2.0)
+    ours, theirs = socket.socketpair()
+    try:
+        client._sock = ours
+        theirs.sendall(encode_frame({"ok": True, "rq": 9}))
+        with pytest.raises(ProtocolError):
+            client._recv_matching(2)
+    finally:
+        ours.close()
+        theirs.close()
+
+
+def test_client_backoff_is_capped_by_the_deadline(tmp_path):
+    sleeps = []
+    client = DaemonClient(
+        str(tmp_path), timeout=0.2, max_attempts=4,
+        backoff_base=5.0, sleep=sleeps.append,
+    )
+    # nothing listens on the socket: every attempt fails instantly
+    with pytest.raises((DaemonUnavailable, DeadlineError)):
+        client.request({"op": "ping"}, deadline=0.5)
+    assert sleeps, "connection refusals must be retried"
+    # uncapped, the first standoff alone would be >= backoff_base
+    assert client.backoff(0) > 0.5
+    assert all(standoff <= 0.5 for standoff in sleeps)
+
+
+def test_client_exhausted_deadline_raises_without_sleeping(tmp_path):
+    sleeps = []
+    client = DaemonClient(
+        str(tmp_path), timeout=0.2, max_attempts=5, sleep=sleeps.append,
+    )
+    with pytest.raises(DeadlineError):
+        client.request({"op": "ping"}, deadline=0.0)
+    assert sleeps == []
+
+
+# --------------------------------------------------------------------- #
+# Injected network faults absorbed end to end (net: shim)
+# --------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def clean_net_faults(monkeypatch):
+    """A pristine process-wide net-fault shim before and after."""
+    monkeypatch.delenv("REPRO_FAULT", raising=False)
+    set_net_faults(None)
+    yield
+    set_net_faults(None)
+
+
+def test_server_side_drop_is_absorbed_by_client_retry(
+    tmp_path, clean_net_faults
+):
+    pool = make_pool(tmp_path)
+    with DaemonHarness(pool) as h:
+        set_net_faults(NetFaults([
+            NetFaultSpec("server", NetFaultKind.DROP, 1, "ping"),
+        ]))
+        h.client.timeout = 0.3
+        # the first ping vanishes server-side; the retry is answered
+        assert h.client.ping()["ok"] is True
+    assert pool.state.counters["done"] == 0
+
+
+def test_server_side_duplicate_is_absorbed_by_rq_discard(
+    tmp_path, clean_net_faults
+):
+    pool = make_pool(tmp_path)
+    with DaemonHarness(pool) as h:
+        set_net_faults(NetFaults([
+            NetFaultSpec("server", NetFaultKind.DUPLICATE, 1, "ping"),
+        ]))
+        assert h.client.ping()["ok"] is True
+        # the duplicated response is still in the stream; the next
+        # exchange must discard it by its stale rq stamp, not deliver it
+        stats = h.client.stats()
+        assert stats["ok"] is True
+        assert "cache" in stats
 
 
 def test_client_disconnect_mid_stream_does_not_kill_daemon(tmp_path):

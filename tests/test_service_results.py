@@ -1,4 +1,5 @@
-"""Result-cache tests: byte identity, idempotent writes, quarantine."""
+"""Result-cache tests: byte identity, idempotent writes, quarantine,
+LRU eviction at a byte budget."""
 
 import json
 import os
@@ -84,5 +85,54 @@ def test_stats(tmp_path):
     cache.get("b" * 64)
     assert cache.stats() == {
         "entries": 1, "hits": 1, "misses": 1, "stores": 1,
-        "store_failures": 0, "evictions": 0, "fenced_writes": 0,
+        "store_failures": 0, "evictions": 0,
     }
+
+
+# --------------------------------------------------------------------- #
+# LRU eviction at a byte budget
+# --------------------------------------------------------------------- #
+
+
+def test_result_cache_evicts_least_recently_used(tmp_path):
+    cache = ResultCache(str(tmp_path / "results"), max_bytes=1 << 20)
+    k1, k2, k3 = "a" * 64, "b" * 64, "c" * 64
+    cache.put(k1, {"cycles": 1.0})
+    cache.put(k2, {"cycles": 2.0})
+    size = os.path.getsize(cache.path_for(k1))
+    # pin recency deterministically: k2 is the LRU entry
+    os.utime(cache.path_for(k1), (1000, 1000))
+    os.utime(cache.path_for(k2), (500, 500))
+    cache.max_bytes = 2 * size + 8  # room for exactly two entries
+    cache.put(k3, {"cycles": 3.0})
+    assert cache.get(k2) is None
+    assert cache.get(k1)["result"] == {"cycles": 1.0}
+    assert cache.get(k3)["result"] == {"cycles": 3.0}
+    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
+    assert len(cache) == 2
+
+
+def test_result_cache_never_evicts_the_entry_just_written(tmp_path):
+    cache = ResultCache(str(tmp_path / "results"), max_bytes=1)
+    key = "k" * 64
+    cache.put(key, {"cycles": 1.0})
+    # the budget cannot hold it, but evicting the result we were asked
+    # to store would turn the cache into a lie
+    assert cache.get(key)["result"] == {"cycles": 1.0}
+    assert cache.evictions == 0
+
+
+def test_result_cache_reads_refresh_recency(tmp_path):
+    cache = ResultCache(str(tmp_path / "results"), max_bytes=1 << 20)
+    k1, k2, k3 = "a" * 64, "b" * 64, "c" * 64
+    cache.put(k1, {"cycles": 1.0})
+    cache.put(k2, {"cycles": 2.0})
+    size = os.path.getsize(cache.path_for(k1))
+    os.utime(cache.path_for(k1), (500, 500))
+    os.utime(cache.path_for(k2), (1000, 1000))
+    cache.get(k1)  # touch: k1 is now the most recently used
+    cache.max_bytes = 2 * size + 8
+    cache.put(k3, {"cycles": 3.0})
+    assert cache.get(k1) is not None
+    assert cache.get(k2) is None
