@@ -8,11 +8,11 @@ transaction, through the two paths of Fig 1:
   request across the NoC to the shared translation service;
 * data: the per-SM memory path (L1 data cache → NoC → partitions).
 
-The SM is policy-agnostic: the L1 TLB instance it is handed may be the
-baseline VPN-indexed TLB, the paper's TB-id-partitioned TLB (with or
-without set sharing), or the compressed comparator — the SM only calls
-``probe``/``insert``/``probe_latency`` and the optional ``on_tb_finished``
-hook.
+The SM is policy-agnostic: the L1 TLB it is handed may be built from
+any parts — the baseline VPN index, the paper's TB-id partitioning
+(with or without set sharing), a compressed entry format — and the SM
+only calls ``probe``/``insert``/``probe_latency`` plus the
+``configure_occupancy``/``on_tb_finished`` lifecycle calls.
 """
 
 from __future__ import annotations
@@ -117,9 +117,7 @@ class StreamingMultiprocessor:
         from it (paper §IV-B).
         """
         self.occupancy_limit = min(occupancy, self.config.max_tbs_per_sm)
-        configure = getattr(self.l1_tlb, "configure_occupancy", None)
-        if configure is not None:
-            configure(self.occupancy_limit)
+        self.l1_tlb.configure_occupancy(self.occupancy_limit)
 
     def has_free_slot(self) -> bool:
         return len(self.resident) < self.occupancy_limit
@@ -186,9 +184,7 @@ class StreamingMultiprocessor:
                 {"tb": tb.trace.tb_index, "hw": tb.hw_tb_id,
                  "warps": len(tb.warps)},
             )
-        hook = getattr(self.l1_tlb, "on_tb_finished", None)
-        if hook is not None:
-            hook(tb.hw_tb_id)
+        self.l1_tlb.on_tb_finished(tb.hw_tb_id)
         self.on_tb_finished(self, tb)
         # break the warp <-> closure <-> TB cycles so the retired TB is
         # freed by reference counting, not left for the cyclic collector

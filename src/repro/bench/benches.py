@@ -146,15 +146,19 @@ def _setup_tlb_baseline(quick: bool) -> Body:
 # Translation: partitioned TLB with set sharing
 # --------------------------------------------------------------------- #
 def _setup_tlb_partitioned(quick: bool) -> Body:
-    from ..core.partitioned_tlb import PartitionedL1TLB
+    from ..core.partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
     from ..core.set_sharing import SharingRegister
+    from ..translation.tlb import SetAssociativeTLB
 
     stream, n_ops = _tlb_stream(quick)
     rng = random.Random(7)
     tbs = [rng.randrange(0, 8) for _ in range(len(stream))]
 
     def body() -> float:
-        tlb = PartitionedL1TLB(64, 4, 1.0, sharing=SharingRegister(16))
+        tlb = SetAssociativeTLB(
+            64, 4, 1.0, policy=TBIDIndexPolicy(16, sharing=SharingRegister(16)),
+            hook=SetSharingSpill(),
+        )
         tlb.configure_occupancy(8)
         probe = tlb.probe
         insert = tlb.insert

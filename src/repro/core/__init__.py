@@ -2,16 +2,8 @@
 partitioning/sharing."""
 
 from .factory import build_l1_tlb, build_sharing_register
-from .partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    PartitionedL1TLB,
-    TBIDIndexPolicy,
-)
-from .set_sharing import (
-    AllToAllSharingRegister,
-    CounterSharingRegister,
-    SharingRegister,
-)
+from .partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
+from .set_sharing import CounterSharingRegister, SharingRegister
 from .status_table import TLBStatusTable
 from .tb_scheduler import (
     RoundRobinScheduler,
@@ -21,11 +13,9 @@ from .tb_scheduler import (
 )
 
 __all__ = [
-    "AllToAllSharingRegister",
-    "CompressedPartitionedL1TLB",
     "CounterSharingRegister",
-    "PartitionedL1TLB",
     "RoundRobinScheduler",
+    "SetSharingSpill",
     "SharingRegister",
     "TBIDIndexPolicy",
     "TBScheduler",

@@ -9,11 +9,7 @@ from ..arch.config import CompressionKind, GPUConfig, L1TLBMode, SharingPolicyKi
 from ..engine.stats import StatGroup
 from ..translation.compression import CompressedTLB, ContiguityTLB
 from ..translation.tlb import DeadEntryFilter, SetAssociativeTLB
-from .partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    ContiguityPartitionedL1TLB,
-    PartitionedL1TLB,
-)
+from .partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
 from .set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
@@ -33,82 +29,62 @@ def build_sharing_register(config: GPUConfig) -> SharingRegister:
     raise ValueError(f"unknown sharing policy {config.sharing_policy!r}")
 
 
+#: compression kind (``None``: compression off) -> entry format
+_FORMATS = {
+    None: SetAssociativeTLB,
+    CompressionKind.STRIDE: CompressedTLB,
+    CompressionKind.CONTIGUITY: ContiguityTLB,
+}
+
+
+#: L1 TLB mode -> (TB-id indexed, with a sharing register)
+_MODES = {
+    L1TLBMode.BASELINE: (False, False),
+    L1TLBMode.PARTITIONED: (True, False),
+    L1TLBMode.PARTITIONED_SHARING: (True, True),
+}
+
+
 def build_l1_tlb(
     config: GPUConfig, stats: Optional[StatGroup] = None, name: str = "l1_tlb"
 ) -> SetAssociativeTLB:
-    """Construct one SM's L1 TLB for the configured mode.
+    """Construct one SM's L1 TLB: the entry format from the compression
+    kind, the index policy and eviction hook from the mode, plus the
+    configured replacement order and optional dead-entry filter.
 
-    The corners: baseline / partitioned(+sharing), each optionally with
-    a large-reach entry format (stride ranges or subregion-contiguity
-    bitmaps) layered on the storage, an optional dead-entry filter
-    attached on top, and the configured replacement order throughout.
+    ``GPUConfig`` already refuses dead-entry + compression, so the
+    filter only ever sees per-page entries.
     """
-    mode = config.l1_tlb_mode
-    replacement = config.l1_tlb_replacement.value
-    sharing = None
-    if mode is L1TLBMode.PARTITIONED_SHARING:
-        sharing = build_sharing_register(config)
-    tlb: SetAssociativeTLB
-    if mode is L1TLBMode.BASELINE:
-        if config.l1_tlb_compression:
-            cls = (
-                ContiguityTLB
-                if config.compression_kind is CompressionKind.CONTIGUITY
-                else CompressedTLB
-            )
-            tlb = cls(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                max_ratio=config.compression_max_ratio,
-                decompression_latency=config.compression_latency,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-        else:
-            tlb = SetAssociativeTLB(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-    elif mode in (L1TLBMode.PARTITIONED, L1TLBMode.PARTITIONED_SHARING):
-        if config.l1_tlb_compression:
-            part_cls = (
-                ContiguityPartitionedL1TLB
-                if config.compression_kind is CompressionKind.CONTIGUITY
-                else CompressedPartitionedL1TLB
-            )
-            tlb = part_cls(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                max_ratio=config.compression_max_ratio,
-                decompression_latency=config.compression_latency,
-                sharing=sharing,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-        else:
-            tlb = PartitionedL1TLB(
-                config.l1_tlb_entries,
-                config.l1_tlb_assoc,
-                config.l1_tlb_latency,
-                sharing=sharing,
-                stats=stats,
-                name=name,
-                replacement=replacement,
-            )
-    else:
-        raise ValueError(f"unknown L1 TLB mode {mode!r}")
-    if config.l1_tlb_dead_entry:
-        # GPUConfig.__post_init__ already refused dead-entry + compression,
-        # so the filter only ever sees per-page storage.
-        tlb.attach_dead_filter(
-            DeadEntryFilter(config.dead_entry_threshold, stats=tlb.stats)
+    fmt = _FORMATS[config.compression_kind if config.l1_tlb_compression else None]
+    extra = {}
+    granularity = 1
+    if fmt is not SetAssociativeTLB:
+        granularity = config.compression_max_ratio
+        extra = dict(
+            max_ratio=granularity,
+            decompression_latency=config.compression_latency,
         )
-    return tlb
+    tbid_indexed, shared = _MODES[config.l1_tlb_mode]
+    policy = hook = None
+    if tbid_indexed:
+        policy = TBIDIndexPolicy(
+            config.l1_tlb_entries // config.l1_tlb_assoc,
+            sharing=build_sharing_register(config) if shared else None,
+            granularity=granularity,
+        )
+        hook = SetSharingSpill()
+    dead_filter = None
+    if config.l1_tlb_dead_entry:
+        dead_filter = DeadEntryFilter(config.dead_entry_threshold)
+    return fmt(
+        config.l1_tlb_entries,
+        config.l1_tlb_assoc,
+        config.l1_tlb_latency,
+        policy=policy,
+        stats=stats,
+        name=name,
+        replacement=config.l1_tlb_replacement.value,
+        hook=hook,
+        dead_filter=dead_filter,
+        **extra,
+    )

@@ -11,7 +11,10 @@ Lookup cost: the sets owned by (or shared with) a TB are probed
 serially with a full-VPN compare — a lookup that probes ``k`` sets costs
 ``k`` times the base latency, the overhead the paper explicitly charges.
 
-Dynamic adjacent-set sharing (§IV-B, Fig 9) composes through the
+The partitioned TLB is the stock :class:`SetAssociativeTLB` (in any
+entry format) built with :class:`TBIDIndexPolicy` and the
+:class:`SetSharingSpill` eviction hook.  Dynamic adjacent-set sharing
+(§IV-B, Fig 9) composes through the policy's
 :class:`~repro.core.set_sharing.SharingRegister`: an entry evicted from a
 TB's full sets spills into a free slot of the adjacent TB's sets, setting
 the evicting TB's sharing flag; lookups from a flagged TB also probe the
@@ -25,10 +28,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..engine.stats import StatGroup
-from ..translation.compression import CompressedTLB, ContiguityTLB
-from ..translation.tlb import IndexPolicy, SetAssociativeTLB
-from .set_sharing import AllToAllSharingRegister, SharingRegister
+from ..translation.tlb import EvictionHook, IndexPolicy, SetAssociativeTLB
+from .set_sharing import SharingRegister
 
 
 class TBIDIndexPolicy(IndexPolicy):
@@ -205,150 +206,52 @@ class TenantIndexPolicy(IndexPolicy):
         return self.lookup_sets(vpn, tb_id)
 
 
-class _PartitioningMixin:
-    """Shared behaviour for partitioned TLBs (plain and compressed).
+class SetSharingSpill(EvictionHook):
+    """The partitioned L1 TLB's eviction hook (paper §IV-B, Fig 9).
 
-    Mixed-in classes must also inherit :class:`SetAssociativeTLB`; the
-    mixin relies on ``self.policy`` being a :class:`TBIDIndexPolicy` and
-    provides the eviction-spill hook and the TB-finish hook the SM calls.
+    An entry evicted from a TB's full sets spills into a free slot of a
+    sharing partner's sets — the partners the TB-id policy's sharing
+    register names — and the register records the spill.  With no
+    register (TB-id partitioning alone) every eviction is dropped and
+    the spill counters stay at zero.
     """
 
-    sharing: Optional[SharingRegister]
-
-    def _init_partitioning(self, sharing: Optional[SharingRegister]) -> None:
-        self.sharing = sharing
-        self._spills = self.stats.counter("sharing_spills")
-        self._spill_attempts = self.stats.counter("sharing_spill_attempts")
+    def bind(self, tlb: SetAssociativeTLB) -> None:
+        if not isinstance(tlb.policy, TBIDIndexPolicy):
+            raise ValueError("set-sharing spill needs a TB-id index policy")
+        self.policy = tlb.policy
+        self.sharing = tlb.policy.sharing
+        self._spills = tlb.stats.counter("sharing_spills")
+        self._spill_attempts = tlb.stats.counter("sharing_spill_attempts")
 
     def configure_occupancy(self, occupancy: int) -> None:
-        occupancy = max(1, occupancy)
-        self.policy.configure_occupancy(occupancy)
         if self.sharing is not None:
             self.sharing.configure_occupancy(
                 min(occupancy, self.sharing.capacity)
             )
 
-    def _spill_targets(self, tb_id: int) -> List[int]:
-        if isinstance(self.sharing, AllToAllSharingRegister):
-            occ = self.policy.occupancy
-            return [t for t in range(min(occ, self.sharing.capacity)) if t != tb_id]
-        return [self.sharing.neighbor(tb_id)]
-
-    def _handle_eviction(
-        self, item: Tuple[int, Any], tb_id: Optional[int]
+    def evict(
+        self,
+        tlb: SetAssociativeTLB,
+        item: Tuple[int, Any],
+        vpn: int,
+        tb_id: Optional[int],
     ) -> Optional[int]:
-        if self.sharing is None or tb_id is None:
+        sharing = self.sharing
+        if sharing is None or tb_id is None:
             return None
         self._spill_attempts.inc()
-        for target_tb in self._spill_targets(tb_id):
+        for target_tb in sharing.spill_targets(tb_id, self.policy.occupancy):
             if target_tb == tb_id:
                 continue
             for set_idx in self.policy.sets_for(target_tb):
-                if self._place_if_free(set_idx, item):
-                    if isinstance(self.sharing, AllToAllSharingRegister):
-                        self.sharing.record_spill_to(tb_id, target_tb)
-                    else:
-                        self.sharing.record_spill(tb_id)
+                if tlb._place_if_free(set_idx, item):
+                    sharing.record_spill_to(tb_id, target_tb)
                     self._spills.inc()
                     return set_idx
         return None
 
     def on_tb_finished(self, tb_id: int) -> None:
-        """TB finished: reset sharing flags; entries are *not* flushed."""
+        """Reset sharing flags; the TB's entries are *not* flushed."""
         if self.sharing is not None:
             self.sharing.on_tb_finished(tb_id)
-
-
-class PartitionedL1TLB(_PartitioningMixin, SetAssociativeTLB):
-    """The paper's L1 TLB: TB-id partitioning, optional set sharing."""
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        sharing: Optional[SharingRegister] = None,
-        occupancy: Optional[int] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "l1_tlb_part",
-        replacement: str = "lru",
-    ) -> None:
-        num_sets = num_entries // associativity
-        policy = TBIDIndexPolicy(num_sets, occupancy=occupancy, sharing=sharing)
-        super().__init__(
-            num_entries, associativity, lookup_latency, policy, stats, name,
-            replacement=replacement,
-        )
-        self._init_partitioning(sharing)
-
-
-class CompressedPartitionedL1TLB(_PartitioningMixin, CompressedTLB):
-    """TB-id partitioning over stride-compressed entries (ours + PACT'20,
-    the combined configuration of Fig 12)."""
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        max_ratio: int = 8,
-        decompression_latency: float = 1.0,
-        sharing: Optional[SharingRegister] = None,
-        occupancy: Optional[int] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "l1_tlb_part_comp",
-        replacement: str = "lru",
-    ) -> None:
-        num_sets = num_entries // associativity
-        policy = TBIDIndexPolicy(
-            num_sets, occupancy=occupancy, sharing=sharing,
-            granularity=max_ratio,
-        )
-        super().__init__(
-            num_entries,
-            associativity,
-            lookup_latency,
-            max_ratio=max_ratio,
-            decompression_latency=decompression_latency,
-            policy=policy,
-            stats=stats,
-            name=name,
-            replacement=replacement,
-        )
-        self._init_partitioning(sharing)
-
-
-class ContiguityPartitionedL1TLB(_PartitioningMixin, ContiguityTLB):
-    """TB-id partitioning over subregion-contiguity bitmap entries
-    (ours + arXiv 2110.08613, the zoo's large-reach configuration)."""
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        max_ratio: int = 8,
-        decompression_latency: float = 1.0,
-        sharing: Optional[SharingRegister] = None,
-        occupancy: Optional[int] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "l1_tlb_part_contig",
-        replacement: str = "lru",
-    ) -> None:
-        num_sets = num_entries // associativity
-        policy = TBIDIndexPolicy(
-            num_sets, occupancy=occupancy, sharing=sharing,
-            granularity=max_ratio,
-        )
-        super().__init__(
-            num_entries,
-            associativity,
-            lookup_latency,
-            max_ratio=max_ratio,
-            decompression_latency=decompression_latency,
-            policy=policy,
-            stats=stats,
-            name=name,
-            replacement=replacement,
-        )
-        self._init_partitioning(sharing)

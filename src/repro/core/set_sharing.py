@@ -27,6 +27,9 @@ from typing import List, Set
 class SharingRegister:
     """The paper's 1-bit-per-TB sharing register."""
 
+    #: partners are always the adjacent TB (the sanitizer's invariant)
+    adjacent_only = True
+
     def __init__(self, capacity: int = 16) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
@@ -46,6 +49,16 @@ class SharingRegister:
         return (tb_id + 1) % self.occupancy
 
     # -- spill/lookup protocol used by the partitioned TLB -------------- #
+    def spill_targets(self, tb_id: int, occupancy: int) -> List[int]:
+        """TBs whose sets an eviction from ``tb_id`` may spill into, in
+        order; ``occupancy`` is the TLB's current TB-id mapping."""
+        return [self.neighbor(tb_id)]
+
+    def record_spill_to(self, tb_id: int, target_tb: int) -> None:
+        """An eviction from ``tb_id`` spilled into ``target_tb``'s sets
+        (always the neighbour here)."""
+        self.record_spill(tb_id)
+
     def record_spill(self, tb_id: int) -> None:
         """An eviction from ``tb_id`` spilled into the neighbour's sets."""
         self._flags[tb_id] = True
@@ -105,17 +118,23 @@ class CounterSharingRegister(SharingRegister):
 
     def reset_all(self) -> None:
         super().reset_all()
-        if hasattr(self, "_counts"):
-            for i in range(self.capacity):
-                self._counts[i] = 0
+        for i in range(self.capacity):
+            self._counts[i] = 0
 
 
 class AllToAllSharingRegister(SharingRegister):
     """Ablation: a TB may share any other TB's sets (tracked partners)."""
 
+    adjacent_only = False
+
     def __init__(self, capacity: int = 16) -> None:
         super().__init__(capacity)
         self._partners: List[Set[int]] = [set() for _ in range(capacity)]
+
+    def spill_targets(self, tb_id: int, occupancy: int) -> List[int]:
+        return [
+            t for t in range(min(occupancy, self.capacity)) if t != tb_id
+        ]
 
     def record_spill_to(self, tb_id: int, target_tb: int) -> None:
         self._partners[tb_id].add(target_tb)
@@ -140,9 +159,8 @@ class AllToAllSharingRegister(SharingRegister):
 
     def reset_all(self) -> None:
         super().reset_all()
-        if hasattr(self, "_partners"):
-            for partners in self._partners:
-                partners.clear()
+        for partners in self._partners:
+            partners.clear()
 
     @property
     def bits(self) -> int:

@@ -232,18 +232,16 @@ class PartitionChecker:
         self.injectors = {"partition.bounds": self._inject_bounds}
         if tlb.sharing is not None:
             self.injectors["sharing.flag_range"] = self._inject_flag_range
-            from ..core.set_sharing import AllToAllSharingRegister
-
-            if isinstance(tlb.sharing, AllToAllSharingRegister):
+            if tlb.sharing.adjacent_only:
+                self.injectors["sharing.partner_adjacency"] = (
+                    self._inject_partner_adjacency
+                )
+            else:
                 self.injectors["sharing.self_partner"] = (
                     self._inject_self_partner
                 )
                 self.injectors["sharing.flag_desync"] = (
                     self._inject_flag_desync
-                )
-            else:
-                self.injectors["sharing.partner_adjacency"] = (
-                    self._inject_partner_adjacency
                 )
 
     def sweep(self, san, sim) -> None:
@@ -270,11 +268,8 @@ class PartitionChecker:
             )
 
     def _check_sharing(self, san) -> None:
-        from ..core.set_sharing import AllToAllSharingRegister
-
         sharing = self.tlb.sharing
         occupancy = sharing.occupancy
-        all_to_all = isinstance(sharing, AllToAllSharingRegister)
         for tb_id in range(sharing.capacity):
             flagged = sharing.is_sharing(tb_id)
             if flagged and tb_id >= occupancy:
@@ -299,14 +294,14 @@ class PartitionChecker:
                         {"tb": tb_id, "partner": partner,
                          "occupancy": occupancy},
                     )
-            if all_to_all:
+            if not sharing.adjacent_only:
                 # the 1-bit flag is derived state: set iff partners exist
-                if flagged != bool(sharing._partners[tb_id]):
+                if flagged != bool(partners):
                     san.violation(
                         "sharing.flag_desync",
                         "all-to-all sharing flag disagrees with partners",
                         {"tb": tb_id, "flag": flagged,
-                         "partners": sorted(sharing._partners[tb_id])},
+                         "partners": list(partners)},
                     )
             elif flagged and list(partners) != [sharing.neighbor(tb_id)]:
                 san.violation(

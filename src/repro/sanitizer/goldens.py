@@ -41,7 +41,9 @@ GOLDEN_BENCHMARKS = ("bfs", "atax")
 GOLDEN_CONFIGS = (
     "baseline",
     "sched",
+    "partition",
     "partition_sharing",
+    "compression",
     "comp_ours",
     "dead_entry",
     "contiguity",

@@ -96,13 +96,14 @@ def suite_tlb_sharing(scale: str, seed: int) -> CheckOutcome:
     identical for any access stream.  ``scale`` is unused (component
     level); kept for the uniform suite signature.
     """
-    from ..core.partitioned_tlb import PartitionedL1TLB
+    from ..core.partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
     from ..translation.tlb import SetAssociativeTLB
 
     rng = Random(seed)
     shared = SetAssociativeTLB(64, 4, 1.0, name="shared_ref")
-    partitioned = PartitionedL1TLB(
-        64, 4, 1.0, sharing=None, occupancy=1, name="part_occ1"
+    partitioned = SetAssociativeTLB(
+        64, 4, 1.0, policy=TBIDIndexPolicy(16, occupancy=1),
+        name="part_occ1", hook=SetSharingSpill(),
     )
     for step in range(20_000):
         roll = rng.random()
@@ -433,8 +434,9 @@ def suite_deadentry_identity(scale: str, seed: int) -> CheckOutcome:
     from ..translation.tlb import DeadEntryFilter, SetAssociativeTLB
 
     plain = SetAssociativeTLB(64, 4, 1.0, name="plain_ref")
-    protected = SetAssociativeTLB(64, 4, 1.0, name="protected")
-    protected.attach_dead_filter(DeadEntryFilter(threshold=None))
+    protected = SetAssociativeTLB(
+        64, 4, 1.0, name="protected", dead_filter=DeadEntryFilter(threshold=None)
+    )
     failure = _drive_tlb_pair("deadentry-identity", seed, plain, protected)
     if failure is not None:
         return failure

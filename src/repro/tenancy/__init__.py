@@ -30,7 +30,7 @@ from .tenant import (
     parse_partition_mode,
     vpn_tag_shift,
 )
-from .tlbs import TenantSubEntryTLB, TenantTaggedTLB
+from .tlbs import TenantAccounting
 
 __all__ = [
     "ADDRESS_SPACE_BITS",
@@ -42,10 +42,9 @@ __all__ = [
     "TenancyResult",
     "TenancySpec",
     "Tenant",
+    "TenantAccounting",
     "TenantAffinityMemory",
     "TenantMetrics",
-    "TenantSubEntryTLB",
-    "TenantTaggedTLB",
     "build_tenant_gpu",
     "compose_tenants",
     "expand_mix",

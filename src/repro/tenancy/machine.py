@@ -19,6 +19,12 @@ one-tenant exclusive machine is assembled from exactly the same classes
 as :func:`repro.system.build_gpu`, which is what makes its results
 bit-identical to the single-tenant path.)
 
+The shared modes' L1 TLBs are the stock TLB (or sub-entry format) with
+:class:`~repro.tenancy.tlbs.TenantAccounting` as the eviction hook, so
+they cannot honour a config's own L1 TLB organization: a config whose
+L1 TLB mode, compression, replacement or dead-entry filter differs from
+the baseline's is refused with a ``ConfigError`` before anything runs.
+
 :class:`MultiTenantGPU` extends the dispatch loop to round-robin across
 tenants' pending TB queues, asking the tenant-aware scheduler for a
 placement *for that tenant*; with one tenant the call sequence collapses
@@ -30,12 +36,13 @@ from __future__ import annotations
 from collections import deque
 from typing import List, Optional
 
-from ..arch.config import GPUConfig
+from ..arch.config import BASELINE_CONFIG, GPUConfig
 from ..arch.gpu import GPU, RunResult
 from ..arch.sm import StreamingMultiprocessor
 from ..core.factory import build_l1_tlb
 from ..core.partitioned_tlb import TenantIndexPolicy
 from ..core.tb_scheduler import ExclusiveTenantScheduler, SharedTenantScheduler
+from ..engine.errors import ConfigError
 from ..engine.simulator import Simulator
 from ..memory.cache import Cache
 from ..memory.interconnect import Interconnect
@@ -44,7 +51,7 @@ from ..memory.subsystem import SMMemoryPath
 from ..telemetry.tracer import CAT_KERNEL
 from ..translation.pagesize import geometry_for
 from ..translation.service import SharedTranslationService
-from ..translation.tlb import SetAssociativeTLB
+from ..translation.tlb import SetAssociativeTLB, SubEntrySharedTLB
 from ..translation.uvm import UVMManager
 from ..translation.walker import WalkerPool
 from .compose import compose_tenants
@@ -58,7 +65,7 @@ from .tenant import (
     Tenant,
     vpn_tag_shift,
 )
-from .tlbs import TenantSubEntryTLB, TenantTaggedTLB
+from .tlbs import TenantAccounting
 
 
 class _ComposedKernel:
@@ -222,18 +229,18 @@ class MultiTenantGPU(GPU):
             )
         hits = accesses = 0
         for sm in self.sms:
-            tlb = sm.l1_tlb
-            if hasattr(tlb, "tenant_hits"):
-                hits += tlb.tenant_hits[tid]
-                accesses += tlb.tenant_accesses[tid]
+            hook = sm.l1_tlb.hook
+            if isinstance(hook, TenantAccounting):
+                hits += hook.tenant_hits[tid]
+                accesses += hook.tenant_accesses[tid]
         return hits, accesses
 
     def cross_tenant_evictions(self) -> int:
         """Total cross-tenant displacements across every shared TLB."""
         total = 0
         for tlb in [self.l2_tlb] + [sm.l1_tlb for sm in self.sms]:
-            if hasattr(tlb, "cross_tenant_evictions"):
-                total += tlb.cross_tenant_evictions
+            if isinstance(tlb.hook, TenantAccounting):
+                total += tlb.hook.cross_tenant_evictions
         return total
 
     def _split_metrics(self, combined: RunResult) -> TenancyResult:
@@ -294,6 +301,33 @@ class _AnyPending:
         return any(self._queues)
 
 
+#: L1 TLB fields the shared modes cannot honour: they build their own
+#: tenant TLB (stock VPN index, per-page or sub-entry format, LRU)
+_SHARED_MODE_FIXED_L1_FIELDS = (
+    "l1_tlb_mode",
+    "l1_tlb_compression",
+    "l1_tlb_replacement",
+    "l1_tlb_dead_entry",
+)
+
+
+def _check_shared_mode_config(mode: PartitionMode, config: GPUConfig) -> None:
+    """Refuse a config whose L1 TLB a shared partition mode would drop."""
+    if mode is PartitionMode.EXCLUSIVE:
+        return
+    for name in _SHARED_MODE_FIXED_L1_FIELDS:
+        value = getattr(config, name)
+        baseline = getattr(BASELINE_CONFIG, name)
+        if value != baseline:
+            raise ConfigError(
+                f"partition mode {mode.value!r} builds its own shared L1 "
+                f"TLB and cannot honour {name}="
+                f"{getattr(value, 'value', value)!r} (baseline: "
+                f"{getattr(baseline, 'value', baseline)!r}); only the "
+                f"exclusive mode builds the config's L1 TLB"
+            )
+
+
 def build_tenant_gpu(
     spec: TenancySpec,
     config: GPUConfig,
@@ -307,6 +341,7 @@ def build_tenant_gpu(
     inject hand-built kernels); by default the spec's mix is composed
     through the workload registry.
     """
+    _check_shared_mode_config(spec.mode, config)
     if sim is None:
         sim = Simulator()
     if tenants is None:
@@ -349,17 +384,23 @@ def build_tenant_gpu(
         stats=sim.stats.group("walkers"),
     )
 
+    def shared_tlb(entries: int, assoc: int, latency: float, name: str):
+        """A shared mode's TLB: ASID-tagged per-page entries
+        (``shared-tlb``) or sub-entries, with tenant accounting."""
+        parts = dict(
+            stats=sim.stats.group(name), name=name,
+            hook=TenantAccounting(n, v_shift),
+        )
+        if mode is PartitionMode.SUB_ENTRY:
+            return SubEntrySharedTLB(entries, assoc, latency, v_shift, **parts)
+        return SetAssociativeTLB(entries, assoc, latency, **parts)
+
     # Shared L2 TLB, per partition mode.
     l2_sets = config.l2_tlb_entries // config.l2_tlb_assoc
-    if mode is PartitionMode.SHARED_TLB:
-        l2_tlb = TenantTaggedTLB(
+    if mode is not PartitionMode.EXCLUSIVE:
+        l2_tlb = shared_tlb(
             config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            v_shift, n, stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    elif mode is PartitionMode.SUB_ENTRY:
-        l2_tlb = TenantSubEntryTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            v_shift, n, stats=sim.stats.group("l2_tlb"), name="l2_tlb",
+            "l2_tlb",
         )
     elif n > 1:
         l2_tlb = SetAssociativeTLB(
@@ -411,19 +452,10 @@ def build_tenant_gpu(
     # Per-SM private structures.
     sms = []
     for sm_id in range(config.num_sms):
-        if mode is PartitionMode.SHARED_TLB:
-            l1_tlb = TenantTaggedTLB(
+        if mode is not PartitionMode.EXCLUSIVE:
+            l1_tlb = shared_tlb(
                 config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, v_shift, n,
-                stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
-            )
-        elif mode is PartitionMode.SUB_ENTRY:
-            l1_tlb = TenantSubEntryTLB(
-                config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, v_shift, n,
-                stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
+                config.l1_tlb_latency, f"sm{sm_id}_l1tlb",
             )
         else:
             l1_tlb = build_l1_tlb(

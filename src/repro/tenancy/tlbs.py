@@ -1,121 +1,68 @@
-"""Tenant-accounting TLB variants for the shared partition modes.
+"""Tenant accounting for the shared partition modes' TLBs.
 
-The exclusive mode needs no special TLB classes — disjoint SM slices
-(L1) and the tenant-sliced index policy (L2) isolate structurally, and
-reusing the stock classes is what keeps the one-tenant configuration
-bit-identical to the single-tenant machine.
+The exclusive mode needs no accounting — disjoint SM slices (L1) and
+the tenant-sliced index policy (L2) isolate structurally, and reusing
+the stock TLBs is what keeps the one-tenant configuration bit-identical
+to the single-tenant machine.
 
-The shared modes do share storage, so these subclasses add the
-interference accounting the isolation metrics need:
+The shared modes do share storage, so their TLBs (the stock per-page
+format with ASID-tagged keys in ``shared-tlb``, the sub-entry format in
+``sub-entry``) are built with :class:`TenantAccounting` as the eviction
+hook, which adds the interference accounting the isolation metrics need:
 
 * per-ASID hit/access tallies (cross-pollution: how much of a tenant's
   hit rate survives co-residency), and
 * ``cross_tenant_evictions`` — insertions by one tenant that displaced
-  another tenant's entry (or, sub-entry variant, sub-entries).
+  another tenant's entry (or, sub-entry format, sub-entries).
 """
 
 from __future__ import annotations
 
 from typing import Any, List, Optional, Tuple
 
-from ..engine.stats import StatGroup
-from ..translation.tlb import (
-    IndexPolicy,
-    SetAssociativeTLB,
-    SubEntrySharedTLB,
-    TLBProbeResult,
-)
+from ..translation.tlb import EvictionHook, SetAssociativeTLB, SubEntrySharedTLB
 
 
-class _TenantAccountingMixin:
-    """Per-ASID probe tallies + cross-tenant eviction counter."""
+class TenantAccounting(EvictionHook):
+    """Per-ASID probe tallies + cross-tenant eviction counter.
 
-    def _init_tenant_accounting(self, num_tenants: int) -> None:
-        self.num_tenants = num_tenants
+    ASIDs are the VPN bits at and above ``tag_shift``.  Evictions are
+    still dropped.
+    """
+
+    def __init__(self, num_tenants: int, tag_shift: int) -> None:
+        self.tag_shift = tag_shift
         self.tenant_hits: List[int] = [0] * num_tenants
         self.tenant_accesses: List[int] = [0] * num_tenants
-        self._cross_evictions = self.stats.counter("cross_tenant_evictions")
+
+    def bind(self, tlb: SetAssociativeTLB) -> None:
+        self._cross_evictions = tlb.stats.counter("cross_tenant_evictions")
+        # a sub-entry victim carries every co-tenant's translation of
+        # its base page; a tagged victim belongs to exactly one tenant
+        self._sub_entries = isinstance(tlb, SubEntrySharedTLB)
 
     @property
     def cross_tenant_evictions(self) -> int:
         return self._cross_evictions.value
 
-    def probe(self, vpn: int, tb_id: Optional[int] = None) -> TLBProbeResult:
-        result = super().probe(vpn, tb_id)
+    def observe_probe(self, vpn: int, hit: bool) -> None:
         asid = vpn >> self.tag_shift
         self.tenant_accesses[asid] += 1
-        if result.hit:
+        if hit:
             self.tenant_hits[asid] += 1
-        return result
 
-
-class TenantTaggedTLB(_TenantAccountingMixin, SetAssociativeTLB):
-    """Shared TLB with ASID-tagged entries (``shared-tlb`` mode).
-
-    Entries are keyed by the full tagged VPN, so tenants never *hit* on
-    each other's translations — they only fight for capacity, which the
-    ``cross_tenant_evictions`` counter quantifies.
-    """
-
-    def __init__(
+    def evict(
         self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        tag_shift: int,
-        num_tenants: int,
-        policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "tlb",
-    ) -> None:
-        super().__init__(
-            num_entries, associativity, lookup_latency,
-            policy=policy, stats=stats, name=name,
-        )
-        self.tag_shift = tag_shift
-        self._init_tenant_accounting(num_tenants)
-
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
-        evicted = super()._insert_new(set_idx, vpn, ppn)
-        if (
-            evicted is not None
-            and (evicted[0] >> self.tag_shift) != (vpn >> self.tag_shift)
-        ):
-            self._cross_evictions.value += 1
-        return evicted
-
-
-class TenantSubEntryTLB(_TenantAccountingMixin, SubEntrySharedTLB):
-    """Sub-entry-shared TLB with per-tenant accounting (``sub-entry``
-    mode).  A cross-tenant eviction here is each *other* tenant's
-    sub-entry dropped when a whole entry is replaced."""
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        tag_shift: int,
-        num_tenants: int,
-        policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "tlb",
-    ) -> None:
-        super().__init__(
-            num_entries, associativity, lookup_latency, tag_shift,
-            policy=policy, stats=stats, name=name,
-        )
-        self._init_tenant_accounting(num_tenants)
-
-    def _insert_new(
-        self, set_idx: int, vpn: int, ppn: int
-    ) -> Optional[Tuple[int, Any]]:
-        evicted = super()._insert_new(set_idx, vpn, ppn)
-        if evicted is not None:
-            asid = vpn >> self.tag_shift
+        tlb: SetAssociativeTLB,
+        item: Tuple[int, Any],
+        vpn: int,
+        tb_id: Optional[int],
+    ) -> Optional[int]:
+        asid = vpn >> self.tag_shift
+        if self._sub_entries:
             self._cross_evictions.value += sum(
-                1 for other in evicted[1] if other != asid
+                1 for other in item[1] if other != asid
             )
-        return evicted
+        elif item[0] >> self.tag_shift != asid:
+            self._cross_evictions.value += 1
+        return None

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Tuple
 
-from ..engine.stats import StatGroup
 from .tlb import IndexPolicy, SetAssociativeTLB, VPNIndexPolicy
 
 
@@ -37,21 +36,23 @@ class CompressedTLB(SetAssociativeTLB):
         max_ratio: int = 8,
         decompression_latency: float = 1.0,
         policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
         name: str = "ctlb",
-        replacement: str = "lru",
+        **parts: Any,
     ) -> None:
         if max_ratio <= 0:
             raise ValueError(f"max_ratio must be positive, got {max_ratio}")
-        num_sets = num_entries // associativity
-        if policy is None:
-            policy = VPNIndexPolicy(num_sets, granularity=max_ratio)
-        super().__init__(
-            num_entries, associativity, lookup_latency, policy, stats, name,
-            replacement=replacement,
-        )
         self.max_ratio = max_ratio
         self.decompression_latency = decompression_latency
+        if policy is None:
+            policy = VPNIndexPolicy(
+                num_entries // associativity, granularity=max_ratio
+            )
+        super().__init__(
+            num_entries, associativity, lookup_latency, policy, name=name,
+            **parts,
+        )
+
+    def _init_format(self) -> None:
         self._coalesced = self.stats.counter("coalesced")
 
     # ------------------------------------------------------------------ #
@@ -166,25 +167,6 @@ class ContiguityTLB(CompressedTLB):
     exactly the stride format's single-page behavior: region base is the
     VPN, the anchor is the PPN, and the bitmap is always ``0b1``.
     """
-
-    def __init__(
-        self,
-        num_entries: int,
-        associativity: int,
-        lookup_latency: float,
-        max_ratio: int = 8,
-        decompression_latency: float = 1.0,
-        policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "contlb",
-        replacement: str = "lru",
-    ) -> None:
-        super().__init__(
-            num_entries, associativity, lookup_latency,
-            max_ratio=max_ratio,
-            decompression_latency=decompression_latency,
-            policy=policy, stats=stats, name=name, replacement=replacement,
-        )
 
     def _split(self, vpn: int) -> Tuple[int, int]:
         """``vpn -> (region_base_vpn, offset within region)``."""

@@ -1,18 +1,26 @@
 """Set-associative TLB models.
 
-The TLB is factored three ways so the paper's mechanisms compose:
+There is one TLB, :class:`SetAssociativeTLB`, assembled from five parts
+chosen once at construction, so the paper's mechanisms compose:
 
 * an :class:`IndexPolicy` decides *which sets* a lookup probes and an
   insertion targets (baseline: VPN index bits; the paper's TB-id
-  partitioning plugs in here, see :mod:`repro.core.partitioned_tlb`);
-* :class:`SetAssociativeTLB` owns the set storage and LRU replacement,
-  exposing small per-set hooks (``_probe_set``, ``_insert_new``,
-  ``_place_if_free``) that subclasses override;
-* :class:`~repro.translation.compression.CompressedTLB` overrides the
-  per-set hooks to store stride-compressed range entries (the PACT'20
-  comparator of Fig 12) — orthogonal to the index policy, so
-  "our approach + compression" is just the TB-id policy on the
-  compressed storage.
+  partitioning and the tenant slice plug in here, see
+  :mod:`repro.core.partitioned_tlb`);
+* the entry format is the class itself: per-page entries here, and
+  three subclasses that override only the per-set hooks
+  (``_probe_set``, ``_refresh``, ``_insert_new``, ``_peek_set``) —
+  stride-compressed ranges and contiguity bitmaps
+  (:mod:`repro.translation.compression`) and per-ASID sub-entries
+  (:class:`SubEntrySharedTLB`);
+* the replacement order (``"lru"`` or ``"fifo"``);
+* an :class:`EvictionHook` that sees every evicted entry and the SM's TB
+  lifecycle (default: drop; the paper's set-sharing spill and the
+  multi-tenant accounting plug in here);
+* an optional fill filter (:class:`DeadEntryFilter`).
+
+"Our approach + compression" is therefore just the TB-id policy and the
+spill hook on the compressed format.
 
 Timing note: a lookup that probes ``k`` sets costs ``k`` times the base
 lookup latency (paper §IV-B: without extra comparators each additional
@@ -41,6 +49,12 @@ class TLBProbeResult:
 
 class IndexPolicy:
     """Maps a (vpn, tb_id) lookup/insert to TLB set indices."""
+
+    #: set-sharing register consulted by lookups (TB-id indexing only)
+    sharing = None
+
+    def configure_occupancy(self, occupancy: int) -> None:
+        """A kernel's TB occupancy; only TB-id indexing depends on it."""
 
     def lookup_sets(self, vpn: int, tb_id: Optional[int]) -> Sequence[int]:
         """Sets that must be probed to find ``vpn``, in probe order."""
@@ -112,11 +126,47 @@ class MaskedVPNIndexPolicy(VPNIndexPolicy):
         return self.lookup_sets(vpn, tb_id)
 
 
-class SetAssociativeTLB:
-    """LRU set-associative TLB storage with a pluggable index policy.
+class EvictionHook:
+    """What happens to an entry a fill displaced; this default drops it.
 
-    Entries map VPN -> PPN.  Each set is an ``OrderedDict`` in LRU order
-    (least recently used first).
+    A hook is bound to one TLB when it is built and then sees every
+    eviction and the SM's TB lifecycle.  A hook that also defines
+    ``observe_probe(vpn, hit)`` is told the outcome of every probe.
+    Hooks keep no reference to their TLB (``evict`` is handed it), so a
+    finished machine is freed by reference counting alone.
+    """
+
+    observe_probe = None
+
+    def bind(self, tlb: "SetAssociativeTLB") -> None:
+        """Attach to ``tlb`` (counters go into its stat group)."""
+
+    def evict(
+        self,
+        tlb: "SetAssociativeTLB",
+        item: Tuple[int, Any],
+        vpn: int,
+        tb_id: Optional[int],
+    ) -> Optional[int]:
+        """``item`` (a raw ``(key, payload)``) was displaced from ``tlb``
+        by a fill of ``vpn``; return the set it spilled to, or ``None``
+        if dropped."""
+        return None
+
+    def configure_occupancy(self, occupancy: int) -> None:
+        """A new kernel's TB occupancy (already clamped to >= 1)."""
+
+    def on_tb_finished(self, tb_id: int) -> None:
+        """Hardware TB ``tb_id`` finished; entries are never flushed."""
+
+
+class SetAssociativeTLB:
+    """Set-associative TLB with per-page entries, built from parts.
+
+    Entries map VPN -> PPN.  Each set is an ``OrderedDict`` in
+    replacement order (next victim first).  ``policy``, ``replacement``,
+    ``hook`` and ``dead_filter`` are the pluggable parts (see the module
+    docstring); the entry-format subclasses take the same parts.
     """
 
     def __init__(
@@ -128,6 +178,8 @@ class SetAssociativeTLB:
         stats: Optional[StatGroup] = None,
         name: str = "tlb",
         replacement: str = "lru",
+        hook: Optional[EvictionHook] = None,
+        dead_filter: Optional["DeadEntryFilter"] = None,
     ) -> None:
         if num_entries <= 0 or associativity <= 0:
             raise ValueError("num_entries and associativity must be positive")
@@ -158,16 +210,30 @@ class SetAssociativeTLB:
         # LRU promotes on touch; FIFO leaves insertion order alone, so
         # every move_to_end below is gated on this flag
         self._refresh_lru = replacement == "lru"
-        #: optional dead-entry miss-protection filter (see attach_dead_filter)
-        self.dead_filter: Optional["DeadEntryFilter"] = None
-        # probe() may inline the per-set dict operations only when the
-        # storage hooks are not overridden (the compressed TLB replaces
-        # them); resolved once here instead of per probe
-        self._plain_storage = type(self)._probe_set is SetAssociativeTLB._probe_set
-        # the inlined fast path hard-codes LRU promotion and no filter
-        # callbacks; FIFO and dead-entry runs take the general loop
-        self._fast_probe = self._plain_storage and self._refresh_lru
+        # counters are created format, hook, filter — the order the
+        # stat dumps (and so the pinned result digests) list them in
+        self._init_format()
+        self.hook = hook if hook is not None else EvictionHook()
+        self.hook.bind(self)
+        self._evict = self.hook.evict
+        self._observe_probe = self.hook.observe_probe
+        #: optional dead-entry miss protection; probes then notify it
+        self.dead_filter = dead_filter
+        if dead_filter is not None:
+            dead_filter.bind(self)
+        # probe() inlines the per-page set lookup with LRU promotion;
+        # any other format, FIFO, a filter or a probe-observing hook
+        # takes the general loop — decided once here, not per probe
+        self._fast_probe = (
+            type(self) is SetAssociativeTLB
+            and self._refresh_lru
+            and dead_filter is None
+            and self._observe_probe is None
+        )
         self._lookup_sets = self.policy.lookup_sets
+
+    def _init_format(self) -> None:
+        """Create the entry format's own counters (formats override)."""
 
     # ------------------------------------------------------------------ #
     # Telemetry
@@ -188,19 +254,25 @@ class SetAssociativeTLB:
         self._track = track
 
     # ------------------------------------------------------------------ #
-    # Dead-entry miss protection
+    # TB lifecycle (the SM calls these per kernel and per finished TB)
     # ------------------------------------------------------------------ #
-    def attach_dead_filter(self, filt: "DeadEntryFilter") -> None:
-        """Attach a dead-entry predictor; probes then notify it on hits.
+    @property
+    def sharing(self):
+        """The index policy's set-sharing register, if any."""
+        return self.policy.sharing
 
-        Attaching disables the inlined probe fast path so every hit is
-        observed — the storage itself is unchanged.
-        """
-        self.dead_filter = filt
-        self._fast_probe = False
+    def configure_occupancy(self, occupancy: int) -> None:
+        """A kernel's compile-time TB occupancy: TB-id indexing re-maps
+        its sets and the hook re-sizes its sharing register."""
+        occupancy = max(1, occupancy)
+        self.policy.configure_occupancy(occupancy)
+        self.hook.configure_occupancy(occupancy)
+
+    def on_tb_finished(self, tb_id: int) -> None:
+        self.hook.on_tb_finished(tb_id)
 
     # ------------------------------------------------------------------ #
-    # Per-set storage hooks (overridden by the compressed TLB)
+    # Per-set storage hooks (overridden by the entry formats)
     # ------------------------------------------------------------------ #
     def _probe_set(self, set_idx: int, vpn: int) -> Optional[int]:
         """Probe one set; on hit refresh LRU and return the PPN."""
@@ -245,13 +317,6 @@ class SetAssociativeTLB:
         entry_set[key] = payload
         return True
 
-    def _handle_eviction(
-        self, item: Tuple[int, Any], tb_id: Optional[int]
-    ) -> Optional[int]:
-        """Hook called with an evicted item; return the set it spilled to
-        (or ``None`` if dropped).  Base TLB drops evictions."""
-        return None
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
@@ -277,6 +342,7 @@ class SetAssociativeTLB:
             self._misses.value += 1
             self._sets_probed.value += probed
             return TLBProbeResult(False, None, probed)
+        observe = self._observe_probe
         for set_idx in self.policy.lookup_sets(vpn, tb_id):
             probed += 1
             ppn = self._probe_set(set_idx, vpn)
@@ -292,6 +358,8 @@ class SetAssociativeTLB:
                         CAT_TLB, "hit", self._clock(), self._track,
                         {"vpn": vpn, "tb": tb_id, "set": set_idx},
                     )
+                if observe is not None:
+                    observe(vpn, True)
                 return TLBProbeResult(True, ppn, probed)
         if probed < 1:
             probed = 1
@@ -302,6 +370,8 @@ class SetAssociativeTLB:
                 CAT_TLB, "miss", self._clock(), self._track,
                 {"vpn": vpn, "tb": tb_id},
             )
+        if observe is not None:
+            observe(vpn, False)
         return TLBProbeResult(False, None, probed)
 
     def contains(self, vpn: int, tb_id: Optional[int] = None) -> bool:
@@ -324,8 +394,8 @@ class SetAssociativeTLB:
 
         If the translation is already present in a candidate set it is
         refreshed in place.  Otherwise it goes to the first candidate set,
-        evicting that set's LRU entry when full; the evicted entry is
-        offered to :meth:`_handle_eviction` (set sharing hooks in there).
+        evicting that set's next victim when full; the evicted entry is
+        offered to the eviction hook (set sharing spills it there).
         """
         candidates = self.policy.insert_sets(vpn, tb_id)
         for set_idx in candidates:
@@ -341,7 +411,7 @@ class SetAssociativeTLB:
             df.on_fill(vpn)
         if evicted is None:
             return None
-        spilled_to = self._handle_eviction(evicted, tb_id)
+        spilled_to = self._evict(self, evicted, vpn, tb_id)
         if df is not None and spilled_to is None:
             # spilled entries stay resident, so only a true drop can
             # prove the victim's fill was dead
@@ -430,18 +500,15 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         lookup_latency: float,
         tag_shift: int,
         policy: Optional[IndexPolicy] = None,
-        stats: Optional[StatGroup] = None,
-        name: str = "tlb",
-        replacement: str = "lru",
+        **parts: Any,
     ) -> None:
-        if policy is None:
-            policy = MaskedVPNIndexPolicy(num_entries // associativity, tag_shift)
-        super().__init__(
-            num_entries, associativity, lookup_latency,
-            policy=policy, stats=stats, name=name, replacement=replacement,
-        )
         self.tag_shift = tag_shift
         self._base_mask = (1 << tag_shift) - 1
+        if policy is None:
+            policy = MaskedVPNIndexPolicy(num_entries // associativity, tag_shift)
+        super().__init__(num_entries, associativity, lookup_latency, policy, **parts)
+
+    def _init_format(self) -> None:
         self._sub_entry_fills = self.stats.counter("sub_entry_fills")
         self._tag_hit_sub_miss = self.stats.counter("tag_hit_sub_miss")
         self._sub_entry_evictions = self.stats.counter("sub_entry_evictions")
@@ -495,14 +562,6 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         entry_set[base] = {asid: ppn}
         return evicted
 
-    def _place_if_free(self, set_idx: int, item: Tuple[int, Any]) -> bool:
-        entry_set = self.sets[set_idx]
-        if len(entry_set) >= self.associativity:
-            return False
-        key, payload = item
-        entry_set[key] = payload
-        return True
-
     def _peek_set(self, set_idx: int, vpn: int) -> bool:
         sub = self.sets[set_idx].get(vpn & self._base_mask)
         return sub is not None and (vpn >> self.tag_shift) in sub
@@ -543,24 +602,21 @@ class DeadEntryFilter:
     ``threshold=None`` is an infinite threshold: the predictor observes
     (``dead_fills`` still counts) but never bypasses — byte-identical to
     running without the filter, which is the metamorphic identity gate.
+    Its counters live in the stat group of the TLB it is built into.
     """
 
-    def __init__(
-        self,
-        threshold: Optional[int] = 2,
-        stats: Optional[StatGroup] = None,
-        name: str = "dead_filter",
-    ) -> None:
+    def __init__(self, threshold: Optional[int] = 2) -> None:
         if threshold is not None and threshold <= 0:
             raise ValueError(f"threshold must be positive or None, got {threshold}")
         self.threshold = threshold
-        self.stats = stats if stats is not None else StatGroup(name)
-        self._dead_fills = self.stats.counter("dead_fills")
-        self._bypassed_fills = self.stats.counter("bypassed_fills")
         #: VPNs filled but not yet re-referenced (the in-flight verdicts)
         self._pending: set = set()
         #: VPN -> consecutive dead fills since its last hit
         self._streak: dict = {}
+
+    def bind(self, tlb: SetAssociativeTLB) -> None:
+        self._dead_fills = tlb.stats.counter("dead_fills")
+        self._bypassed_fills = tlb.stats.counter("bypassed_fills")
 
     def should_bypass(self, vpn: int) -> bool:
         """Decide (and count) whether a fill of ``vpn`` is bypassed."""

@@ -366,8 +366,10 @@ def run_dead_filter_ops(num_sets, assoc, threshold, ops):
     """
     from repro.translation.tlb import DeadEntryFilter
 
-    tlb = SetAssociativeTLB(num_sets * assoc, assoc, lookup_latency=1.0)
-    tlb.attach_dead_filter(DeadEntryFilter(threshold))
+    tlb = SetAssociativeTLB(
+        num_sets * assoc, assoc, lookup_latency=1.0,
+        dead_filter=DeadEntryFilter(threshold),
+    )
     oracle = [[] for _ in range(num_sets)]  # [[vpn, ppn], ...] LRU-first
     pending = set()   # fills not yet proven live
     streak = {}       # vpn -> consecutive dead fills
@@ -461,8 +463,9 @@ def test_dead_filter_threshold_none_is_pure_observation():
 
     rng = random.Random(7)
     stock = SetAssociativeTLB(16, 4, lookup_latency=1.0)
-    filtered = SetAssociativeTLB(16, 4, lookup_latency=1.0)
-    filtered.attach_dead_filter(DeadEntryFilter(None))
+    filtered = SetAssociativeTLB(
+        16, 4, lookup_latency=1.0, dead_filter=DeadEntryFilter(None)
+    )
     for _ in range(5000):
         vpn = rng.randrange(0, 96)
         if rng.random() < 0.5:

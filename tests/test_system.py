@@ -1,22 +1,22 @@
 """Tests for the turn-key system assembly (repro.system)."""
 
+import itertools
+
 import pytest
 
 from repro import BASELINE_CONFIG, L1TLBMode, build_gpu
-from repro.core.partitioned_tlb import (
-    CompressedPartitionedL1TLB,
-    PartitionedL1TLB,
-)
+from repro.core.partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
 from repro.core.factory import build_l1_tlb, build_sharing_register
 from repro.core.set_sharing import (
     AllToAllSharingRegister,
     CounterSharingRegister,
     SharingRegister,
 )
-from repro.arch.config import SharingPolicyKind
+from repro.arch.config import CompressionKind, ReplacementKind, SharingPolicyKind
+from repro.engine.errors import ConfigError
 from repro.translation.address import PAGE_2M
-from repro.translation.compression import CompressedTLB
-from repro.translation.tlb import SetAssociativeTLB
+from repro.translation.compression import CompressedTLB, ContiguityTLB
+from repro.translation.tlb import SetAssociativeTLB, VPNIndexPolicy
 
 
 class TestFactory:
@@ -28,7 +28,8 @@ class TestFactory:
     def test_partitioned_tlb(self):
         cfg = BASELINE_CONFIG.replace(l1_tlb_mode=L1TLBMode.PARTITIONED)
         tlb = build_l1_tlb(cfg)
-        assert type(tlb) is PartitionedL1TLB
+        assert type(tlb) is SetAssociativeTLB
+        assert type(tlb.policy) is TBIDIndexPolicy
         assert tlb.sharing is None
 
     def test_partitioned_sharing_tlb(self):
@@ -43,7 +44,8 @@ class TestFactory:
         assert type(build_l1_tlb(cfg)) is CompressedTLB
         cfg2 = cfg.replace(l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING)
         tlb = build_l1_tlb(cfg2)
-        assert type(tlb) is CompressedPartitionedL1TLB
+        assert type(tlb) is CompressedTLB
+        assert type(tlb.policy) is TBIDIndexPolicy
         assert tlb.sharing is not None
 
     def test_sharing_register_variants(self):
@@ -54,6 +56,57 @@ class TestFactory:
         ]:
             cfg = BASELINE_CONFIG.replace(sharing_policy=kind)
             assert type(build_sharing_register(cfg)) is cls
+
+
+_FORMATS = [
+    pytest.param(False, None, SetAssociativeTLB, id="page"),
+    pytest.param(True, CompressionKind.STRIDE, CompressedTLB, id="stride"),
+    pytest.param(
+        True, CompressionKind.CONTIGUITY, ContiguityTLB, id="contiguity"
+    ),
+]
+
+
+class TestFactoryTable:
+    """Every L1 organization GPUConfig accepts maps to the right parts."""
+
+    @pytest.mark.parametrize("mode", list(L1TLBMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("compression,kind,fmt", _FORMATS)
+    def test_parts_for_every_combination(self, mode, compression, kind, fmt):
+        for replacement, dead_entry, sharing_policy in itertools.product(
+            ReplacementKind, (False, True), SharingPolicyKind
+        ):
+            fields = dict(
+                l1_tlb_mode=mode,
+                l1_tlb_compression=compression,
+                l1_tlb_replacement=replacement,
+                l1_tlb_dead_entry=dead_entry,
+                sharing_policy=sharing_policy,
+            )
+            if kind is not None:
+                fields["compression_kind"] = kind
+            if compression and dead_entry:
+                with pytest.raises(ConfigError):
+                    BASELINE_CONFIG.replace(**fields)
+                continue
+            cfg = BASELINE_CONFIG.replace(**fields)
+            tlb = build_l1_tlb(cfg)
+            assert type(tlb) is fmt
+            tbid = mode is not L1TLBMode.BASELINE
+            assert type(tlb.policy) is (
+                TBIDIndexPolicy if tbid else VPNIndexPolicy
+            )
+            if compression:
+                assert tlb.policy.granularity == cfg.compression_max_ratio
+            assert tlb.replacement == replacement.value
+            shared = mode is L1TLBMode.PARTITIONED_SHARING
+            assert isinstance(tlb.hook, SetSharingSpill) == tbid
+            assert (tlb.sharing is not None) == shared
+            if shared:
+                assert type(tlb.sharing) is type(build_sharing_register(cfg))
+            assert (tlb.dead_filter is not None) == dead_entry
+            if dead_entry:
+                assert tlb.dead_filter.threshold == cfg.dead_entry_threshold
 
 
 class TestBuildGPU:

@@ -309,3 +309,52 @@ class TestSurface:
             "--checkpoint", "nope.jsonl",
         ])
         assert code == 3  # ConfigError exit code
+
+    @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
+    @pytest.mark.parametrize("config,field", [
+        ("partition_sharing", "l1_tlb_mode"),
+        ("compression", "l1_tlb_compression"),
+        ("comp_ours", "l1_tlb_mode"),
+        ("dead_entry", "l1_tlb_dead_entry"),
+    ])
+    def test_cli_refuses_l1_tlb_configs_in_shared_modes(
+        self, capsys, monkeypatch, mode, config, field
+    ):
+        """A shared mode builds its own L1 TLB, so a config asking for
+        another L1 organization is refused up front, naming the field."""
+        import repro.tenancy.machine as machine
+        from repro.cli import main
+
+        def no_simulation(spec):
+            raise AssertionError("tenants composed before the refusal")
+
+        monkeypatch.setattr(machine, "compose_tenants", no_simulation)
+        code = main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--partition-mode", mode, "--config", config,
+        ])
+        assert code == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
+    def test_shared_modes_refuse_fifo_replacement(self, mode):
+        from repro.arch.config import BASELINE_CONFIG, ReplacementKind
+
+        config = BASELINE_CONFIG.replace(
+            l1_tlb_replacement=ReplacementKind.FIFO
+        )
+        spec = TenancySpec(
+            mix=("bfs", "gemm"), mode=PartitionMode(mode), scale="micro"
+        )
+        with pytest.raises(ConfigError, match="l1_tlb_replacement"):
+            build_tenant_gpu(spec, config)
+
+    @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
+    def test_cli_shared_modes_still_run_sched(self, capsys, mode):
+        from repro.cli import main
+
+        assert main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--partition-mode", mode, "--config", "sched",
+        ]) == 0
+        assert f"partition mode   {mode}" in capsys.readouterr().out

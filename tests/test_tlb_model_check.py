@@ -20,10 +20,7 @@ from random import Random
 
 import pytest
 
-from repro.core.partitioned_tlb import (
-    ContiguityPartitionedL1TLB,
-    PartitionedL1TLB,
-)
+from repro.core.partitioned_tlb import TBIDIndexPolicy
 from repro.translation.compression import ContiguityTLB
 from repro.translation.tlb import SetAssociativeTLB, VPNIndexPolicy
 
@@ -204,8 +201,9 @@ def make_shared(granularity=1, replacement="lru"):
 
 
 def make_partitioned(occupancy):
-    return PartitionedL1TLB(
-        NUM_ENTRIES, ASSOC, 1.0, sharing=None, occupancy=occupancy
+    return SetAssociativeTLB(
+        NUM_ENTRIES, ASSOC, 1.0,
+        policy=TBIDIndexPolicy(NUM_SETS, occupancy=occupancy),
     )
 
 
@@ -284,9 +282,12 @@ def make_contiguity(max_ratio):
 
 
 def make_contiguity_partitioned(occupancy, max_ratio, replacement="lru"):
-    return ContiguityPartitionedL1TLB(
+    return ContiguityTLB(
         NUM_ENTRIES, ASSOC, 1.0, max_ratio=max_ratio,
-        decompression_latency=0.0, sharing=None, occupancy=occupancy,
+        decompression_latency=0.0,
+        policy=TBIDIndexPolicy(
+            NUM_SETS, occupancy=occupancy, granularity=max_ratio
+        ),
         replacement=replacement,
     )
 
@@ -299,8 +300,9 @@ ZOO_CASES = [
         id="fifo-shared",
     ),
     pytest.param(
-        lambda: PartitionedL1TLB(
-            NUM_ENTRIES, ASSOC, 1.0, sharing=None, occupancy=3,
+        lambda: SetAssociativeTLB(
+            NUM_ENTRIES, ASSOC, 1.0,
+            policy=TBIDIndexPolicy(NUM_SETS, occupancy=3),
             replacement="fifo",
         ),
         lambda: ReferenceTLB(partitioned_sets(3), refresh_lru=False),
