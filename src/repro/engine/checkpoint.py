@@ -9,12 +9,14 @@ A store is a single append-only JSONL file:
   "result": {...}}``.
 
 Append-only writing makes the store crash-tolerant: a worker SIGKILLed
-mid-append leaves at most one truncated *final* line, which ``load``
-silently drops (that cell simply re-runs on resume).  Anything else that
-fails to decode — a garbled middle line, a CRC mismatch from bit rot or
-tampering, a header from a different store version or a different
-(scale, seed) sweep — raises :class:`CheckpointError`: a cache we cannot
-trust end-to-end is worse than no cache.
+mid-append leaves at most one truncated *final* line (no trailing
+newline), which ``load`` silently drops (that cell simply re-runs on
+resume) and the first append of the resumed run cuts off, so a new
+record never lands glued onto the fragment.  Anything else that fails
+to decode — a garbled line, a CRC mismatch from bit rot or tampering,
+a header from a different store version or a different (scale, seed)
+sweep — raises :class:`CheckpointError`: a cache we cannot trust
+end-to-end is worse than no cache.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class CheckpointStore:
         self.seed = seed
         self.storage = storage if storage is not None else get_storage()
         self._handle = None
+        self._loaded = False
+        #: start of a torn final append found by ``load``; cut off
+        #: before the next write so new records never glue onto it
+        self._torn_at: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Reading
@@ -67,30 +73,36 @@ class CheckpointStore:
         return os.path.exists(self.path)
 
     def load(self) -> Dict[CellKey, Dict[str, Any]]:
-        """Read every intact cell record; raise on untrustworthy files."""
+        """Read every intact cell record; raise on untrustworthy files.
+
+        A final line without its newline is a torn append (every record
+        is written together with its newline) and is dropped.
+        """
         results: Dict[CellKey, Dict[str, Any]] = {}
+        self._loaded = True
+        self._torn_at = None
         if not self.exists():
             return results
-        # errors="replace": a flipped byte must surface as a corrupt
-        # record (CheckpointError), not a UnicodeDecodeError
         blob = self.storage.read_bytes(self.path, STORAGE_LAYER)
-        lines = blob.decode("utf-8", errors="replace").split("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
+        lines = blob.split(b"\n")
+        torn = lines.pop()  # whatever follows the last newline
+        if not lines and not torn:
             return results
-        self._check_header(lines[0])
-        for i, line in enumerate(lines[1:], start=2):
-            is_last = i == len(lines)
+        # errors="replace": a flipped byte must surface as a corrupt
+        # record (CheckpointError), not a UnicodeDecodeError; a torn
+        # header is refused like any other unreadable one
+        self._check_header(
+            (lines or [torn])[0].decode("utf-8", errors="replace")
+        )
+        if torn:
+            self._torn_at = len(blob) - len(torn)
+        for i, raw in enumerate(lines[1:], start=2):
             try:
-                record = json.loads(line)
+                record = json.loads(raw.decode("utf-8", errors="replace"))
                 key = tuple(record["key"])
                 result = record["result"]
                 crc = record["crc"]
             except (json.JSONDecodeError, KeyError, TypeError):
-                if is_last:
-                    # torn final append (crash mid-write): drop, re-run cell
-                    break
                 raise CheckpointError(
                     f"{self.path}: corrupt record on line {i}"
                 ) from None
@@ -137,6 +149,11 @@ class CheckpointStore:
     def _ensure_open(self) -> None:
         if self._handle is not None:
             return
+        if self.exists() and not self._loaded:
+            self.load()  # validate the header and find any torn tail
+        if self._torn_at is not None:
+            self.storage.truncate(self.path, self._torn_at, STORAGE_LAYER)
+            self._torn_at = None
         fresh = not self.exists() or os.path.getsize(self.path) == 0
         directory = os.path.dirname(self.path)
         if directory:
@@ -227,6 +244,7 @@ class CheckpointStore:
             layer=STORAGE_LAYER,
             storage=self.storage,
         )
+        self._torn_at = None
 
     def close(self, compact: bool = False) -> None:
         wrote = self._handle is not None
@@ -239,5 +257,6 @@ class CheckpointStore:
     def discard(self) -> None:
         """Delete the on-disk file (start-fresh semantics)."""
         self.close()
+        self._torn_at = None
         if self.exists():
             os.remove(self.path)

@@ -1,6 +1,9 @@
 """Tests for the versioned checkpoint store and runner resume path."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -146,6 +149,27 @@ class TestCheckpointStore:
         with pytest.raises(CheckpointError, match="checksum"):
             CheckpointStore(path, scale="micro", seed=0).load()
 
+    @pytest.mark.parametrize("preload", [True, False])
+    def test_append_after_torn_tail_cuts_it_off(self, tmp_path, preload):
+        """The first append after a crash must not glue its record onto
+        the torn fragment, or the next load sees a corrupt middle line."""
+        path = str(tmp_path / "ckpt.jsonl")
+        bfs = ("bfs", "baseline", False, None)
+        nw = ("nw", "sched", False, None)
+        store = CheckpointStore(path, scale="micro", seed=0)
+        store.append(bfs, make_result().to_dict())
+        store.close()
+        with open(path, "ab") as handle:
+            handle.write(b'{"key": ["gemm", "base')  # SIGKILL mid-append
+        reopened = CheckpointStore(path, scale="micro", seed=0)
+        if preload:  # the runner's --resume path loads before appending
+            assert set(reopened.load()) == {bfs}
+        reopened.append(nw, make_result("nw").to_dict())
+        reopened.close()
+        loaded = CheckpointStore(path, scale="micro", seed=0).load()
+        assert set(loaded) == {bfs, nw}
+        assert RunResult.from_dict(loaded[nw]) == make_result("nw")
+
     def test_discard_removes_file(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         store = CheckpointStore(path)
@@ -203,6 +227,46 @@ class TestRunnerResume:
                 scale="micro", seed=3, benchmarks=("nw",),
                 checkpoint_path=path, resume=True,
             )
+
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _report(ckpt, *extra, fault=None):
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
+    env.pop("REPRO_FAULT", None)
+    if fault is not None:
+        env["REPRO_FAULT"] = fault
+    argv = [sys.executable, "-m", "repro", "report", "--scale", "micro",
+            "--benchmarks", "nw"]
+    if ckpt is not None:
+        argv += ["--checkpoint", ckpt]
+    return subprocess.run(
+        argv + list(extra), env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+
+
+def test_report_resumes_after_crash_mid_append(tmp_path):
+    """A sweep killed mid-append resumes to exactly a cold run's report.
+
+    The injected disk crash tears the 4th checkpoint write (the third
+    cell record) and exits 86, like a SIGKILL between two bytes.
+    """
+    ckpt = str(tmp_path / "ck.jsonl")
+    crashed = _report(ckpt, fault="disk:checkpoint:crash:4")
+    assert crashed.returncode == 86
+    resumed = _report(ckpt, "--resume")
+    assert resumed.returncode == 0, resumed.stderr
+    lines = resumed.stdout.splitlines(keepends=True)
+    assert "resumed 2 cells" in lines[0]
+    cold = _report(None)
+    assert cold.returncode == 0, cold.stderr
+    assert "".join(lines[1:]) == cold.stdout
+    # the compacted store is whole: a second resume restores every cell
+    again = _report(ckpt, "--resume")
+    assert again.returncode == 0, again.stderr
+    assert again.stdout.splitlines()[1:] == cold.stdout.splitlines()
 
 
 class TestResumeManifestValidation:
