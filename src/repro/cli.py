@@ -13,27 +13,7 @@ Commands:
   regression gate (``--update-goldens`` to re-pin after an intentional
   result change);
 * ``trace`` — summarize a Chrome trace file written by ``--trace``;
-* ``list`` — show available benchmarks, configurations, and scales;
-* ``submit`` — enqueue sweep cells as jobs in a crash-safe service
-  directory (admission-controlled: load is shed beyond the queue's
-  high watermark);
-* ``serve`` — run the WAL-journaled worker pool until the queue is
-  idle; SIGINT/SIGTERM drains leases, flushes telemetry, and journals
-  a clean shutdown; ``kill -9`` + restart recovers losslessly.
-  ``serve --daemon`` keeps serving a Unix-domain socket for multiple
-  concurrent clients (length-prefixed JSON protocol, see
-  :mod:`repro.service.protocol`), with priorities, per-request
-  deadlines, idempotent retries, and a content-addressed result cache;
-* ``status`` — queue depths, breaker states, lease ages, backpressure
-  (``--check-goldens`` gates recovered results against a golden file;
-  ``--daemon`` asks a live daemon instead of replaying the journal);
-* ``cancel`` / ``wait`` — cancel one job / block until a job is
-  terminal, through a live daemon;
-* ``crash-explore`` — replay a scripted service session, crashing at
-  every mutating storage-operation boundary (``--torn`` crashes
-  mid-write), and audit that recovery holds every crash-consistency
-  invariant (no acked job lost, no duplicate DONE, deterministic
-  replay, byte-identical-or-absent result cache).
+* ``list`` — show available benchmarks, configurations, and scales.
 
 Every simulating command (``run``, ``compare``, ``report``) accepts the
 same execution-resilience flags (``--timeout``, ``--checkpoint``,
@@ -46,9 +26,8 @@ is written next to every trace and checkpoint.
 Failure contract (see DESIGN.md "Failure modes & recovery"): every
 taxonomy error exits with a class-specific nonzero code (config=3,
 workload=4, livelock=5, timeout=6, worker crash=7, checkpoint=8,
-sanitizer=9, quarantined=10, admission=11, journal=12, interrupted=13,
-protocol=14, deadline=15, cancelled=16) and prints a single
-machine-readable JSON line on stderr, e.g.::
+sanitizer=9, interrupted=13) and prints a single machine-readable JSON
+line on stderr, e.g.::
 
     {"error": "livelock", "message": "...", "exit_code": 5}
 
@@ -59,12 +38,13 @@ a second signal hard-exits with ``128 + signum``.
 
 ``--timeout`` runs cells in supervised subprocess workers with a
 wall-clock watchdog; ``report --checkpoint/--resume`` makes a long
-sweep restartable.  ``REPRO_FAULT=bench:config:kind[:times]`` injects
-deterministic faults for testing the degradation path, and
+sweep restartable, even after ``kill -9``.
+``REPRO_FAULT=bench:config:kind[:times]`` injects deterministic faults
+for testing the degradation path, and
 ``REPRO_FAULT=disk:<layer>:<kind>[:<nth-op>]`` injects *disk* faults
 (``enospc``/``eio``/``fsync``/``torn``/``crash``) into a named
-persistence layer (``journal``/``results``/``checkpoint``/``goldens``/
-``manifest``/``atomic``, or ``*``) through the storage shim;
+persistence layer (``checkpoint``/``goldens``/``manifest``/``atomic``,
+or ``*``) through the storage shim;
 ``--sanitize[=strict|cheap]`` (or ``REPRO_SANITIZE``) enables runtime
 invariant checking, and ``REPRO_SANITIZE_INJECT=<tag>`` deliberately
 breaks one invariant to prove the checker fires.
@@ -78,7 +58,6 @@ import sys
 from typing import List, Optional
 
 from .engine.errors import (
-    AdmissionError,
     ConfigError,
     InterruptedRunError,
     SimulationError,
@@ -276,27 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMPARE_HEADER = (
-    f"{'config':20s} {'L1 hit':>8s} {'cycles':>12s} {'norm.':>7s}"
-)
-
-
-def _compare_row(name: str, result, base: Optional[float]) -> str:
-    return (
-        f"{name:20s} {result.avg_l1_tlb_hit_rate:8.3f} "
-        f"{result.cycles:12.0f} "
-        f"{result.cycles / (base or result.cycles):7.3f}"
-    )
-
-
 def cmd_compare(args: argparse.Namespace) -> int:
-    if args.specs and (args.service or args.service_dir):
-        raise ConfigError(
-            "--specs resolves registry spec strings inline; the sweep "
-            "service queue only knows named configurations (--configs)"
-        )
-    if args.service or args.service_dir:
-        return _compare_via_service(args)
     runner = _make_runner(args)
     if args.specs:
         # resolve every spec up front: a typo fails with exit code 3
@@ -313,7 +272,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         names = list(args.configs)
         cells = None
     base = None
-    print(_COMPARE_HEADER)
+    print(f"{'config':20s} {'L1 hit':>8s} {'cycles':>12s} {'norm.':>7s}")
     with GracefulInterrupt() as interrupt:
         i = 0
         try:
@@ -328,7 +287,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     result = runner.run(args.benchmark, name)
                 if base is None:
                     base = result.cycles
-                print(_compare_row(name, result, base))
+                print(
+                    f"{name:20s} {result.avg_l1_tlb_hit_rate:8.3f} "
+                    f"{result.cycles:12.0f} "
+                    f"{result.cycles / (base or result.cycles):7.3f}"
+                )
         except InterruptedRunError:
             # the interrupted cell and everything after it degrade to
             # FAILED(interrupted) rows; finished rows already printed
@@ -337,53 +300,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             _drain_runner(runner, interrupt)
             raise
     _finish_runner(runner)
-    return 0
-
-
-def _compare_via_service(args: argparse.Namespace) -> int:
-    """``compare --service``: route the cells through the job queue.
-
-    Submissions are idempotent, every transition is journaled, and an
-    interrupted run exits 13 with the queue intact — re-running the
-    same command resumes exactly where the drain stopped.
-    """
-    from .arch.gpu import RunResult
-    from .service import DONE
-
-    if args.trace or args.sample_every:
-        raise ConfigError(
-            "--service runs cells through supervised queue workers; "
-            "--trace/--sample-every are only available on the inline path"
-        )
-    service = _make_service(args)
-    try:
-        service.recover()
-        for name in args.configs:
-            service.submit(args.benchmark, name)
-        with GracefulInterrupt(raising=False) as interrupt:
-            service.run(interrupt)
-            interrupted = interrupt.requested
-        base = None
-        print(_COMPARE_HEADER)
-        jobs = service.state.results()
-        for name in args.configs:
-            job = jobs.get((args.benchmark, name))
-            if job is not None and job.state == DONE:
-                result = RunResult.from_dict(job.result)
-                if base is None:
-                    base = result.cycles
-                print(_compare_row(name, result, base))
-            else:
-                marker = job.marker if job is not None else "MISSING"
-                print(f"{name:20s} {marker:>8s}")
-        pending = len(service.state.pending())
-    finally:
-        service.close()
-    if interrupted and pending:
-        raise InterruptedRunError(
-            f"compare --service drained with {pending} job(s) still "
-            f"queued; re-run the same command to resume"
-        )
     return 0
 
 
@@ -520,291 +436,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_dir(args: argparse.Namespace) -> str:
-    return getattr(args, "service_dir", None) or (
-        f".repro_service.{args.scale}"
-    )
-
-
-def _make_service(args: argparse.Namespace):
-    """Build a SweepService from (possibly partial) CLI flags."""
-    from .engine.supervision import RetryPolicy
-    from .service import AdmissionPolicy, BreakerPolicy, SweepService
-
-    admission = AdmissionPolicy(
-        max_depth=getattr(args, "max_depth", 256),
-        high_watermark=getattr(args, "high_watermark", 64),
-        low_watermark=getattr(args, "low_watermark", 32),
-    )
-    breaker = BreakerPolicy(
-        window=getattr(args, "breaker_window", 8),
-        failure_threshold=getattr(args, "breaker_threshold", 3),
-        cooldown=getattr(args, "breaker_cooldown", 2),
-    )
-    retry = RetryPolicy(
-        max_attempts=getattr(args, "retries", 3),
-        jitter=getattr(args, "retry_jitter", 0.1),
-    )
-    return SweepService(
-        _service_dir(args),
-        scale=args.scale,
-        seed=args.seed,
-        timeout=getattr(args, "timeout", None),
-        retry=retry,
-        fault_plan=FaultPlan.from_env(),
-        sanitize=getattr(args, "sanitize", None),
-        admission=admission,
-        breaker_policy=breaker,
-        lease_ttl=getattr(args, "lease_ttl", 60.0),
-        compact_after=getattr(args, "compact_after", 256),
-        cache_bytes=getattr(args, "cache_bytes", None),
-    )
-
-
-def _make_client(args: argparse.Namespace):
-    """Build a DaemonClient from CLI flags (daemon paths only)."""
-    from .service import DaemonClient
-
-    return DaemonClient(
-        _service_dir(args),
-        socket_path=getattr(args, "socket", None),
-        timeout=getattr(args, "client_timeout", 10.0),
-    )
-
-
-def _submit_via_daemon(args: argparse.Namespace) -> int:
-    with _make_client(args) as client:
-        for benchmark in args.benchmarks:
-            for name in args.configs:
-                response = client.submit(
-                    benchmark,
-                    name,
-                    priority=getattr(args, "priority", 0),
-                    deadline=getattr(args, "deadline", None),
-                )
-                source = " (cached)" if response.get("cached") else ""
-                print(f"submitted        {response['job_id']} "
-                      f"[{response['state'].lower()}]{source}")
-                if args.wait and not response.get("cached"):
-                    done = client.wait(job_id=response["job_id"])
-                    print(f"done             {done['job_id']} "
-                          f"cycles={done['result'].get('cycles'):.0f}")
-        depths = client.status()["depths"]
-        print("queue            "
-              + " ".join(f"{s.lower()}={n}" for s, n in depths.items()))
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    if args.daemon:
-        return _submit_via_daemon(args)
-    service = _make_service(args)
-    shed: Optional[AdmissionError] = None
-    try:
-        service.recover()
-        for benchmark in args.benchmarks:
-            for name in args.configs:
-                try:
-                    job = service.submit(
-                        benchmark,
-                        name,
-                        priority=getattr(args, "priority", 0),
-                        deadline=getattr(args, "deadline", None),
-                    )
-                except AdmissionError as exc:
-                    print(f"shed             {benchmark}:{name} "
-                          f"({exc})", file=sys.stderr)
-                    shed = exc
-                else:
-                    print(f"submitted        {job.job_id} "
-                          f"[{job.state.lower()}]")
-        depths = service.state.depths()
-        print("queue            "
-              + " ".join(f"{s.lower()}={n}" for s, n in depths.items()))
-    finally:
-        service.close()
-    if shed is not None:
-        raise shed  # admission refusals surface as exit 11
-    return 0
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    service = _make_service(args)
-    try:
-        reclaimed = service.recover()
-        if reclaimed:
-            print(f"reclaimed        {reclaimed} stale lease(s)")
-        # raising=False: the pool loop polls interrupt.requested after
-        # each job, so the in-flight lease is honoured and the shutdown
-        # record is journaled on the normal path
-        with GracefulInterrupt(raising=False) as interrupt:
-            if args.daemon:
-                from .service import SweepDaemon
-
-                daemon = SweepDaemon(
-                    service,
-                    socket_path=getattr(args, "socket", None),
-                    client_ttl=getattr(args, "client_ttl", 30.0),
-                )
-                print(f"listening        {daemon.socket_path}", flush=True)
-                depths = daemon.serve_forever(interrupt)
-            else:
-                depths = service.run(interrupt)
-            drained = interrupt.requested
-        print("queue            "
-              + " ".join(f"{s.lower()}={n}" for s, n in depths.items()))
-        counters = " ".join(
-            f"{k}={v}" for k, v in service.state.counters.items()
-        )
-        print(f"counters         {counters}")
-        if drained:
-            print(f"drained          {len(service.state.pending())} "
-                  f"job(s) left queued for the next incarnation")
-    finally:
-        service.close()
-    return 0
-
-
-def cmd_cancel(args: argparse.Namespace) -> int:
-    with _make_client(args) as client:
-        response = client.cancel(args.job_id)
-        print(f"cancel           {response['job_id']} "
-              f"[{response['state'].lower()}]")
-    return 0
-
-
-def cmd_wait(args: argparse.Namespace) -> int:
-    with _make_client(args) as client:
-        response = client.wait(
-            job_id=args.job_id, deadline=args.deadline
-        )
-        result = response.get("result", {})
-        source = " (cached)" if response.get("cached") else ""
-        print(f"done             {response['job_id']}{source} "
-              f"cycles={result.get('cycles'):.0f}")
-    return 0
-
-
-def cmd_status(args: argparse.Namespace) -> int:
-    import os
-
-    from .engine.errors import JournalError
-    from .service import JOURNAL_NAME, Journal, SweepService
-
-    if getattr(args, "daemon", False):
-        with _make_client(args) as client:
-            stats = client.stats()
-        print(f"service          {_service_dir(args)} (live daemon)")
-        depths = stats["depths"]
-        print("queue            "
-              + " ".join(f"{s.lower()}={n}" for s, n in depths.items()))
-        print("counters         " + " ".join(
-            f"{k}={v}" for k, v in stats["counters"].items()
-        ))
-        cache = stats["cache"]
-        print("result cache     " + " ".join(
-            f"{k}={v}" for k, v in cache.items()
-        ))
-        print(f"clients          {stats['clients']} connected, "
-              f"{stats['evicted']} evicted, "
-              f"{stats['rejected_frames']} rejected frame(s), "
-              f"{stats['requests_served']} request(s) served")
-        return 0
-    directory = _service_dir(args)
-    journal_path = os.path.join(directory, JOURNAL_NAME)
-    header = Journal.peek_header(journal_path)
-    if header is None:
-        # a missing or unreadably-corrupt journal is a journal-class
-        # failure: one diagnostic line on stderr, exit 12 — never a
-        # traceback (the torn-tail case is tolerated inside replay())
-        detail = (
-            "no journal found"
-            if not os.path.exists(journal_path)
-            else "journal header unreadable or corrupt"
-        )
-        raise JournalError(f"{journal_path}: {detail}")
-    # bind to the journal's own identity: status must never replay a
-    # journal under a different (scale, seed) than it was written with
-    service = SweepService(
-        directory,
-        scale=header.get("scale", args.scale),
-        seed=header.get("seed", args.seed),
-    )
-    service.recover(readonly=True)
-    print(f"service          {directory} "
-          f"(scale={service.scale}, seed={service.seed})")
-    for line in service.status_lines():
-        print(line)
-    if args.check_goldens:
-        passed, lines = service.golden_gate(args.check_goldens)
-        mark = "PASS" if passed else "FAIL"
-        for line in lines:
-            print(f"[{mark}] goldens: {line}")
-        return 0 if passed else 1
-    return 0
-
-
-def cmd_crash_explore(args: argparse.Namespace) -> int:
-    from .service.crashpoints import explore
-
-    report = explore(
-        base_dir=args.dir,
-        scale=args.scale,
-        seed=args.seed,
-        budget=args.budget,
-        torn=args.torn,
-    )
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.ok() else 1
-
-
-def _add_daemon_group(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("daemon")
-    group.add_argument(
-        "--daemon", action="store_true",
-        help="talk to (or, for serve, run) a multi-client daemon over "
-             "a Unix-domain socket instead of the single-shot path",
-    )
-    group.add_argument(
-        "--socket", default=None, metavar="PATH",
-        help="socket path (default: <service-dir>/daemon.sock)",
-    )
-    group.add_argument(
-        "--client-timeout", type=float, default=10.0,
-        dest="client_timeout", metavar="SECONDS",
-        help="per-request socket timeout before the client reconnects "
-             "and retries (idempotent by key)",
-    )
-
-
-def _add_service_group(
-    parser: argparse.ArgumentParser, admission: bool = True
-) -> "argparse._ArgumentGroup":
-    group = parser.add_argument_group("sweep service")
-    group.add_argument(
-        "--service-dir", default=None, metavar="DIR", dest="service_dir",
-        help="service directory holding the journal "
-             "(default: .repro_service.<scale>)",
-    )
-    if not admission:
-        return group
-    group.add_argument(
-        "--max-depth", type=int, default=256, dest="max_depth",
-        help="hard queue-depth cap; submissions beyond it are shed",
-    )
-    group.add_argument(
-        "--high-watermark", type=int, default=64, dest="high_watermark",
-        help="depth at which admission starts shedding (hysteresis "
-             "releases at --low-watermark)",
-    )
-    group.add_argument(
-        "--low-watermark", type=int, default=32, dest="low_watermark",
-        help="depth at which backpressure releases",
-    )
-    return group
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -861,12 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the dimension=component table; first row is the "
              "normalization base",
     )
-    p_cmp.add_argument(
-        "--service", action="store_true",
-        help="route the cells through the crash-safe sweep service "
-             "queue (journaled, resumable after kill -9)",
-    )
-    _add_service_group(p_cmp, admission=False)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_rep = sub.add_parser("report", help="regenerate all tables/figures")
@@ -951,175 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--top", type=int, default=5,
                          help="rows in the top-N tables (default: 5)")
     p_trace.set_defaults(func=cmd_trace)
-
-    p_sub = sub.add_parser(
-        "submit",
-        help="enqueue sweep cells into the crash-safe service queue",
-    )
-    p_sub.add_argument(
-        "benchmarks", nargs="+", choices=BENCHMARKS, metavar="BENCH",
-        help="Table II benchmark name(s)",
-    )
-    p_sub.add_argument(
-        "--configs", nargs="+", default=["baseline"],
-        choices=sorted(CONFIGS),
-    )
-    p_sub.add_argument("--scale", default="small", choices=sorted(SCALES))
-    p_sub.add_argument("--seed", type=int, default=0)
-    p_sub.add_argument(
-        "--priority", type=int, default=0,
-        help="scheduling priority (higher runs first; a strictly "
-             "higher-priority job preempts a running lower one)",
-    )
-    p_sub.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="per-request deadline; past it the job fails with "
-             "FAILED(deadline) instead of being silently kept",
-    )
-    _add_service_group(p_sub)
-    _add_daemon_group(p_sub)
-    p_sub.add_argument(
-        "--wait", action="store_true",
-        help="with --daemon: block until each submitted job is terminal",
-    )
-    p_sub.set_defaults(func=cmd_submit)
-
-    p_srv = sub.add_parser(
-        "serve",
-        help="run the WAL-journaled worker pool until the queue drains",
-    )
-    p_srv.add_argument("--scale", default="small", choices=sorted(SCALES))
-    p_srv.add_argument("--seed", type=int, default=0)
-    p_srv.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell (supervised workers)",
-    )
-    p_srv.add_argument(
-        "--sanitize", nargs="?", const="strict", default=None,
-        choices=["strict", "cheap", "off"], metavar="MODE",
-        help="runtime invariant checking, including the service-queue "
-             "invariants after every job",
-    )
-    p_srv.add_argument(
-        "--retries", type=int, default=3, metavar="N",
-        help="max attempts per cell before it fails terminally",
-    )
-    p_srv.add_argument(
-        "--retry-jitter", type=float, default=0.1, dest="retry_jitter",
-        metavar="FRACTION",
-        help="max extra backoff as a fraction of the base delay; drawn "
-             "deterministically from the run seed and cell identity",
-    )
-    p_srv.add_argument(
-        "--lease-ttl", type=float, default=60.0, dest="lease_ttl",
-        metavar="SECONDS",
-        help="heartbeat TTL before a lease counts as stale",
-    )
-    p_srv.add_argument(
-        "--compact-after", type=int, default=256, dest="compact_after",
-        metavar="RECORDS",
-        help="snapshot-compact the journal at shutdown once it holds "
-             "this many records",
-    )
-    group = p_srv.add_argument_group("circuit breaker")
-    group.add_argument(
-        "--breaker-window", type=int, default=8, dest="breaker_window",
-        help="sliding window of attempt outcomes per workload",
-    )
-    group.add_argument(
-        "--breaker-threshold", type=int, default=3,
-        dest="breaker_threshold",
-        help="failures in the window that trip the breaker open",
-    )
-    group.add_argument(
-        "--breaker-cooldown", type=int, default=2,
-        dest="breaker_cooldown",
-        help="denied jobs before an open breaker half-opens for a probe",
-    )
-    sgroup = _add_service_group(p_srv)
-    sgroup.add_argument(
-        "--cache-bytes", type=int, default=None, dest="cache_bytes",
-        metavar="BYTES",
-        help="bound the result cache: after each store, least-recently-"
-             "used entries are evicted until it fits (default: "
-             "unbounded)",
-    )
-    _add_daemon_group(p_srv)
-    p_srv.add_argument(
-        "--client-ttl", type=float, default=30.0, dest="client_ttl",
-        metavar="SECONDS",
-        help="with --daemon: evict clients idle past this TTL "
-             "(heartbeat loss)",
-    )
-    p_srv.set_defaults(func=cmd_serve)
-
-    p_st = sub.add_parser(
-        "status",
-        help="queue depths, breaker states, lease ages, backpressure",
-    )
-    p_st.add_argument("--scale", default="small", choices=sorted(SCALES),
-                      help="locates the default service directory; the "
-                           "journal header overrides it")
-    p_st.add_argument("--seed", type=int, default=0)
-    p_st.add_argument(
-        "--check-goldens", default=None, metavar="PATH",
-        dest="check_goldens",
-        help="gate the service's DONE results against this golden file "
-             "(exit 1 on mismatch)",
-    )
-    _add_service_group(p_st, admission=False)
-    _add_daemon_group(p_st)
-    p_st.set_defaults(func=cmd_status)
-
-    p_can = sub.add_parser(
-        "cancel", help="cancel one job through a live daemon"
-    )
-    p_can.add_argument("job_id", help="job id (benchmark:config)")
-    p_can.add_argument("--scale", default="small", choices=sorted(SCALES))
-    _add_service_group(p_can, admission=False)
-    _add_daemon_group(p_can)
-    p_can.set_defaults(func=cmd_cancel)
-
-    p_wait = sub.add_parser(
-        "wait", help="block until a job is terminal (live daemon)"
-    )
-    p_wait.add_argument("job_id", help="job id (benchmark:config)")
-    p_wait.add_argument("--scale", default="small", choices=sorted(SCALES))
-    p_wait.add_argument(
-        "--deadline", type=float, default=None, metavar="SECONDS",
-        help="give up waiting after this long (exit 15; the job keeps "
-             "running server-side)",
-    )
-    _add_service_group(p_wait, admission=False)
-    _add_daemon_group(p_wait)
-    p_wait.set_defaults(func=cmd_wait)
-
-    p_cx = sub.add_parser(
-        "crash-explore",
-        help="crash a scripted service session at every storage-op "
-             "boundary and audit recovery invariants",
-    )
-    p_cx.add_argument(
-        "--scale", default="micro", choices=sorted(SCALES),
-        help="workload scale baked into job identities (default: micro)",
-    )
-    p_cx.add_argument("--seed", type=int, default=7)
-    p_cx.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="explore at most N evenly-spaced crash points instead of "
-             "every boundary (CI smoke)",
-    )
-    p_cx.add_argument(
-        "--torn", action="store_true",
-        help="crash mid-write (half the payload on disk) instead of "
-             "cleanly before the operation",
-    )
-    p_cx.add_argument(
-        "--dir", default=None, metavar="DIR",
-        help="directory for the per-crash-point service directories "
-             "(default: a fresh temp directory, kept for inspection)",
-    )
-    p_cx.set_defaults(func=cmd_crash_explore)
 
     p_list = sub.add_parser("list", help="list benchmarks/configs/scales")
     p_list.set_defaults(func=cmd_list)

@@ -1,10 +1,10 @@
 """Atomic durable writes: one helper for every whole-file artifact.
 
 Every on-disk artifact that is written in one piece — manifests, golden
-files, journal snapshots, compacted checkpoint stores, workload caches —
-goes through :func:`atomic_write` (text/bytes payloads) or
-:func:`atomic_path` (libraries that insist on writing a path
-themselves, e.g. ``np.savez``).  Both follow the same discipline:
+files, compacted checkpoint stores, workload caches — goes through
+:func:`atomic_write` (text/bytes payloads) or :func:`atomic_path`
+(libraries that insist on writing a path themselves, e.g.
+``np.savez``).  Both follow the same discipline:
 
 1. write the full payload to a temp file *in the destination directory*
    (same filesystem, so the final rename cannot cross devices);
@@ -22,8 +22,7 @@ the sibling a path-writing library created under a name it chose itself
 Every filesystem operation routes through the injectable storage shim
 (:mod:`repro.engine.storage`): callers tag their persistence ``layer``
 so disk faults (ENOSPC, failed fsync, torn write, crash-after-N-bytes)
-can be injected per layer and every operation boundary is visible to
-the crash-point explorer.
+can be injected per layer.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ def _cleanup_tmp(tmp: str) -> None:
     A path-writing library handed ``tmp`` may create a different name
     (``np.savez`` appends ``.npz`` when ``tmp`` has no extension), so a
     failed write must sweep every ``tmp``-prefixed entry or it strands
-    orphans next to checkpoints/goldens/journal snapshots.  The prefix
+    orphans next to checkpoints/goldens/workload caches.  The prefix
     contains the ``.tmp`` marker, so nothing but this call's artifacts
     can match.
     """
@@ -111,8 +110,8 @@ def atomic_write(
     Returns ``path``.  Readers racing the writer see either the old or
     the new contents, and SIGKILL mid-write never tears the file.
     ``layer`` tags the storage-shim operations with the calling
-    persistence layer (journal/results/checkpoint/goldens/manifest) for
-    fault injection and crash-point enumeration.
+    persistence layer (checkpoint/goldens/manifest) for fault
+    injection.
     """
     store = storage if storage is not None else get_storage()
     blob = data.encode() if isinstance(data, str) else data

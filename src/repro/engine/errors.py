@@ -9,6 +9,9 @@ the failure kind without parsing messages.
 The taxonomy crosses process boundaries by name: a supervised worker
 sends ``(error_class, message)`` over its pipe and the parent rebuilds
 the typed exception with :func:`error_from_class`.
+
+Exit codes 10–12 and 14–16 are retired: they named failures of a
+sweep-queue service that no longer exists, and they are not reused.
 """
 
 from __future__ import annotations
@@ -100,44 +103,6 @@ class SanitizerError(SimulationError):
             self.error_class = f"sanitizer:{tag}"
 
 
-class QuarantinedError(SimulationError):
-    """A workload's circuit breaker opened: the cell was refused without
-    running because its workload failed repeatedly (see
-    :mod:`repro.service.breaker`).
-
-    Carries the error class that tripped the breaker; the effective
-    ``error_class`` is ``quarantined:<class>`` so reports degrade to
-    ``FAILED(quarantined:<class>)`` and the offending failure kind stays
-    visible in every artifact.
-    """
-
-    error_class = "quarantined"
-    exit_code = 10
-
-    def __init__(self, message: str, cause_class: str = "") -> None:
-        super().__init__(message)
-        #: taxonomy class of the failures that opened the breaker
-        self.cause_class = cause_class
-        if cause_class:
-            self.error_class = f"quarantined:{cause_class}"
-
-
-class AdmissionError(SimulationError):
-    """The service refused to enqueue a job: the queue is beyond its
-    high-watermark (load shed) or at its hard depth cap."""
-
-    error_class = "admission"
-    exit_code = 11
-
-
-class JournalError(SimulationError):
-    """The service write-ahead log is corrupt, from an incompatible
-    version, or records an illegal state transition."""
-
-    error_class = "journal"
-    exit_code = 12
-
-
 class InterruptedRunError(SimulationError):
     """The run was interrupted (SIGINT/SIGTERM) and drained gracefully:
     checkpoints and telemetry were flushed, unfinished cells degrade to
@@ -145,33 +110,6 @@ class InterruptedRunError(SimulationError):
 
     error_class = "interrupted"
     exit_code = 13
-
-
-class ProtocolError(SimulationError):
-    """A daemon socket frame was malformed, oversized, or semantically
-    invalid (unknown op, missing field).  The offending request is
-    rejected; the daemon itself stays up (see
-    :mod:`repro.service.protocol`)."""
-
-    error_class = "protocol"
-    exit_code = 14
-
-
-class DeadlineError(SimulationError):
-    """A job blew its per-request deadline: it was preempted mid-cell or
-    refused at lease time, and journaled ``FAILED(deadline)`` — a cell
-    past its deadline is never silently kept running."""
-
-    error_class = "deadline"
-    exit_code = 15
-
-
-class CancelledJobError(SimulationError):
-    """A job was cancelled by a client before it produced a result
-    (``repro cancel``); reports show ``FAILED(cancelled)``."""
-
-    error_class = "cancelled"
-    exit_code = 16
 
 
 #: error_class tag -> exception type (parent-side reconstruction map)
@@ -186,13 +124,7 @@ ERROR_CLASSES: Dict[str, Type[SimulationError]] = {
         WorkerCrash,
         CheckpointError,
         SanitizerError,
-        QuarantinedError,
-        AdmissionError,
-        JournalError,
         InterruptedRunError,
-        ProtocolError,
-        DeadlineError,
-        CancelledJobError,
     )
 }
 
@@ -205,15 +137,7 @@ def error_from_class(error_class: str, message: str) -> SimulationError:
     if error_class.startswith("sanitizer"):
         # sanitizer tags travel inside the class: "sanitizer:<tag>"
         return SanitizerError(message, tag=error_class.partition(":")[2])
-    if error_class.startswith("quarantined"):
-        # the breaker's trip cause travels inside: "quarantined:<class>"
-        return QuarantinedError(
-            message, cause_class=error_class.partition(":")[2]
-        )
-    cls = ERROR_CLASSES.get(error_class, SimulationError)
-    if cls is ConfigError:
-        return cls(message)
-    return cls(message)
+    return ERROR_CLASSES.get(error_class, SimulationError)(message)
 
 
 def classify(exc: BaseException) -> str:

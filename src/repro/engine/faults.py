@@ -18,19 +18,14 @@ The same variable also carries *disk* faults, distinguished by the
 reserved ``disk`` prefix and parsed by
 :func:`repro.engine.storage.parse_disk_spec`:
 
-    REPRO_FAULT="disk:journal:enospc"           # 1st journal write fails
-    REPRO_FAULT="disk:results:torn;nw:*:crash"  # mixed disk + process
+    REPRO_FAULT="disk:checkpoint:crash:4"       # die mid 4th write
+    REPRO_FAULT="disk:goldens:torn;nw:*:crash"  # mixed disk + process
 
 Disk specs are *matched and fired* by the storage shim itself (it reads
 the environment directly, so no plumbing is needed); :class:`FaultPlan`
 parses them too so ``to_env``/``parse`` round-trip a mixed plan and a
-malformed disk spec fails fast with a :class:`ConfigError` instead of
-being silently ignored.  The reserved ``net`` prefix works the same
-way for network faults — matched and fired by the protocol shim
-(:mod:`repro.service.protocol`), carried here for round-tripping::
-
-    REPRO_FAULT="net:server:drop"               # 1st request lost
-    REPRO_FAULT="net:client.submit:duplicate"   # 1st submit sent twice
+malformed disk spec — including one naming an unknown layer — fails
+fast with a :class:`ConfigError` instead of being silently ignored.
 
 Checkpoint corruption is injected directly on the file with
 :func:`corrupt_file` (deterministic byte flip), since it attacks the
@@ -43,7 +38,7 @@ import enum
 import os
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError, LivelockError, SimulationError
 from .storage import (  # noqa: F401  (FAULT_ENV_VAR re-exported for callers)
@@ -52,12 +47,6 @@ from .storage import (  # noqa: F401  (FAULT_ENV_VAR re-exported for callers)
     FAULT_ENV_VAR,
     parse_disk_spec,
 )
-
-if TYPE_CHECKING:  # imported lazily at parse time to avoid an import cycle
-    from ..service.protocol import NetFaultSpec
-
-#: reserved prefix for network faults (parsed by repro.service.protocol)
-NET_PREFIX = "net"
 
 #: config-tag wildcard: the fault fires for every configuration
 ANY_CONFIG = "*"
@@ -100,9 +89,6 @@ class FaultPlan:
     #: disk faults (fired by the storage shim; carried here for
     #: round-tripping and validation only)
     disk: List[DiskFaultSpec] = field(default_factory=list)
-    #: network faults (fired by the protocol shim; carried here for
-    #: round-tripping and validation only)
-    net: List["NetFaultSpec"] = field(default_factory=list)
 
     def add(
         self, benchmark: str, config_tag: str, kind: FaultKind, times: int = -1
@@ -122,7 +108,7 @@ class FaultPlan:
         return None
 
     def __bool__(self) -> bool:
-        return bool(self.specs) or bool(self.disk) or bool(self.net)
+        return bool(self.specs) or bool(self.disk)
 
     # ------------------------------------------------------------------ #
     # Environment round-trip (CLI / CI injection)
@@ -135,7 +121,6 @@ class FaultPlan:
                 part += f":{spec.times}"
             parts.append(part)
         parts.extend(spec.to_part() for spec in self.disk)
-        parts.extend(spec.to_part() for spec in self.net)
         return ";".join(parts)
 
     @classmethod
@@ -149,12 +134,6 @@ class FaultPlan:
             fields = part.split(":")
             if fields[0] == DISK_PREFIX:
                 plan.disk.append(parse_disk_spec(part))
-                continue
-            if fields[0] == NET_PREFIX:
-                # deferred import: repro.service imports this module
-                from ..service.protocol import parse_net_spec
-
-                plan.net.append(parse_net_spec(part))
                 continue
             if len(fields) not in (3, 4):
                 raise ConfigError(

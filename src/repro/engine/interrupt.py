@@ -10,9 +10,8 @@ drain itself is stuck and hard-exits with the conventional
 ``128 + signum`` status.
 
 Flush paths that must not be torn by the *first* signal (checkpoint
-close, trace merge, journal shutdown records) run inside
-:meth:`GracefulInterrupt.shield`, which defers the raise until the
-shield is released.
+close, trace merge) run inside :meth:`GracefulInterrupt.shield`, which
+defers the raise until the shield is released.
 
 Supervised workers ignore both signals (see
 :func:`repro.engine.supervision._worker_main`): a terminal Ctrl-C
@@ -27,7 +26,7 @@ import contextlib
 import os
 import signal
 import time
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import InterruptedRunError
 
@@ -47,26 +46,13 @@ class GracefulInterrupt:
 
     ``raising=True`` (the CLI default) raises
     :class:`InterruptedRunError` from the first signal so a sweep
-    unwinds at the next bytecode boundary; ``raising=False`` (service
-    loops) only sets :attr:`requested`, and the loop is expected to
-    check it between jobs.
-
-    ``on_request`` is invoked exactly once, from the signal handler,
-    when the first drain signal lands.  A select/poll-based loop (the
-    socket daemon) passes a wake-up callback here — typically one byte
-    down a self-pipe — so a signal that arrives while the loop is
-    blocked in ``select()`` interrupts the wait instead of languishing
-    until the next timeout.  The callback runs in signal context: it
-    must be async-signal-safe (no locks, no allocation-heavy work).
+    unwinds at the next bytecode boundary; ``raising=False`` only sets
+    :attr:`requested`, and the loop is expected to check it between
+    units of work.
     """
 
-    def __init__(
-        self,
-        raising: bool = True,
-        on_request: Optional[Callable[[], None]] = None,
-    ) -> None:
+    def __init__(self, raising: bool = True) -> None:
         self.raising = raising
-        self.on_request = on_request
         #: a drain signal has been received
         self.requested = False
         #: the signal number that requested the drain
@@ -102,11 +88,6 @@ class GracefulInterrupt:
         self.requested = True
         self.signum = signum
         self._first_at = time.monotonic()
-        if self.on_request is not None:
-            try:
-                self.on_request()
-            except OSError:
-                pass  # a closed wake-up pipe must not mask the drain
         if self.raising:
             if self._shielded:
                 self._pending_raise = True
@@ -134,9 +115,9 @@ class GracefulInterrupt:
         """Raise :class:`InterruptedRunError` if a drain was requested.
 
         For non-raising loops that still want the raising idiom at
-        explicit cancellation points (e.g. between service jobs).
+        explicit cancellation points (e.g. between sweep cells).
         """
         if self.requested:
             raise InterruptedRunError(
-                "interrupted; draining at job boundary"
+                "interrupted; draining at a cancellation point"
             )

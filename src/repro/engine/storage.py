@@ -1,12 +1,11 @@
 """Injectable storage layer: every durable byte goes through one shim.
 
-All persistence code — the service WAL (:mod:`repro.service.journal`),
-the content-addressed result cache (:mod:`repro.service.results`), the
-checkpoint store (:mod:`repro.engine.checkpoint`), golden files,
-manifests, and the :func:`~repro.engine.atomic.atomic_write` helper
-they share — routes its filesystem operations through a
-:class:`Storage` instance.  With no faults configured the shim is a
-pass-through: the same syscalls in the same order, so goldens and
+All persistence code — the checkpoint store
+(:mod:`repro.engine.checkpoint`), golden files, manifests, and the
+:func:`~repro.engine.atomic.atomic_write` helper they share — routes
+its filesystem operations through a :class:`Storage` instance, tagged
+with its layer (:data:`LAYERS`).  With no faults configured the shim is
+a pass-through: the same syscalls in the same order, so goldens and
 determinism gates stay byte-identical.  With faults configured, the
 *storage itself* can lie, which is the failure class process-level
 injection (:mod:`repro.engine.faults`) can never produce:
@@ -20,21 +19,24 @@ injection (:mod:`repro.engine.faults`) can never produce:
 * ``torn``   — a write persists only a prefix (half the payload), then
   raises ``EIO``;
 * ``crash``  — a write persists a prefix, then the process dies on the
-  spot (``os._exit``), leaving a torn file for the *next* process.
+  spot (``os._exit(86)``), leaving a torn file for the *next* process —
+  what ``kill -9`` mid-append leaves behind.
 
 Faults are deterministic and single-shot: ``disk:<layer>:<kind>[:<nth>]``
 fires on the nth matching operation of that layer (1-based, default 1)
 and never again, so a test can assert both the failure and the
-recovery.  Specs ride in the same ``REPRO_FAULT`` environment variable
-as process faults (see :class:`~repro.engine.faults.FaultPlan`), so CI
-injects through real CLI invocations.
+recovery.  A layer outside :data:`LAYERS` (or ``*``) is refused, so a
+misspelled spec cannot silently inject nothing.  Specs ride in the same
+``REPRO_FAULT`` environment variable as process faults (see
+:class:`~repro.engine.faults.FaultPlan`), so CI injects through real
+CLI invocations.
 
 The shim also *records*: every operation is reported to an optional
-``record`` hook as a :class:`StorageOp`, which is what lets the
-crash-point explorer (:mod:`repro.service.crashpoints`) enumerate every
-operation boundary of a scripted session and replay a crash at each
-one (``crash_at_op`` + a ``crash`` handler that raises
-:class:`SimulatedCrash` instead of killing the test process).
+``record`` hook as a :class:`StorageOp` (tests use it to pin the
+write/fsync/rename order of :func:`~repro.engine.atomic.atomic_write`),
+and the ``crash`` handler is injectable so a test can exercise the
+``crash`` kind by raising :class:`SimulatedCrash` instead of killing
+the test process.
 """
 
 from __future__ import annotations
@@ -57,16 +59,12 @@ DISK_PREFIX = "disk"
 #: layer wildcard: the fault fires for any persistence layer
 ANY_LAYER = "*"
 
-#: persistence layers that tag their operations (documentation; the
-#: shim accepts any tag so a new layer cannot silently bypass matching)
-LAYERS = (
-    "journal", "results", "checkpoint", "goldens", "manifest", "atomic",
-)
+#: persistence layers a disk-fault spec may name (the shim itself
+#: accepts any tag so a new layer cannot silently bypass matching)
+LAYERS = ("checkpoint", "goldens", "manifest", "atomic")
 
-#: operation kinds that mutate durable state (crash-point boundaries)
-MUTATING_OPS = frozenset(
-    {"write", "fsync", "rename", "truncate", "remove", "fsync_dir"}
-)
+#: operation kinds that mutate durable state
+MUTATING_OPS = frozenset({"write", "fsync", "rename", "truncate", "fsync_dir"})
 
 
 class DiskFaultKind(enum.Enum):
@@ -115,6 +113,12 @@ def parse_disk_spec(part: str) -> DiskFaultSpec:
             field=FAULT_ENV_VAR,
         )
     layer, kind_name = fields[1], fields[2]
+    if layer not in LAYERS + (ANY_LAYER,):
+        raise ConfigError(
+            f"unknown disk fault layer {layer!r} in {part!r}; choose from "
+            f"{list(LAYERS) + [ANY_LAYER]}",
+            field=FAULT_ENV_VAR,
+        )
     try:
         kind = DiskFaultKind(kind_name)
     except ValueError:
@@ -142,14 +146,14 @@ def parse_disk_spec(part: str) -> DiskFaultSpec:
 
 @dataclass
 class StorageOp:
-    """One recorded storage operation (crash-explorer input)."""
+    """One recorded storage operation (``record`` hook payload)."""
 
     index: int
     layer: str
     kind: str
     path: str
     nbytes: int = 0
-    #: index among mutating ops only (-1 for reads): the boundary id
+    #: index among mutating ops only (-1 for reads)
     mutating_index: int = -1
 
 
@@ -158,7 +162,7 @@ class SimulatedCrash(BaseException):
 
     ``BaseException`` so no recovery code path can accidentally catch
     and survive it — exactly like SIGKILL, the only observer is whoever
-    restarts the "process" (the crash-point explorer).
+    restarts the "process".
     """
 
 
@@ -174,10 +178,8 @@ class Storage:
     ``faults`` are explicit specs; specs parsed from ``REPRO_FAULT``
     are folded in automatically (re-read whenever the variable
     changes, so CLI-driven tests need no plumbing).  ``record`` sees
-    every op; ``crash_at_op`` crashes (via ``crash``, default
-    ``os._exit``) immediately *before* executing that mutating-op
-    index — or mid-write, after half the payload, when
-    ``crash_torn`` is set.
+    every op; ``crash`` is what a ``crash`` fault calls after the torn
+    prefix lands (default ``os._exit``).
     """
 
     def __init__(
@@ -185,14 +187,10 @@ class Storage:
         faults: Optional[List[DiskFaultSpec]] = None,
         record: Optional[Callable[[StorageOp], None]] = None,
         crash: Callable[[], None] = _hard_exit,
-        crash_at_op: Optional[int] = None,
-        crash_torn: bool = False,
     ) -> None:
         self.faults: List[DiskFaultSpec] = list(faults or [])
         self.record = record
         self.crash = crash
-        self.crash_at_op = crash_at_op
-        self.crash_torn = crash_torn
         #: spec -> fired yet (single-shot, deterministic)
         self.fired: List[DiskFaultSpec] = []
         self._op_index = 0
@@ -217,12 +215,12 @@ class Storage:
             if part.strip().startswith(DISK_PREFIX + ":")
         ]
         # nth-op counting starts when the plan changes: a long-lived
-        # process (test harness, daemon) that gains a fault spec counts
+        # process (e.g. a test harness) that gains a fault spec counts
         # from that moment, exactly like a fresh CLI process would
         self._counts = {}
 
     def _enter(self, layer: str, kind: str, path: str, nbytes: int = 0):
-        """Count + record one op; return (op, spec-to-fire-or-None)."""
+        """Count + record one op; return the spec to fire, if any."""
         self._refresh_env()
         mutating = kind in MUTATING_OPS
         op = StorageOp(
@@ -242,14 +240,6 @@ class Storage:
             )
         if self.record is not None:
             self.record(op)
-        if (
-            mutating
-            and self.crash_at_op is not None
-            and op.mutating_index == self.crash_at_op
-            and not (self.crash_torn and kind == "write")
-        ):
-            # crash-point explorer: die at the boundary, before the op
-            self.crash()
         spec = None
         for candidate in list(self.faults) + self._env_specs:
             if candidate in self.fired:
@@ -262,7 +252,7 @@ class Storage:
                 spec = candidate
                 self.fired.append(candidate)
                 break
-        return op, spec
+        return spec
 
     @staticmethod
     def _err(code: int, spec: DiskFaultSpec, doing: str) -> OSError:
@@ -276,7 +266,7 @@ class Storage:
     # ------------------------------------------------------------------ #
     def read_bytes(self, path: str, layer: str) -> bytes:
         """Whole-file read (the only read shape the repo uses)."""
-        _, spec = self._enter(layer, "read", path)
+        spec = self._enter(layer, "read", path)
         if spec is not None:
             raise self._err(errno.EIO, spec, f"read of {path}")
         with open(path, "rb") as handle:
@@ -294,37 +284,25 @@ class Storage:
         return handle
 
     def _enter_write(self, layer: str, path: str, data: bytes):
-        """Fault/boundary decision for one write, *before* any effect.
+        """Fault decision for one write, *before* any effect.
 
-        Returns (spec, torn_crash): ``spec`` is an injected fault to
-        apply mid-write, ``torn_crash`` marks this write as the
-        explorer's torn crash point.  An ENOSPC fault raises here — no
-        byte (and for :meth:`write_file`, not even the truncating
-        ``open``) may land first.
+        An ENOSPC fault raises here — no byte (and for
+        :meth:`write_file`, not even the truncating ``open``) may land
+        first; any other fault is returned to apply mid-write.
         """
-        op, spec = self._enter(layer, "write", path, nbytes=len(data))
-        torn_crash = (
-            self.crash_torn
-            and self.crash_at_op is not None
-            and op.mutating_index == self.crash_at_op
-        )
+        spec = self._enter(layer, "write", path, nbytes=len(data))
         if spec is not None and spec.kind is DiskFaultKind.ENOSPC:
             raise self._err(errno.ENOSPC, spec, f"write to {path}")
-        return spec, torn_crash
+        return spec
 
     def _finish_write(
-        self,
-        handle,
-        data: bytes,
-        spec: Optional[DiskFaultSpec],
-        torn_crash: bool,
-        path: str,
+        self, handle, data: bytes, spec: Optional[DiskFaultSpec], path: str
     ) -> None:
-        if spec is not None or torn_crash:
+        if spec is not None:
             # torn/crash: a prefix reaches the file, the rest never does
             handle.write(data[: len(data) // 2])
             handle.flush()
-            if spec is not None and spec.kind is DiskFaultKind.TORN:
+            if spec.kind is DiskFaultKind.TORN:
                 raise self._err(errno.EIO, spec, f"torn write to {path}")
             self.crash()
             return  # pragma: no cover — crash() never returns
@@ -337,20 +315,20 @@ class Storage:
         """Write ``data`` through an open handle (flushed to the OS, so
         a later simulated crash cannot silently lose it from a user
         buffer — only injected faults lose bytes)."""
-        spec, torn_crash = self._enter_write(layer, path, data)
-        self._finish_write(handle, data, spec, torn_crash, path)
+        spec = self._enter_write(layer, path, data)
+        self._finish_write(handle, data, spec, path)
 
     def write_file(self, path: str, data: bytes, layer: str) -> None:
         """Create/overwrite ``path`` with ``data`` in one faultable op
         (the temp-file half of :func:`~repro.engine.atomic.atomic_write`).
-        The fault/crash decision precedes the (truncating) ``open``, so
-        a crash at this boundary leaves the previous contents intact."""
-        spec, torn_crash = self._enter_write(layer, path, data)
+        The fault decision precedes the (truncating) ``open``, so an
+        ENOSPC leaves the previous contents intact."""
+        spec = self._enter_write(layer, path, data)
         with open(path, "wb") as handle:
-            self._finish_write(handle, data, spec, torn_crash, path)
+            self._finish_write(handle, data, spec, path)
 
     def fsync_handle(self, handle, layer: str, path: str) -> None:
-        op, spec = self._enter(layer, "fsync", path)
+        spec = self._enter(layer, "fsync", path)
         handle.flush()
         if spec is not None:
             # fsyncgate: the kernel reports the error exactly once and
@@ -365,7 +343,7 @@ class Storage:
         """fsync by path (atomic_write's temp file before the rename)."""
         fd = os.open(path, os.O_RDONLY)
         try:
-            _, spec = self._enter(layer, "fsync", path)
+            spec = self._enter(layer, "fsync", path)
             if spec is not None:
                 # dropping to the watermark needs a writable fd
                 wfd = os.open(path, os.O_WRONLY)
@@ -404,11 +382,6 @@ class Storage:
         self._enter(layer, "truncate", path, nbytes=size)
         os.truncate(path, size)
         self._durable[path] = min(self._durable.get(path, size), size)
-
-    def remove(self, path: str, layer: str) -> None:
-        self._enter(layer, "remove", path)
-        os.remove(path)
-        self._durable.pop(path, None)
 
 
 #: process-wide default instance (pure pass-through unless REPRO_FAULT

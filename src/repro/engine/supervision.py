@@ -220,13 +220,6 @@ class Supervisor:
     sleep: Callable[[float], None] = time.sleep
     #: injectable clock for elapsed accounting
     clock: Callable[[], float] = time.monotonic
-    #: called while a worker runs, every ``heartbeat_interval`` seconds
-    #: of pipe-poll waiting (the service renews its lease here)
-    heartbeat: Optional[Callable[[], None]] = None
-    heartbeat_interval: float = 1.0
-    #: called before each backoff sleep: ``on_retry(attempt, exc)``
-    #: (the service journals RETRIED records through this hook)
-    on_retry: Optional[Callable[[int, SimulationError], None]] = None
 
     def __post_init__(self) -> None:
         # fork keeps worker start cheap and needs no pickling of targets;
@@ -263,8 +256,6 @@ class Supervisor:
                     exc.attempts = attempt + 1
                     exc.elapsed = self.clock() - started
                     raise
-                if self.on_retry is not None:
-                    self.on_retry(attempt, exc)
                 self.sleep(
                     self.retry.delay(attempt, self.jitter_u(spec, attempt))
                 )
@@ -298,11 +289,10 @@ class Supervisor:
         child_conn.close()
         try:
             try:
-                reported = self._wait_for_report(parent_conn)
+                reported = parent_conn.poll(self.timeout)
             except BaseException:
-                # a heartbeat hook aborting the wait (deadline blown,
-                # preemption, cancel) must not leave the worker running
-                # — and must not stall 5s in the join below either
+                # a graceful-drain signal raising mid-wait must not leave
+                # the worker running — nor stall 5s in the join below
                 self._kill(proc)
                 raise
             if not reported:
@@ -332,34 +322,6 @@ class Supervisor:
             error_class,
             f"cell ({spec.benchmark}, {spec.config_tag}): {text}",
         )
-
-    def _wait_for_report(self, parent_conn) -> bool:
-        """Poll the worker pipe until it reports or the watchdog fires.
-
-        With a ``heartbeat`` installed, the wait is sliced so the
-        callback runs every ``heartbeat_interval`` seconds — the service
-        renews the job's lease there, proving the supervising process is
-        alive without journal traffic proportional to cell runtime.  The
-        wait *leads* with one heartbeat, so even a cell that finishes
-        inside the first interval proves liveness (and observes a
-        pending cancel/preempt decision) at least once per attempt.
-        """
-        if self.heartbeat is None:
-            return parent_conn.poll(self.timeout)
-        deadline = (
-            None if self.timeout is None else self.clock() + self.timeout
-        )
-        self.heartbeat()
-        while True:
-            wait = self.heartbeat_interval
-            if deadline is not None:
-                remaining = deadline - self.clock()
-                if remaining <= 0:
-                    return False
-                wait = min(wait, remaining)
-            if parent_conn.poll(wait):
-                return True
-            self.heartbeat()
 
     @staticmethod
     def _kill(proc) -> None:

@@ -531,7 +531,7 @@ class LifecycleChecker:
 class TenantIsolationChecker:
     """Cross-tenant isolation invariants for multi-tenant machines.
 
-    Two invariant classes (DESIGN.md §12):
+    Two invariant classes (DESIGN.md §10):
 
     * ``tenant.cross_tlb`` — under strict (exclusive) partitioning no
       TLB anywhere holds a translation tagged with a foreign ASID: every

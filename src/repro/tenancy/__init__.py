@@ -1,5 +1,5 @@
 """Multi-tenant MIG-style co-scheduling, per-tenant translation, and
-isolation metrics (DESIGN.md §12).
+isolation metrics (DESIGN.md §10).
 
 Quickstart::
 

@@ -179,163 +179,40 @@ class TestResilienceFlagParity:
         assert (tmp_path / ".repro_checkpoint.micro.jsonl").exists()
 
 
-class TestServiceCli:
-    """CLI surface of the sweep service and daemon commands."""
-
-    def test_status_missing_journal_exits_12_one_line(self, capsys,
-                                                      tmp_path):
-        code = main(
-            ["status", "--scale", "micro",
-             "--service-dir", str(tmp_path / "nowhere")]
-        )
-        assert code == 12
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1  # one diagnostic line, never a traceback
-        payload = json.loads(err[0])
-        assert payload["error"] == "journal"
-        assert payload["exit_code"] == 12
-        assert "no journal" in payload["message"]
-
-    def test_status_corrupt_header_exits_12(self, capsys, tmp_path):
-        svc = tmp_path / "svc"
-        svc.mkdir()
-        (svc / "journal.jsonl").write_bytes(b"\xff\xfe garbage, not JSON\n")
-        code = main(
-            ["status", "--scale", "micro", "--service-dir", str(svc)]
-        )
-        assert code == 12
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1
-        payload = json.loads(err[0])
-        assert payload["error"] == "journal"
-        assert "unreadable or corrupt" in payload["message"]
-
-    def test_submit_and_serve_roundtrip(self, capsys, tmp_path):
-        svc = str(tmp_path / "svc")
-        assert main(
-            ["submit", "nw", "--configs", "baseline", "--scale", "micro",
-             "--service-dir", svc]
-        ) == 0
-        assert "submitted" in capsys.readouterr().out
-        assert main(
-            ["serve", "--scale", "micro", "--service-dir", svc]
-        ) == 0
-        assert "done=1" in capsys.readouterr().out
-        assert main(
-            ["status", "--scale", "micro", "--service-dir", svc]
-        ) == 0
-        assert "queue" in capsys.readouterr().out
-
-    def test_submit_deadline_and_priority_flags(self, capsys, tmp_path):
-        svc = str(tmp_path / "svc")
-        assert main(
-            ["submit", "nw", "--configs", "baseline", "--scale", "micro",
-             "--service-dir", svc, "--priority", "3", "--deadline", "900"]
-        ) == 0
-        capsys.readouterr()
-        from repro.service import SweepService
-
-        service = SweepService(svc, scale="micro", seed=0)
-        service.recover(readonly=True)
-        service.close()
-        job = service.state.jobs["nw:baseline"]
-        assert job.priority == 3
-        assert job.deadline_unix > 0
-        assert job.idempotency_key
-
-    def test_daemon_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(
-            ["serve", "--daemon", "--scale", "micro",
-             "--client-ttl", "5", "--socket", "/tmp/x.sock"]
-        )
-        assert args.daemon and args.client_ttl == 5.0
-        assert args.socket == "/tmp/x.sock"
-        args = parser.parse_args(
-            ["submit", "nw", "--daemon", "--wait", "--priority", "2"]
-        )
-        assert args.daemon and args.wait and args.priority == 2
-        args = parser.parse_args(["cancel", "nw:baseline", "--daemon"])
-        assert args.job_id == "nw:baseline"
-        args = parser.parse_args(
-            ["wait", "nw:baseline", "--deadline", "30"]
-        )
-        assert args.deadline == 30.0
-
-    def test_wait_against_dead_daemon_exits_protocol(self, capsys,
-                                                     tmp_path):
-        code = main(
-            ["wait", "nw:baseline", "--scale", "micro",
-             "--service-dir", str(tmp_path / "svc")]
-        )
-        assert code == 14  # protocol: daemon unreachable
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "protocol"
-
-
 class TestServiceOptionGroups:
-    """One option group per concern; the remote worker fleet is gone."""
+    """The sweep-queue service and its worker fleet are gone: argparse
+    refuses their commands and flags with a usage error."""
 
     @pytest.mark.parametrize("argv", [
         ["worker", "--connect", "svc"],
         ["serve", "--remote-only"],
         ["serve", "--worker-ttl", "15"],
+        ["submit", "nw"],
+        ["serve"],
+        ["status"],
+        ["cancel", "X"],
+        ["wait"],
+        ["crash-explore"],
+        ["compare", "nw", "--service"],
     ])
     def test_fleet_commands_and_flags_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
 
-    def test_cache_bytes_sits_in_the_service_group(self, capsys):
-        args = build_parser().parse_args(["serve", "--cache-bytes", "4096"])
-        assert args.cache_bytes == 4096
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--help"])
-        groups = {}
-        title = None
-        for line in capsys.readouterr().out.splitlines():
-            if line and not line[0].isspace() and line.endswith(":"):
-                title = line[:-1]
-            elif title is not None:
-                groups[title] = groups.get(title, "") + line + "\n"
-        assert "--cache-bytes" in groups["sweep service"]
-        assert not any("fleet" in name for name in groups)
-
     def test_stall_fault_kind_is_a_config_error(self, capsys, monkeypatch):
         from repro.engine.errors import ConfigError
         from repro.engine.faults import FaultPlan
 
-        with pytest.raises(ConfigError, match="stall"):
-            FaultPlan.parse("bfs:*:stall:9")
-        monkeypatch.setenv("REPRO_FAULT", "bfs:*:stall:9")
-        assert main(["run", "bfs", "--scale", "micro"]) == 3
-        payload = json.loads(capsys.readouterr().err.strip())
-        assert payload["error"] == "config"
-
-    def test_daemon_status_has_no_fleet_line(self, capsys, tmp_path):
-        import threading
-
-        from repro.service import DaemonClient, SweepDaemon, SweepService
-
-        svc = str(tmp_path / "svc")
-        pool = SweepService(svc, scale="micro", seed=0)
-        pool.recover()
-        daemon = SweepDaemon(pool, idle_poll=0.02)
-        thread = threading.Thread(target=daemon.serve_forever, daemon=True)
-        thread.start()
-        client = DaemonClient(svc, timeout=5.0, max_attempts=8)
-        try:
-            client.ping()
-            assert main(
-                ["status", "--daemon", "--scale", "micro",
-                 "--service-dir", svc]
-            ) == 0
-        finally:
-            client.shutdown()
-            client.close()
-            thread.join(timeout=10.0)
-            pool.close()
-        out = capsys.readouterr().out
-        assert "result cache" in out
-        assert "fleet" not in out
-        assert "fenced" not in out
+        for spec, named in (
+            ("bfs:*:stall:9", "stall"),
+            ("net:server:drop", "drop"),  # no net faults: unknown kind
+            ("disk:journal:enospc", "journal"),  # removed layer
+        ):
+            with pytest.raises(ConfigError, match=named):
+                FaultPlan.parse(spec)
+            monkeypatch.setenv("REPRO_FAULT", spec)
+            assert main(["run", "bfs", "--scale", "micro"]) == 3
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "config"
+            assert named in payload["message"]

@@ -105,12 +105,12 @@ class TestDiskSpecsInPlan:
         from repro.engine.storage import DiskFaultKind
 
         plan = FaultPlan.parse(
-            "bfs:baseline:livelock;disk:journal:enospc;disk:results:torn:3"
+            "bfs:baseline:livelock;disk:checkpoint:enospc;disk:goldens:torn:3"
         )
         assert plan.specs[("bfs", "baseline")].kind is FaultKind.LIVELOCK
         assert [(s.layer, s.kind, s.nth) for s in plan.disk] == [
-            ("journal", DiskFaultKind.ENOSPC, 1),
-            ("results", DiskFaultKind.TORN, 3),
+            ("checkpoint", DiskFaultKind.ENOSPC, 1),
+            ("goldens", DiskFaultKind.TORN, 3),
         ]
 
     def test_round_trip_preserves_disk_specs(self):
@@ -120,10 +120,13 @@ class TestDiskSpecsInPlan:
         assert back.disk == plan.disk
 
     def test_disk_only_plan_is_truthy(self):
-        assert FaultPlan.parse("disk:journal:eio")
+        assert FaultPlan.parse("disk:checkpoint:eio")
 
     def test_bad_disk_spec_rejected(self):
         with pytest.raises(ValueError, match="disk fault"):
-            FaultPlan.parse("disk:journal:meltdown")
+            FaultPlan.parse("disk:checkpoint:meltdown")
         with pytest.raises(ValueError, match="expected"):
-            FaultPlan.parse("disk:journal")
+            FaultPlan.parse("disk:checkpoint")
+        for bad_layer in ("chekpoint", "journal", "results"):
+            with pytest.raises(ValueError, match=f"layer {bad_layer!r}"):
+                FaultPlan.parse(f"disk:{bad_layer}:crash")

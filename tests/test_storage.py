@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.engine.errors import ConfigError, JournalError
+from repro.engine.errors import ConfigError
 from repro.engine.storage import (
     FAULT_ENV_VAR,
     DiskFaultKind,
@@ -27,8 +27,8 @@ def spec(layer, kind, nth=1):
 class TestSpecGrammar:
     def test_parse_round_trip(self):
         for text in (
-            "disk:journal:enospc",
-            "disk:results:torn:3",
+            "disk:checkpoint:enospc",
+            "disk:goldens:torn:3",
             "disk:*:fsync",
             "disk:checkpoint:crash:2",
         ):
@@ -36,11 +36,14 @@ class TestSpecGrammar:
 
     def test_rejects_garbage(self):
         for text in (
-            "disk:journal",              # missing kind
-            "disk:journal:sparks",       # unknown kind
-            "disk:journal:eio:0",        # nth must be >= 1
-            "disk:journal:eio:x",        # non-numeric nth
+            "disk:checkpoint",           # missing kind
+            "disk:checkpoint:sparks",    # unknown kind
+            "disk:checkpoint:eio:0",     # nth must be >= 1
+            "disk:checkpoint:eio:x",     # non-numeric nth
             "disk:a:b:c:d",              # too many fields
+            "disk:chekpoint:crash",      # misspelled layer
+            "disk:journal:enospc",       # removed layer
+            "disk:results:torn",         # removed layer
         ):
             with pytest.raises(ConfigError):
                 parse_disk_spec(text)
@@ -51,10 +54,10 @@ class TestSpecGrammar:
 # --------------------------------------------------------------------- #
 class TestFaultKinds:
     def test_enospc_write_leaves_no_bytes(self, tmp_path):
-        store = Storage(faults=[spec("journal", "enospc")])
+        store = Storage(faults=[spec("checkpoint", "enospc")])
         path = str(tmp_path / "f")
         with pytest.raises(OSError) as err:
-            store.write_file(path, b"payload", "journal")
+            store.write_file(path, b"payload", "checkpoint")
         assert err.value.errno == errno.ENOSPC
         # the refused write landed nothing — not even a truncating open
         assert not os.path.exists(path)
@@ -62,18 +65,18 @@ class TestFaultKinds:
     def test_eio_read(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"data")
-        store = Storage(faults=[spec("results", "eio")])
+        store = Storage(faults=[spec("goldens", "eio")])
         with pytest.raises(OSError) as err:
-            store.read_bytes(str(path), "results")
+            store.read_bytes(str(path), "goldens")
         assert err.value.errno == errno.EIO
         # single-shot: the retry reads clean
-        assert store.read_bytes(str(path), "results") == b"data"
+        assert store.read_bytes(str(path), "goldens") == b"data"
 
     def test_torn_write_persists_half(self, tmp_path):
-        store = Storage(faults=[spec("results", "torn")])
+        store = Storage(faults=[spec("goldens", "torn")])
         path = str(tmp_path / "f")
         with pytest.raises(OSError) as err:
-            store.write_file(path, b"0123456789", "results")
+            store.write_file(path, b"0123456789", "goldens")
         assert err.value.errno == errno.EIO
         with open(path, "rb") as handle:
             assert handle.read() == b"01234"
@@ -82,32 +85,32 @@ class TestFaultKinds:
         """A failed fsync loses the dirty bytes AND the retry
         'succeeds' without them — the kernel marked the pages clean
         when it reported the error (fsyncgate semantics)."""
-        store = Storage(faults=[spec("journal", "fsync", nth=2)])
+        store = Storage(faults=[spec("checkpoint", "fsync", nth=2)])
         path = str(tmp_path / "f")
-        handle = store.open_append(path, "journal")
-        store.write_handle(handle, b"first\n", "journal", path)
-        store.fsync_handle(handle, "journal", path)  # durable watermark
-        store.write_handle(handle, b"second\n", "journal", path)
+        handle = store.open_append(path, "checkpoint")
+        store.write_handle(handle, b"first\n", "checkpoint", path)
+        store.fsync_handle(handle, "checkpoint", path)  # durable watermark
+        store.write_handle(handle, b"second\n", "checkpoint", path)
         with pytest.raises(OSError) as err:
-            store.fsync_handle(handle, "journal", path)
+            store.fsync_handle(handle, "checkpoint", path)
         assert err.value.errno == errno.EIO
         # the unflushed record is gone...
         with open(path, "rb") as probe:
             assert probe.read() == b"first\n"
         # ...and a retried fsync reports success without resurrecting it
-        store.fsync_handle(handle, "journal", path)
+        store.fsync_handle(handle, "checkpoint", path)
         handle.close()
         with open(path, "rb") as probe:
             assert probe.read() == b"first\n"
 
     def test_crash_invokes_handler_mid_write(self, tmp_path):
         store = Storage(
-            faults=[spec("journal", "crash")],
+            faults=[spec("checkpoint", "crash")],
             crash=lambda: (_ for _ in ()).throw(SimulatedCrash("boom")),
         )
         path = str(tmp_path / "f")
         with pytest.raises(SimulatedCrash):
-            store.write_file(path, b"0123456789", "journal")
+            store.write_file(path, b"0123456789", "checkpoint")
         # the torn prefix is on disk, exactly like a real SIGKILL
         with open(path, "rb") as handle:
             assert handle.read() == b"01234"
@@ -118,152 +121,66 @@ class TestFaultKinds:
 # --------------------------------------------------------------------- #
 class TestMatching:
     def test_nth_op_counts_per_layer_and_kind(self, tmp_path):
-        store = Storage(faults=[spec("journal", "enospc", nth=3)])
+        store = Storage(faults=[spec("checkpoint", "enospc", nth=3)])
         path = str(tmp_path / "f")
-        store.write_file(path, b"a", "journal")
-        store.write_file(path, b"b", "results")  # other layer: no count
-        store.write_file(path, b"c", "journal")
+        store.write_file(path, b"a", "checkpoint")
+        store.write_file(path, b"b", "goldens")  # other layer: no count
+        store.write_file(path, b"c", "checkpoint")
         with pytest.raises(OSError):
-            store.write_file(path, b"d", "journal")
+            store.write_file(path, b"d", "checkpoint")
 
     def test_wildcard_layer_counts_across_layers(self, tmp_path):
         store = Storage(faults=[spec("*", "enospc", nth=2)])
         path = str(tmp_path / "f")
-        store.write_file(path, b"a", "journal")
+        store.write_file(path, b"a", "checkpoint")
         with pytest.raises(OSError):
-            store.write_file(path, b"b", "results")
+            store.write_file(path, b"b", "goldens")
 
     def test_single_shot(self, tmp_path):
-        store = Storage(faults=[spec("journal", "enospc")])
+        store = Storage(faults=[spec("checkpoint", "enospc")])
         path = str(tmp_path / "f")
         with pytest.raises(OSError):
-            store.write_file(path, b"a", "journal")
-        store.write_file(path, b"b", "journal")
+            store.write_file(path, b"a", "checkpoint")
+        store.write_file(path, b"b", "checkpoint")
         with open(path, "rb") as handle:
             assert handle.read() == b"b"
 
     def test_env_specs_fold_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(FAULT_ENV_VAR, "disk:journal:enospc")
+        monkeypatch.setenv(FAULT_ENV_VAR, "disk:checkpoint:enospc")
         store = Storage()
         with pytest.raises(OSError):
-            store.write_file(str(tmp_path / "f"), b"a", "journal")
+            store.write_file(str(tmp_path / "f"), b"a", "checkpoint")
 
     def test_env_mixed_with_process_specs_ignored(
         self, tmp_path, monkeypatch
     ):
         # process-fault parts in the same variable are not disk specs
         monkeypatch.setenv(
-            FAULT_ENV_VAR, "nw:baseline:crash;disk:results:eio"
+            FAULT_ENV_VAR, "nw:baseline:crash;disk:goldens:eio"
         )
         path = tmp_path / "f"
         path.write_bytes(b"x")
         store = Storage()
-        store.read_bytes(str(path), "journal")  # other layer: clean
+        store.read_bytes(str(path), "checkpoint")  # other layer: clean
         with pytest.raises(OSError):
-            store.read_bytes(str(path), "results")
+            store.read_bytes(str(path), "goldens")
 
     def test_recording_pass_through(self, tmp_path):
         ops = []
         store = Storage(record=ops.append)
         path = str(tmp_path / "f")
-        store.write_file(path, b"data", "results")
-        store.fsync_path(path, "results")
-        store.replace(path, str(tmp_path / "g"), "results")
+        store.write_file(path, b"data", "goldens")
+        store.fsync_path(path, "goldens")
+        store.replace(path, str(tmp_path / "g"), "goldens")
         assert [op.kind for op in ops] == ["write", "fsync", "rename"]
         assert all(op.mutating_index >= 0 for op in ops)
         assert (tmp_path / "g").read_bytes() == b"data"
-
-    def test_crash_at_op_boundary(self, tmp_path):
-        def boom():
-            raise SimulatedCrash("at boundary")
-
-        store = Storage(crash=boom, crash_at_op=1)
-        path = str(tmp_path / "f")
-        store.write_file(path, b"first", "journal")  # mutating op 0
-        with pytest.raises(SimulatedCrash):
-            store.write_file(path, b"second", "journal")
-        # crash fired *before* the op: the first write is untouched
-        with open(path, "rb") as handle:
-            assert handle.read() == b"first"
 
 
 # --------------------------------------------------------------------- #
 # End-to-end through a real persistence layer and the CLI
 # --------------------------------------------------------------------- #
 class TestLayerIntegration:
-    def test_journal_append_enospc_surfaces_as_journal_error(
-        self, tmp_path
-    ):
-        from repro.service import Journal
-
-        # writes: header=1, submit=2, lease=3 — fault the lease append
-        store = Storage(faults=[spec("journal", "enospc", nth=3)])
-        journal = Journal(
-            str(tmp_path / "j.jsonl"), scale="micro", seed=0, storage=store
-        )
-        journal.append("submit", {"job": {"job_id": "a"}})
-        with pytest.raises(JournalError):
-            journal.append("lease", {"job_id": "a"})
-        # the refused record was rolled back: the log replays cleanly
-        # and the next append lands with a fresh handle
-        journal.append("lease", {"job_id": "a"})
-        journal.close()
-        replayed = Journal(
-            str(tmp_path / "j.jsonl"), scale="micro", seed=0
-        ).replay()
-        assert [r["type"] for r in replayed] == ["submit", "lease"]
-
-    def test_journal_fsyncgate_append_is_fully_rolled_back(self, tmp_path):
-        from repro.service import Journal
-
-        # fsyncs: header=1, submit=2, lease=3 — fault the lease fsync
-        store = Storage(faults=[spec("journal", "fsync", nth=3)])
-        journal = Journal(
-            str(tmp_path / "j.jsonl"), scale="micro", seed=0, storage=store
-        )
-        journal.append("submit", {"job": {"job_id": "a"}})
-        with pytest.raises(JournalError):
-            journal.append("lease", {"job_id": "a"})
-        journal.close()
-        replayed = Journal(
-            str(tmp_path / "j.jsonl"), scale="micro", seed=0
-        ).replay()
-        assert [r["type"] for r in replayed] == ["submit"]
-
-    def test_status_read_eio_exits_journal_class(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        """An injected EIO on the recovery read surfaces through the
-        real CLI as the journal taxonomy class (exit 12)."""
-        from repro.cli import main
-
-        service_dir = str(tmp_path / "svc")
-        assert main(
-            ["submit", "bfs", "--scale", "micro",
-             "--service-dir", service_dir]
-        ) == 0
-        capsys.readouterr()
-        monkeypatch.setenv(FAULT_ENV_VAR, "disk:journal:eio")
-        code = main(
-            ["status", "--scale", "micro", "--service-dir", service_dir]
-        )
-        err = capsys.readouterr().err
-        assert code == 12
-        assert json.loads(err.strip().splitlines()[-1])["error"] == "journal"
-
-    def test_result_cache_put_is_best_effort(self, tmp_path):
-        from repro.service.results import ResultCache
-
-        store = Storage(faults=[spec("results", "torn")])
-        cache = ResultCache(str(tmp_path), storage=store)
-        cache.put("k" * 16, {"x": 1})
-        assert cache.store_failures == 1
-        # no torn entry became visible; the key simply misses
-        assert cache.get("k" * 16) is None
-        assert [
-            n for n in os.listdir(tmp_path) if not n.endswith(".invalid")
-        ] == []
-
     def test_pass_through_without_faults_is_invisible(self, tmp_path):
         """No faults configured: goldens written/read through the shim
         are byte-identical to a direct write (pass-through guarantee)."""
