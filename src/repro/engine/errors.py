@@ -10,8 +10,10 @@ The taxonomy crosses process boundaries by name: a supervised worker
 sends ``(error_class, message)`` over its pipe and the parent rebuilds
 the typed exception with :func:`error_from_class`.
 
-Exit codes 10–12 and 14–16 are retired: they named failures of a
-sweep-queue service that no longer exists, and they are not reused.
+Exit codes 10, 11 and 14–16 are retired: they named failures of the
+sweep-queue daemon, which no longer exists, and they are not reused.
+:class:`JournalError` (12) stays while the queue's journal and state
+machine (:mod:`repro.service`) do.
 """
 
 from __future__ import annotations
@@ -103,6 +105,14 @@ class SanitizerError(SimulationError):
             self.error_class = f"sanitizer:{tag}"
 
 
+class JournalError(SimulationError):
+    """The service write-ahead log is corrupt, from an incompatible
+    version, or records an illegal state transition."""
+
+    error_class = "journal"
+    exit_code = 12
+
+
 class InterruptedRunError(SimulationError):
     """The run was interrupted (SIGINT/SIGTERM) and drained gracefully:
     checkpoints and telemetry were flushed, unfinished cells degrade to
@@ -124,6 +134,7 @@ ERROR_CLASSES: Dict[str, Type[SimulationError]] = {
         WorkerCrash,
         CheckpointError,
         SanitizerError,
+        JournalError,
         InterruptedRunError,
     )
 }

@@ -4,8 +4,10 @@ All persistence code — the checkpoint store
 (:mod:`repro.engine.checkpoint`), golden files, manifests, and the
 :func:`~repro.engine.atomic.atomic_write` helper they share — routes
 its filesystem operations through a :class:`Storage` instance, tagged
-with its layer (:data:`LAYERS`).  With no faults configured the shim is
-a pass-through: the same syscalls in the same order, so goldens and
+with its layer (:data:`LAYERS`).  The queue journal and result cache
+left in :mod:`repro.service` tag theirs ``journal`` and ``results``;
+no spec may name those layers, so only a ``*`` spec reaches them.
+With no faults configured the shim is a pass-through: the same syscalls in the same order, so goldens and
 determinism gates stay byte-identical.  With faults configured, the
 *storage itself* can lie, which is the failure class process-level
 injection (:mod:`repro.engine.faults`) can never produce:
@@ -64,7 +66,9 @@ ANY_LAYER = "*"
 LAYERS = ("checkpoint", "goldens", "manifest", "atomic")
 
 #: operation kinds that mutate durable state
-MUTATING_OPS = frozenset({"write", "fsync", "rename", "truncate", "fsync_dir"})
+MUTATING_OPS = frozenset(
+    {"write", "fsync", "rename", "truncate", "remove", "fsync_dir"}
+)
 
 
 class DiskFaultKind(enum.Enum):
@@ -382,6 +386,11 @@ class Storage:
         self._enter(layer, "truncate", path, nbytes=size)
         os.truncate(path, size)
         self._durable[path] = min(self._durable.get(path, size), size)
+
+    def remove(self, path: str, layer: str) -> None:
+        self._enter(layer, "remove", path)
+        os.remove(path)
+        self._durable.pop(path, None)
 
 
 #: process-wide default instance (pure pass-through unless REPRO_FAULT

@@ -1,12 +1,17 @@
-"""Crash-safe sweep service: WAL-journaled queue, breakers, admission.
+"""What is left of the sweep-queue service: its journal and state machine.
 
-The durable, self-protecting execution layer behind ``repro serve`` /
-``repro submit`` / ``repro status`` and ``repro compare --service``.
-See DESIGN.md §9 for the journal format, the job state machine, the
-breaker policy, and recovery semantics; §11 for the daemon's
-intake/policy/execution layering (:mod:`.server`, :mod:`.policy`,
-:mod:`.pool`), the socket protocol (:mod:`.protocol`), and the
-content-addressed result cache (:mod:`.results`).
+The daemon, its socket protocol, worker pool and CLI commands are gone;
+``repro report --checkpoint --resume`` is the crash-safe sweep.  These
+modules have no caller in the reproduction path and are kept, with
+their tests, only until they are deleted in turn:
+
+* :mod:`.state` — job records and the journal-reduced queue reducer;
+* :mod:`.journal` — the CRC'd JSONL write-ahead log;
+* :mod:`.admission`, :mod:`.leases`, :mod:`.policy`, :mod:`.breaker` —
+  queue-depth gate, lease table, pick order/preemption rules and
+  per-workload circuit breaker;
+* :mod:`.invariants` — queue/lease/counter coherence checks;
+* :mod:`.results` — the content-addressed result cache.
 """
 
 from .admission import (
@@ -22,38 +27,11 @@ from .breaker import (
     BreakerPolicy,
     CircuitBreaker,
 )
-from .client import DaemonClient, DaemonUnavailable
-from .crashpoints import (
-    AckFact,
-    CrashPointOutcome,
-    CrashReport,
-    explore,
-)
 from .invariants import check_service_invariants
 from .journal import JOURNAL_NAME, JOURNAL_VERSION, Journal
 from .leases import Lease, LeaseTable
 from .policy import PolicyConfig, SchedulingPolicy
-from .pool import (
-    NON_WORKLOAD_FAILURES,
-    PIDFILE_NAME,
-    PreemptRequest,
-    SweepService,
-    job_id_for,
-)
-from .protocol import (
-    MAX_FRAME_BYTES,
-    PROTOCOL_VERSION,
-    SOCKET_NAME,
-    NetFaultKind,
-    NetFaults,
-    NetFaultSpec,
-    get_net_faults,
-    idempotency_key,
-    parse_net_spec,
-    set_net_faults,
-)
 from .results import RESULTS_DIR, ResultCache
-from .server import SweepDaemon
 from .state import (
     CANCELLED,
     DONE,
@@ -70,19 +48,14 @@ from .state import (
 )
 
 __all__ = [
-    "AckFact",
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionPolicy",
     "BREAKER_STATES",
-    "CrashPointOutcome",
-    "CrashReport",
     "BreakerPolicy",
     "CANCELLED",
     "CircuitBreaker",
     "CLOSED",
-    "DaemonClient",
-    "DaemonUnavailable",
     "DONE",
     "FAILED",
     "HALF_OPEN",
@@ -95,32 +68,15 @@ __all__ = [
     "LEGAL_TRANSITIONS",
     "Lease",
     "LeaseTable",
-    "MAX_FRAME_BYTES",
-    "NON_WORKLOAD_FAILURES",
-    "NetFaultKind",
-    "NetFaultSpec",
-    "NetFaults",
     "OPEN",
-    "PIDFILE_NAME",
     "PolicyConfig",
-    "PreemptRequest",
-    "PROTOCOL_VERSION",
     "QUARANTINED",
     "QueueState",
     "RESULTS_DIR",
     "ResultCache",
     "RUNNING",
     "SchedulingPolicy",
-    "SOCKET_NAME",
     "SUBMITTED",
-    "SweepDaemon",
-    "SweepService",
     "TERMINAL_STATES",
     "check_service_invariants",
-    "explore",
-    "get_net_faults",
-    "idempotency_key",
-    "job_id_for",
-    "parse_net_spec",
-    "set_net_faults",
 ]

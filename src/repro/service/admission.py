@@ -8,13 +8,13 @@ deterministic decision per submission from the current *pending depth*
 * at or beyond ``max_depth`` the queue is hard-capped — reject;
 * at or beyond ``high_watermark`` the service is shedding load —
   reject-with-reason, and the rejection is journaled as a ``shed``
-  record so ``repro status`` counters account for every refused job;
+  record so the queue counters account for every refused job;
 * between the watermarks, *backpressure* is signalled (hysteresis:
   raised at the high watermark, cleared at the low one) so upstream
   producers can slow down before rejections start.
 
-Rejections surface as :class:`~repro.engine.errors.AdmissionError`
-(exit code 11) from ``repro submit``.
+A rejection is an :class:`AdmissionDecision` with ``admitted`` false
+and a reason; the controller raises nothing.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class AdmissionController:
         return AdmissionDecision(True)
 
     def describe(self, pending_depth: int) -> str:
-        """Backpressure status line for ``repro status``."""
+        """One-line backpressure status."""
         if self.backpressure(pending_depth):
             return (
                 f"backpressure (pending {pending_depth} >= high watermark "

@@ -109,8 +109,8 @@ class Journal:
     def peek_header(path: str) -> Optional[Dict[str, Any]]:
         """Header payload of a journal file, or None when unreadable.
 
-        Lets ``repro status`` bind to whatever (scale, seed) the journal
-        was created with instead of requiring the caller to repeat them.
+        Lets a reader bind to whatever (scale, seed) the journal was
+        created with instead of requiring the caller to repeat them.
         """
         try:
             blob = get_storage().read_bytes(path, STORAGE_LAYER)

@@ -1,18 +1,16 @@
 """Job leases: heartbeat-renewed ownership with expiry reclamation.
 
 A lease binds one LEASED/RUNNING job to one service *incarnation* (a
-single ``repro serve`` process lifetime).  While a supervised worker
-runs, the supervisor's heartbeat hook renews the lease every poll slice
-(see :meth:`~repro.engine.supervision.Supervisor._wait_for_report`), so
-a live lease proves a live service without journal traffic proportional
-to cell runtime.
+single service process lifetime).  The process holding a job renews
+its lease by heartbeat while the cell runs, so a live lease proves a
+live service without journal traffic proportional to cell runtime.
 
 Expiry matters in two places:
 
 * **recovery** — after a crash, every lease the journal believes is
   outstanding belongs to a dead incarnation and is reclaimed (the job
   returns to SUBMITTED, attempts preserved);
-* **liveness display** — ``repro status`` shows lease ages, and flags a
+* **liveness display** — a status view shows lease ages, and flags a
   lease whose age exceeds its TTL as stale (the holding process has
   stopped heartbeating: hung, or killed without recovery yet).
 """

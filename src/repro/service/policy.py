@@ -1,8 +1,7 @@
 """Scheduling policy: which pending job runs next, and who yields.
 
-The ROADMAP's intake/policy/execution split puts every *ordering*
-decision here, between the request intake (:mod:`.server`) and the
-execution pool (:mod:`.pool`):
+Every *ordering* decision of the queue lives here, apart from whatever
+takes requests in and whatever runs the leased cells:
 
 * **pick order** — highest priority first, then earliest deadline
   (EDF within a priority band), then submission order.  A pure

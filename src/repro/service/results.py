@@ -2,8 +2,8 @@
 
 The "millions of users" lever: once a sweep cell has been simulated,
 every later request for the same *content identity* — the
-(benchmark, config-hash, scale, seed) tuple hashed into an idempotency
-key (:func:`repro.service.protocol.idempotency_key`) — is answered from
+(benchmark, config-hash, scale, seed) tuple hashed into a 64-hex-digit
+idempotency key — is answered from
 this cache without re-simulation.  Overlapping sweeps, retried client
 requests, and restarted daemons all converge on one execution per cell.
 

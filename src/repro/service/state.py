@@ -20,10 +20,8 @@ An arrow not in :data:`LEGAL_TRANSITIONS` raises
 checksummed log means the log was produced by a buggy or foreign
 writer, and replaying it would corrupt the sweep.
 
-Only one process ever takes those arrows: the service incarnation that
-holds the directory's pidfile (see
-:meth:`~repro.service.pool.SweepService.assert_no_live_server`), so a
-lease needs no ownership token: replay trusts the log's per-record CRC,
+Only one process ever takes those arrows — the service incarnation that
+owns the journal — so a lease needs no ownership token: replay trusts the log's per-record CRC,
 strictly rising ``seq`` and :data:`LEGAL_TRANSITIONS` instead.
 
 Journals written while the service still had a remote worker fleet

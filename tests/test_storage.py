@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from repro.engine.errors import ConfigError
+from repro.engine.errors import ConfigError, JournalError
 from repro.engine.storage import (
     FAULT_ENV_VAR,
     DiskFaultKind,
@@ -181,6 +181,58 @@ class TestMatching:
 # End-to-end through a real persistence layer and the CLI
 # --------------------------------------------------------------------- #
 class TestLayerIntegration:
+    def test_journal_append_enospc_surfaces_as_journal_error(
+        self, tmp_path
+    ):
+        from repro.service import Journal
+
+        # writes: header=1, submit=2, lease=3 — fault the lease append
+        store = Storage(faults=[spec("journal", "enospc", nth=3)])
+        journal = Journal(
+            str(tmp_path / "j.jsonl"), scale="micro", seed=0, storage=store
+        )
+        journal.append("submit", {"job": {"job_id": "a"}})
+        with pytest.raises(JournalError):
+            journal.append("lease", {"job_id": "a"})
+        # the refused record was rolled back: the log replays cleanly
+        # and the next append lands with a fresh handle
+        journal.append("lease", {"job_id": "a"})
+        journal.close()
+        replayed = Journal(
+            str(tmp_path / "j.jsonl"), scale="micro", seed=0
+        ).replay()
+        assert [r["type"] for r in replayed] == ["submit", "lease"]
+
+    def test_journal_fsyncgate_append_is_fully_rolled_back(self, tmp_path):
+        from repro.service import Journal
+
+        # fsyncs: header=1, submit=2, lease=3 — fault the lease fsync
+        store = Storage(faults=[spec("journal", "fsync", nth=3)])
+        journal = Journal(
+            str(tmp_path / "j.jsonl"), scale="micro", seed=0, storage=store
+        )
+        journal.append("submit", {"job": {"job_id": "a"}})
+        with pytest.raises(JournalError):
+            journal.append("lease", {"job_id": "a"})
+        journal.close()
+        replayed = Journal(
+            str(tmp_path / "j.jsonl"), scale="micro", seed=0
+        ).replay()
+        assert [r["type"] for r in replayed] == ["submit"]
+
+    def test_result_cache_put_is_best_effort(self, tmp_path):
+        from repro.service.results import ResultCache
+
+        store = Storage(faults=[spec("results", "torn")])
+        cache = ResultCache(str(tmp_path), storage=store)
+        cache.put("k" * 16, {"x": 1})
+        assert cache.store_failures == 1
+        # no torn entry became visible; the key simply misses
+        assert cache.get("k" * 16) is None
+        assert [
+            n for n in os.listdir(tmp_path) if not n.endswith(".invalid")
+        ] == []
+
     def test_pass_through_without_faults_is_invisible(self, tmp_path):
         """No faults configured: goldens written/read through the shim
         are byte-identical to a direct write (pass-through guarantee)."""
