@@ -70,7 +70,6 @@ def _cleanup_tmp(tmp: str) -> None:
 @contextlib.contextmanager
 def atomic_path(
     path: str,
-    fsync: bool = True,
     layer: str = "atomic",
     storage: Optional[Storage] = None,
 ) -> Iterator[str]:
@@ -88,11 +87,9 @@ def atomic_path(
     tmp = _tmp_name(path)
     try:
         yield tmp
-        if fsync:
-            store.fsync_path(tmp, layer)
+        store.fsync_path(tmp, layer)
         store.replace(tmp, path, layer)
-        if fsync:
-            store.fsync_dir(directory, layer)
+        store.fsync_dir(directory, layer)
     except BaseException:
         _cleanup_tmp(tmp)
         raise
@@ -101,7 +98,6 @@ def atomic_path(
 def atomic_write(
     path: str,
     data: Union[str, bytes],
-    fsync: bool = True,
     layer: str = "atomic",
     storage: Optional[Storage] = None,
 ) -> str:
@@ -115,6 +111,6 @@ def atomic_write(
     """
     store = storage if storage is not None else get_storage()
     blob = data.encode() if isinstance(data, str) else data
-    with atomic_path(path, fsync=fsync, layer=layer, storage=store) as tmp:
+    with atomic_path(path, layer=layer, storage=store) as tmp:
         store.write_file(tmp, blob, layer)
     return path

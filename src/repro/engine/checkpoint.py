@@ -12,11 +12,14 @@ Append-only writing makes the store crash-tolerant: a worker SIGKILLed
 mid-append leaves at most one truncated *final* line (no trailing
 newline), which ``load`` silently drops (that cell simply re-runs on
 resume) and the first append of the resumed run cuts off, so a new
-record never lands glued onto the fragment.  Anything else that fails
-to decode — a garbled line, a CRC mismatch from bit rot or tampering,
-a header from a different store version or a different (scale, seed)
-sweep — raises :class:`CheckpointError`: a cache we cannot trust
-end-to-end is worse than no cache.
+record never lands glued onto the fragment.  A kill during the very
+first write leaves a newline-less prefix of the header itself; when it
+is a prefix of *this* store's header line it is the same torn tail and
+the store loads as empty.  Anything else that fails to decode — a
+garbled line, a CRC mismatch from bit rot or tampering, a header that
+is unreadable, foreign, from a different store version or from a
+different (scale, seed) sweep — raises :class:`CheckpointError`: a
+cache we cannot trust end-to-end is worse than no cache.
 """
 
 from __future__ import annotations
@@ -88,9 +91,13 @@ class CheckpointStore:
         torn = lines.pop()  # whatever follows the last newline
         if not lines and not torn:
             return results
+        if not lines and self._header_line().encode().startswith(torn):
+            # the header write itself was torn: nothing was recorded
+            self._torn_at = 0
+            return results
         # errors="replace": a flipped byte must surface as a corrupt
-        # record (CheckpointError), not a UnicodeDecodeError; a torn
-        # header is refused like any other unreadable one
+        # record (CheckpointError), not a UnicodeDecodeError; any other
+        # newline-less header is refused like any other unreadable one
         self._check_header(
             (lines or [torn])[0].decode("utf-8", errors="replace")
         )
@@ -113,6 +120,16 @@ class CheckpointStore:
                 )
             results[key] = result
         return results
+
+    def _header_line(self) -> str:
+        return json.dumps(
+            {
+                "kind": _HEADER_KIND,
+                "version": CHECKPOINT_VERSION,
+                "scale": self.scale,
+                "seed": self.seed,
+            }
+        )
 
     def _check_header(self, line: str) -> None:
         try:
@@ -146,9 +163,10 @@ class CheckpointStore:
     # ------------------------------------------------------------------ #
     # Writing
     # ------------------------------------------------------------------ #
-    def _ensure_open(self) -> None:
+    def _ensure_open(self) -> bool:
+        """Open the append handle; True when the file needs a header."""
         if self._handle is not None:
-            return
+            return False
         if self.exists() and not self._loaded:
             self.load()  # validate the header and find any torn tail
         if self._torn_at is not None:
@@ -159,23 +177,16 @@ class CheckpointStore:
         if directory:
             os.makedirs(directory, exist_ok=True)
         self._handle = self.storage.open_append(self.path, STORAGE_LAYER)
-        if fresh:
-            header = {
-                "kind": _HEADER_KIND,
-                "version": CHECKPOINT_VERSION,
-                "scale": self.scale,
-                "seed": self.seed,
-            }
-            self._write_line(json.dumps(header))
-            self._handle.flush()
+        return fresh
 
     def append(self, key: CellKey, result: Dict[str, Any]) -> None:
         """Durably record one completed cell (flushed immediately).
 
         A storage failure (ENOSPC, failed fsync, torn write) surfaces
         as :class:`CheckpointError` after rolling the file back to its
-        pre-append size, so a torn partial line can never corrupt the
-        *middle* of the store for the next ``load``.
+        pre-append size — the header write of a fresh file included —
+        so a torn partial line can never corrupt the *middle* of the
+        store for the next ``load``.
         """
         record = {
             "key": list(key),
@@ -183,13 +194,16 @@ class CheckpointStore:
             "result": result,
         }
         try:
-            self._ensure_open()
+            fresh = self._ensure_open()
         except OSError as exc:
             raise CheckpointError(
                 f"{self.path}: checkpoint open failed: {exc}"
             ) from exc
         pre_size = self._handle.tell()
         try:
+            if fresh:
+                # its own write, so a fault can tear the header alone
+                self._write_line(self._header_line())
             self._write_line(json.dumps(record))
             self.storage.fsync_handle(
                 self._handle, STORAGE_LAYER, self.path
@@ -221,13 +235,7 @@ class CheckpointStore:
         from .atomic import atomic_write
 
         results = self.load()
-        header = {
-            "kind": _HEADER_KIND,
-            "version": CHECKPOINT_VERSION,
-            "scale": self.scale,
-            "seed": self.seed,
-        }
-        lines = [json.dumps(header)]
+        lines = [self._header_line()]
         for key, result in results.items():
             lines.append(
                 json.dumps(

@@ -4,10 +4,8 @@ All persistence code — the checkpoint store
 (:mod:`repro.engine.checkpoint`), golden files, manifests, and the
 :func:`~repro.engine.atomic.atomic_write` helper they share — routes
 its filesystem operations through a :class:`Storage` instance, tagged
-with its layer (:data:`LAYERS`).  The queue journal and result cache
-left in :mod:`repro.service` tag theirs ``journal`` and ``results``;
-no spec may name those layers, so only a ``*`` spec reaches them.
-With no faults configured the shim is a pass-through: the same syscalls in the same order, so goldens and
+with its layer (:data:`LAYERS`).  With no faults configured the shim is
+a pass-through: the same syscalls in the same order, so goldens and
 determinism gates stay byte-identical.  With faults configured, the
 *storage itself* can lie, which is the failure class process-level
 injection (:mod:`repro.engine.faults`) can never produce:
@@ -64,12 +62,6 @@ ANY_LAYER = "*"
 #: persistence layers a disk-fault spec may name (the shim itself
 #: accepts any tag so a new layer cannot silently bypass matching)
 LAYERS = ("checkpoint", "goldens", "manifest", "atomic")
-
-#: operation kinds that mutate durable state
-MUTATING_OPS = frozenset(
-    {"write", "fsync", "rename", "truncate", "remove", "fsync_dir"}
-)
-
 
 class DiskFaultKind(enum.Enum):
     """What the injected disk fault does (see module docstring)."""
@@ -157,8 +149,6 @@ class StorageOp:
     kind: str
     path: str
     nbytes: int = 0
-    #: index among mutating ops only (-1 for reads)
-    mutating_index: int = -1
 
 
 class SimulatedCrash(BaseException):
@@ -198,7 +188,6 @@ class Storage:
         #: spec -> fired yet (single-shot, deterministic)
         self.fired: List[DiskFaultSpec] = []
         self._op_index = 0
-        self._mutating_index = 0
         self._counts: Dict[Tuple[str, str], int] = {}
         #: path -> durably-fsynced byte watermark (fsyncgate bookkeeping)
         self._durable: Dict[str, int] = {}
@@ -226,18 +215,14 @@ class Storage:
     def _enter(self, layer: str, kind: str, path: str, nbytes: int = 0):
         """Count + record one op; return the spec to fire, if any."""
         self._refresh_env()
-        mutating = kind in MUTATING_OPS
         op = StorageOp(
             index=self._op_index,
             layer=layer,
             kind=kind,
             path=path,
             nbytes=nbytes,
-            mutating_index=self._mutating_index if mutating else -1,
         )
         self._op_index += 1
-        if mutating:
-            self._mutating_index += 1
         for scope in (layer, ANY_LAYER):
             self._counts[(scope, kind)] = (
                 self._counts.get((scope, kind), 0) + 1
@@ -386,11 +371,6 @@ class Storage:
         self._enter(layer, "truncate", path, nbytes=size)
         os.truncate(path, size)
         self._durable[path] = min(self._durable.get(path, size), size)
-
-    def remove(self, path: str, layer: str) -> None:
-        self._enter(layer, "remove", path)
-        os.remove(path)
-        self._durable.pop(path, None)
 
 
 #: process-wide default instance (pure pass-through unless REPRO_FAULT

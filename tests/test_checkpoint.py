@@ -11,6 +11,7 @@ from repro.arch.gpu import RunResult
 from repro.engine.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.engine.errors import CheckpointError
 from repro.engine.faults import corrupt_file
+from repro.engine.storage import DiskFaultKind, DiskFaultSpec, Storage
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -170,6 +171,56 @@ class TestCheckpointStore:
         assert set(loaded) == {bfs, nw}
         assert RunResult.from_dict(loaded[nw]) == make_result("nw")
 
+    @pytest.mark.parametrize("nth", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["enospc", "fsync", "torn"])
+    def test_failed_append_is_rolled_back(self, tmp_path, kind, nth):
+        """A write/fsync/torn fault on any append, the header write of
+        a fresh file included, leaves a store that compacts and loads
+        exactly the records whose appends returned."""
+        path = str(tmp_path / "ckpt.jsonl")
+        faults = [DiskFaultSpec("checkpoint", DiskFaultKind(kind), nth)]
+        store = CheckpointStore(
+            path, scale="micro", seed=0, storage=Storage(faults=faults)
+        )
+        kept, refused = set(), 0
+        for i in range(4):
+            key = ("bfs", "baseline", False, i)
+            try:
+                store.append(key, make_result(cycles=float(i)).to_dict())
+            except CheckpointError:
+                refused += 1
+            else:
+                kept.add(key)
+        assert refused == 1
+        store.close(compact=True)
+        assert set(CheckpointStore(path, scale="micro", seed=0).load()) == kept
+
+    @pytest.mark.parametrize(
+        "scale, loads", [("micro", True), ("small", False)]
+    )
+    def test_torn_header_is_an_empty_store(self, tmp_path, scale, loads):
+        """A crash inside the first write leaves a newline-less header
+        prefix: this store's own is a torn tail, another sweep's is
+        refused."""
+        path = str(tmp_path / "ckpt.jsonl")
+        header = json.dumps(
+            {"kind": "repro-checkpoint", "version": CHECKPOINT_VERSION,
+             "scale": scale, "seed": 0}
+        )
+        with open(path, "w") as handle:
+            handle.write(header[: len(header) - 3])
+        store = CheckpointStore(path, scale="micro", seed=0)
+        if not loads:
+            with pytest.raises(CheckpointError, match="header"):
+                store.load()
+            return
+        assert store.load() == {}
+        store.append(("nw",), make_result("nw").to_dict())
+        store.close()
+        assert set(CheckpointStore(path, scale="micro", seed=0).load()) == {
+            ("nw",)
+        }
+
     def test_discard_removes_file(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         store = CheckpointStore(path)
@@ -247,26 +298,45 @@ def _report(ckpt, *extra, fault=None):
     )
 
 
-def test_report_resumes_after_crash_mid_append(tmp_path):
+@pytest.fixture(scope="module")
+def cold_report():
+    cold = _report(None)
+    assert cold.returncode == 0, cold.stderr
+    return cold.stdout
+
+
+def _crash_then_resume(ckpt, fault, restored, cold):
+    crashed = _report(ckpt, fault=fault)
+    assert crashed.returncode == 86
+    resumed = _report(ckpt, "--resume")
+    assert resumed.returncode == 0, resumed.stderr
+    lines = resumed.stdout.splitlines(keepends=True)
+    if restored:
+        assert f"resumed {restored} cells" in lines.pop(0)
+    assert "".join(lines) == cold
+    # the compacted store is whole: a second resume restores every cell
+    again = _report(ckpt, "--resume")
+    assert again.returncode == 0, again.stderr
+    assert again.stdout.splitlines()[1:] == cold.splitlines()
+
+
+def test_report_resumes_after_crash_mid_append(tmp_path, cold_report):
     """A sweep killed mid-append resumes to exactly a cold run's report.
 
     The injected disk crash tears the 4th checkpoint write (the third
     cell record) and exits 86, like a SIGKILL between two bytes.
     """
-    ckpt = str(tmp_path / "ck.jsonl")
-    crashed = _report(ckpt, fault="disk:checkpoint:crash:4")
-    assert crashed.returncode == 86
-    resumed = _report(ckpt, "--resume")
-    assert resumed.returncode == 0, resumed.stderr
-    lines = resumed.stdout.splitlines(keepends=True)
-    assert "resumed 2 cells" in lines[0]
-    cold = _report(None)
-    assert cold.returncode == 0, cold.stderr
-    assert "".join(lines[1:]) == cold.stdout
-    # the compacted store is whole: a second resume restores every cell
-    again = _report(ckpt, "--resume")
-    assert again.returncode == 0, again.stderr
-    assert again.stdout.splitlines()[1:] == cold.stdout.splitlines()
+    _crash_then_resume(
+        str(tmp_path / "ck.jsonl"), "disk:checkpoint:crash:4", 2, cold_report
+    )
+
+
+def test_report_resumes_after_crash_in_header_write(tmp_path, cold_report):
+    """The same kill on the 1st write tears the header: the resume
+    restores no cell, so it prints no "resumed" line at all."""
+    _crash_then_resume(
+        str(tmp_path / "ck.jsonl"), "disk:checkpoint:crash:1", 0, cold_report
+    )
 
 
 class TestResumeManifestValidation:
