@@ -8,7 +8,8 @@ Commands:
   metrics (IPC, slowdown vs solo, Jain fairness, TLB cross-pollution);
 * ``compare`` — run a benchmark across several configurations;
 * ``report`` — regenerate every table/figure (writes EXPERIMENTS.md
-  with ``--write``);
+  with ``--write``); every distinct cell is simulated once, ``--parallel
+  N`` runs N at a time, and ``--plan`` prints the cell count and exits;
 * ``check`` — differential self-check suites plus the golden-result
   regression gate (``--update-goldens`` to re-pin after an intentional
   result change);
@@ -109,7 +110,7 @@ def _add_exec_group(parser: argparse.ArgumentParser) -> None:
         "--parallel", type=int, default=1, metavar="N",
         help="run up to N sweep cells concurrently in supervised "
              "subprocess workers (results stay deterministic and are "
-             "integrated in submission order; default: 1, sequential)",
+             "integrated in plan order; default: 1, sequential)",
     )
 
 
@@ -256,6 +257,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .experiments.configs import get_config
+    from .experiments.runner import Cell
+
     runner = _make_runner(args)
     if args.specs:
         # resolve every spec up front: a typo fails with exit code 3
@@ -264,31 +268,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
         registry = default_registry()
         names = [spec or "registry-default" for spec in args.specs]
-        cells = [
-            (name, registry.resolve(spec))
-            for name, spec in zip(names, args.specs)
-        ]
+        configs = [registry.resolve(spec) for spec in args.specs]
     else:
         names = list(args.configs)
-        cells = None
+        configs = [get_config(name) for name in names]
+    cells = [
+        Cell(args.benchmark, name, config)
+        for name, config in zip(names, configs)
+    ]
     base = None
     print(f"{'config':20s} {'L1 hit':>8s} {'cycles':>12s} {'norm.':>7s}")
     with GracefulInterrupt() as interrupt:
         i = 0
         try:
-            if runner.parallel > 1 and cells is None:
-                runner.prefetch([(args.benchmark, n) for n in names])
-            for i, name in enumerate(names):
-                if cells is not None:
-                    result = runner.run_config(
-                        args.benchmark, cells[i][1], name
-                    )
-                else:
-                    result = runner.run(args.benchmark, name)
+            # with --parallel N every cell starts on the worker pool here;
+            # rows still print in order as each one completes
+            runner.declare(cells)
+            for i, cell in enumerate(cells):
+                result = runner.execute([cell])[args.benchmark, cell.tag]
                 if base is None:
                     base = result.cycles
                 print(
-                    f"{name:20s} {result.avg_l1_tlb_hit_rate:8.3f} "
+                    f"{cell.tag:20s} {result.avg_l1_tlb_hit_rate:8.3f} "
                     f"{result.cycles:12.0f} "
                     f"{result.cycles / (base or result.cycles):7.3f}"
                 )
@@ -306,25 +307,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from .experiments import report
 
-    _default_resume_path(args)
-    argv = [args.scale]
-    if args.write:
-        argv.append("--write")
-    if args.timeout is not None:
-        argv.extend(["--timeout", str(args.timeout)])
-    if args.checkpoint is not None:
-        argv.extend(["--checkpoint", args.checkpoint])
-    if args.resume:
-        argv.append("--resume")
-    if args.strict:
-        argv.append("--strict")
-    if args.benchmarks:
-        argv.extend(["--benchmarks"] + args.benchmarks)
-    if args.sanitize is not None:
-        argv.extend(["--sanitize", args.sanitize])
-    if getattr(args, "parallel", 1) and args.parallel > 1:
-        argv.extend(["--parallel", str(args.parallel)])
-    return report.main(argv)
+    return report.run_cli(args)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -496,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="regenerate all tables/figures")
     p_rep.add_argument("--scale", default="small", choices=sorted(SCALES))
+    p_rep.add_argument("--seed", type=int, default=0)
     _add_exec_group(p_rep)
     p_rep.add_argument("--write", action="store_true",
                        help="write EXPERIMENTS.md")
@@ -504,6 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--benchmarks", nargs="+", default=None,
                        choices=BENCHMARKS, metavar="BENCH",
                        help="restrict the sweep to these benchmarks")
+    p_rep.add_argument("--plan", action="store_true",
+                       help="print the sweep's cell count (and how many a "
+                            "--resume restores) and exit without simulating")
     p_rep.set_defaults(func=cmd_report)
 
     p_chk = sub.add_parser(

@@ -37,8 +37,10 @@ from .storage import Storage, get_storage
 STORAGE_LAYER = "checkpoint"
 
 #: bump when the RunResult wire format or cell-key shape changes
-#: incompatibly (v2: keys grew telemetry fields, results grew timeseries)
-CHECKPOINT_VERSION = 2
+#: incompatibly (v2: keys grew telemetry fields, results grew timeseries;
+#: v3: keys are content keys ``[benchmark, config hash, occupancy]`` and
+#: records may hold multi-tenant results)
+CHECKPOINT_VERSION = 3
 
 _HEADER_KIND = "repro-checkpoint"
 

@@ -97,12 +97,23 @@ class FaultPlan:
         return self
 
     def lookup(
-        self, benchmark: str, config_tag: str, attempt: int
+        self,
+        benchmark: str,
+        config_tag: str,
+        attempt: int,
+        aliases: Tuple[str, ...] = (),
     ) -> Optional[FaultSpec]:
-        """The fault to inject for this cell attempt, if any."""
-        spec = self.specs.get((benchmark, config_tag)) or self.specs.get(
-            (benchmark, ANY_CONFIG)
-        )
+        """The fault to inject for this cell attempt, if any.
+
+        A sweep simulates a cell once however many tags requested it
+        (``aliases`` are the others); a spec naming any of those tags
+        fires, the first match in tag order winning, then ``*``.
+        """
+        spec = None
+        for tag in (config_tag,) + tuple(aliases) + (ANY_CONFIG,):
+            spec = self.specs.get((benchmark, tag))
+            if spec is not None:
+                break
         if spec is not None and spec.applies(attempt):
             return spec
         return None

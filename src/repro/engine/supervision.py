@@ -17,7 +17,10 @@ is described by a :class:`CellSpec` and executed by a
 
 The worker body (:func:`simulate_cell`) imports the architecture layers
 lazily: the engine package stays the bottom layer at import time and
-only reaches upward inside a running worker.
+only reaches upward inside a running worker.  It runs single-tenant and
+multi-tenant cells alike: a spec that carries a
+:class:`~repro.tenancy.TenancySpec` is dispatched to the tenancy
+machine.
 """
 
 from __future__ import annotations
@@ -41,13 +44,38 @@ from .errors import (
 from .faults import FaultPlan, FaultSpec, trigger
 
 
+def cell_key(
+    benchmark: str,
+    config: Any,
+    occupancy_override: Optional[int] = None,
+    tenancy: Any = None,
+) -> Tuple[Any, ...]:
+    """The content key of one simulation: what it computes, not what a
+    caller named it.
+
+    Two cells with equal benchmark, config hash (the tenant composition
+    folded in) and occupancy override are the same simulation, whatever
+    their tags.  Scale and seed are fixed per sweep (the checkpoint
+    header pins them); observers (TLB trace, sampling, tracing) never
+    change a result, so they are requests on a cell, not part of it.
+    """
+    from ..telemetry.manifest import config_hash
+
+    describe = None if tenancy is None else tenancy.describe()
+    return (benchmark, config_hash(config, tenancy=describe), occupancy_override)
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """Everything needed to simulate one sweep cell from scratch.
 
     ``config`` is the full (picklable) GPUConfig object so workers never
-    depend on the parent's registry state; ``config_tag`` is the stable
-    name used for cache keys, checkpoints, and fault-plan lookups.
+    depend on the parent's registry state; ``config_tag`` is the name
+    used for fault-plan lookups, retry jitter and trace labels, and
+    ``alias_tags`` are the other names the same simulation was requested
+    under (a fault plan entry for any of them fires).  ``tenancy`` (a
+    :class:`~repro.tenancy.TenancySpec`) makes this a multi-tenant cell
+    whose ``benchmark`` names the mix.
     """
 
     benchmark: str
@@ -64,18 +92,15 @@ class CellSpec:
     #: sanitizing never changes a correct cell's result, so memoized and
     #: checkpointed results stay valid with the flag on or off
     sanitize: Optional[str] = None
+    alias_tags: Tuple[str, ...] = ()
+    tenancy: Optional[Any] = None
 
     @property
     def key(self) -> Tuple[Any, ...]:
-        telemetry_key = (
-            self.telemetry.key if self.telemetry is not None else (None, False)
+        """The content key (:func:`cell_key`) of this cell."""
+        return cell_key(
+            self.benchmark, self.config, self.occupancy_override, self.tenancy
         )
-        return (
-            self.benchmark,
-            self.config_tag,
-            self.record_tlb_trace,
-            self.occupancy_override,
-        ) + telemetry_key
 
 
 @dataclass
@@ -134,19 +159,24 @@ def simulate_cell(spec: CellSpec) -> Any:
     spec carries telemetry settings, the tracer/sampler are built here —
     inside the worker for supervised runs — and the trace file is
     written to the spec's per-cell path before the result is reported,
-    so the parent can merge per-cell files after the sweep.
+    so the parent can merge per-cell files after the sweep.  Returns a
+    :class:`~repro.arch.gpu.RunResult`, or a
+    :class:`~repro.tenancy.TenancyResult` for a multi-tenant spec.
     """
-    from ..system import build_gpu
-    from ..workloads import make_benchmark
+    kernel = None
+    if spec.tenancy is None:
+        from ..workloads import make_benchmark
 
-    try:
-        kernel = make_benchmark(spec.benchmark, scale=spec.scale, seed=spec.seed)
-    except SimulationError:
-        raise
-    except ValueError as exc:
-        raise WorkloadError(
-            f"benchmark {spec.benchmark!r} failed to generate: {exc}"
-        ) from exc
+        try:
+            kernel = make_benchmark(
+                spec.benchmark, scale=spec.scale, seed=spec.seed
+            )
+        except SimulationError:
+            raise
+        except ValueError as exc:
+            raise WorkloadError(
+                f"benchmark {spec.benchmark!r} failed to generate: {exc}"
+            ) from exc
     sim = None
     tracer = None
     sampler = None
@@ -175,15 +205,22 @@ def simulate_cell(spec: CellSpec) -> Any:
         from ..engine.simulator import Simulator
 
         sim = Simulator(tracer=tracer, sampler=sampler, sanitizer=sanitizer)
-    gpu = build_gpu(
-        spec.config, sim=sim, record_tlb_trace=spec.record_tlb_trace
-    )
-    result = gpu.run(kernel, occupancy_override=spec.occupancy_override)
-    if tracer is not None:
-        tracer.export(
-            telemetry.trace_path,
-            label=f"{spec.benchmark}:{spec.config_tag}",
+    if kernel is None:
+        from ..tenancy import build_tenant_gpu
+
+        gpu = build_tenant_gpu(spec.tenancy, spec.config, sim=sim)
+        result = gpu.run_tenants(occupancy_override=spec.occupancy_override)
+        label = f"tenancy:{'+'.join(spec.tenancy.mix)}:{spec.config_tag}"
+    else:
+        from ..system import build_gpu
+
+        gpu = build_gpu(
+            spec.config, sim=sim, record_tlb_trace=spec.record_tlb_trace
         )
+        result = gpu.run(kernel, occupancy_override=spec.occupancy_override)
+        label = f"{spec.benchmark}:{spec.config_tag}"
+    if tracer is not None:
+        tracer.export(telemetry.trace_path, label=label)
     return result
 
 
@@ -242,7 +279,8 @@ class Supervisor:
             fault = None
             if self.fault_plan is not None:
                 fault = self.fault_plan.lookup(
-                    spec.benchmark, spec.config_tag, attempt
+                    spec.benchmark, spec.config_tag, attempt,
+                    aliases=spec.alias_tags,
                 )
             try:
                 result = self._attempt(spec, fault)

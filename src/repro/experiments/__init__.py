@@ -1,9 +1,10 @@
 """Regeneration harness for every table and figure in the paper.
 
 One module per experiment (``fig2`` … ``fig12``, ``large_pages``,
-``tables``); :mod:`repro.experiments.report` runs them all and renders
-EXPERIMENTS.md.  Simulations are shared through
-:class:`~repro.experiments.runner.ExperimentRunner`.
+``tables``); each declares the cells it needs and computes its result
+from them.  :mod:`repro.experiments.report` declares every experiment's
+cells on one :class:`~repro.experiments.runner.ExperimentRunner`, which
+simulates each distinct cell once, then renders EXPERIMENTS.md.
 """
 
 from . import (  # noqa: F401

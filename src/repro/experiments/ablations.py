@@ -25,11 +25,14 @@ from ..arch.config import (
 from ..characterization import warp_reuse_summary
 from ..engine.errors import SimulationError, classify
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     collect_failures,
     failed_rows,
     geomean,
+    named_cell,
 )
 
 
@@ -84,24 +87,34 @@ class SharingAblationResult:
         ]
 
 
-def run_sharing_ablation(runner: ExperimentRunner) -> SharingAblationResult:
-    times: Dict[str, Dict[str, float]] = {}
-    hits: Dict[str, Dict[str, float]] = {}
-    failures: Dict[str, str] = {}
+def sharing_ablation_cells(runner: ExperimentRunner) -> List[Cell]:
+    cells = []
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
-        if not collect_failures(failures, b, base):
-            continue
-        per_policy = {}
+        cells.append(named_cell(b, "baseline"))
         for policy in SharingPolicyKind:
             config = BASELINE_CONFIG.replace(
                 tb_scheduler=TBSchedulerKind.TLB_AWARE,
                 l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
                 sharing_policy=policy,
             )
-            per_policy[policy.value] = runner.run_config(
-                b, config, f"sharing_{policy.value}"
-            )
+            cells.append(Cell(b, f"sharing_{policy.value}", config))
+    return cells
+
+
+def compute_sharing_ablation(
+    runner: ExperimentRunner, results: Results
+) -> SharingAblationResult:
+    times: Dict[str, Dict[str, float]] = {}
+    hits: Dict[str, Dict[str, float]] = {}
+    failures: Dict[str, str] = {}
+    for b in runner.benchmarks:
+        base = results[b, "baseline"]
+        if not collect_failures(failures, b, base):
+            continue
+        per_policy = {
+            policy.value: results[b, f"sharing_{policy.value}"]
+            for policy in SharingPolicyKind
+        }
         if not collect_failures(failures, b, *per_policy.values()):
             continue
         times[b] = {
@@ -111,6 +124,12 @@ def run_sharing_ablation(runner: ExperimentRunner) -> SharingAblationResult:
             p: r.avg_l1_tlb_hit_rate for p, r in per_policy.items()
         }
     return SharingAblationResult(times, hits, failures)
+
+
+def run_sharing_ablation(runner: ExperimentRunner) -> SharingAblationResult:
+    return compute_sharing_ablation(
+        runner, runner.execute(sharing_ablation_cells(runner))
+    )
 
 
 @dataclass
@@ -146,25 +165,49 @@ class GeometrySweepResult:
         ]
 
 
-def run_geometry_sweep(
-    runner: ExperimentRunner,
-    geometries=((64, 4), (128, 4), (256, 4), (512, 8)),
+GEOMETRIES = ((64, 4), (128, 4), (256, 4), (512, 8))
+
+
+def geometry_sweep_cells(
+    runner: ExperimentRunner, geometries=GEOMETRIES
+) -> List[Cell]:
+    return [
+        Cell(
+            b,
+            f"geo_{entries}x{assoc}",
+            BASELINE_CONFIG.replace(
+                l1_tlb_entries=entries, l1_tlb_assoc=assoc
+            ),
+        )
+        for entries, assoc in geometries
+        for b in runner.benchmarks
+    ]
+
+
+def compute_geometry_sweep(
+    runner: ExperimentRunner, results: Results, geometries=GEOMETRIES
 ) -> GeometrySweepResult:
     hit_rates = {}
     failures: Dict[str, str] = {}
     for entries, assoc in geometries:
-        config = BASELINE_CONFIG.replace(
-            l1_tlb_entries=entries, l1_tlb_assoc=assoc
-        )
         rates = []
         for b in runner.benchmarks:
-            result = runner.run_config(b, config, f"geo_{entries}x{assoc}")
+            result = results[b, f"geo_{entries}x{assoc}"]
             if not collect_failures(failures, b, result):
                 continue
             rates.append(result.avg_l1_tlb_hit_rate)
         if rates:
             hit_rates[(entries, assoc)] = sum(rates) / len(rates)
     return GeometrySweepResult(hit_rates, failures)
+
+
+def run_geometry_sweep(
+    runner: ExperimentRunner, geometries=GEOMETRIES
+) -> GeometrySweepResult:
+    return compute_geometry_sweep(
+        runner, runner.execute(geometry_sweep_cells(runner, geometries)),
+        geometries,
+    )
 
 
 @dataclass
@@ -251,22 +294,38 @@ class WarpSchedulerAblationResult:
         ]
 
 
-def run_warp_scheduler_ablation(
-    runner: ExperimentRunner,
+def warp_scheduler_cells(runner: ExperimentRunner) -> List[Cell]:
+    aware_cfg = BASELINE_CONFIG.replace(
+        warp_scheduler=WarpSchedulerKind.TRANSLATION_AWARE
+    )
+    return [
+        cell
+        for b in runner.benchmarks
+        for cell in (named_cell(b, "baseline"), Cell(b, "warp_aware", aware_cfg))
+    ]
+
+
+def compute_warp_scheduler_ablation(
+    runner: ExperimentRunner, results: Results
 ) -> WarpSchedulerAblationResult:
     times: Dict[str, float] = {}
     hits_gto: Dict[str, float] = {}
     hits_aware: Dict[str, float] = {}
     failures: Dict[str, str] = {}
-    aware_cfg = BASELINE_CONFIG.replace(
-        warp_scheduler=WarpSchedulerKind.TRANSLATION_AWARE
-    )
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
-        aware = runner.run_config(b, aware_cfg, "warp_aware")
+        base = results[b, "baseline"]
+        aware = results[b, "warp_aware"]
         if not collect_failures(failures, b, base, aware):
             continue
         times[b] = aware.cycles / base.cycles
         hits_gto[b] = base.avg_l1_tlb_hit_rate
         hits_aware[b] = aware.avg_l1_tlb_hit_rate
     return WarpSchedulerAblationResult(times, hits_gto, hits_aware, failures)
+
+
+def run_warp_scheduler_ablation(
+    runner: ExperimentRunner,
+) -> WarpSchedulerAblationResult:
+    return compute_warp_scheduler_ablation(
+        runner, runner.execute(warp_scheduler_cells(runner))
+    )

@@ -18,12 +18,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     arithmetic_mean,
     collect_failures,
     failed_rows,
+    named_cell,
 )
+
+CONFIG_NAMES = ("baseline", "partition", "partition_sharing")
 
 PARTITION_WINNERS = ("atax", "bicg", "nw", "mvt")
 
@@ -109,18 +114,24 @@ class Fig10Result:
         ]
 
 
-def run(runner: ExperimentRunner) -> Fig10Result:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    return [named_cell(b, c) for b in runner.benchmarks for c in CONFIG_NAMES]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> Fig10Result:
     baseline: Dict[str, float] = {}
     partition: Dict[str, float] = {}
     sharing: Dict[str, float] = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rb = runner.run(b, "baseline")
-        rp = runner.run(b, "partition")
-        rs = runner.run(b, "partition_sharing")
+        rb, rp, rs = (results[b, c] for c in CONFIG_NAMES)
         if not collect_failures(failures, b, rb, rp, rs):
             continue
         baseline[b] = rb.avg_l1_tlb_hit_rate
         partition[b] = rp.avg_l1_tlb_hit_rate
         sharing[b] = rs.avg_l1_tlb_hit_rate
     return Fig10Result(baseline, partition, sharing, failures)
+
+
+def run(runner: ExperimentRunner) -> Fig10Result:
+    return compute(runner, runner.execute(cells(runner)))

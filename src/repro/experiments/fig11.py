@@ -18,12 +18,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     collect_failures,
     failed_rows,
     geomean,
+    named_cell,
 )
+
+CONFIG_NAMES = ("baseline", "sched", "partition", "partition_sharing")
 
 
 @dataclass
@@ -98,17 +103,18 @@ class Fig11Result:
         ]
 
 
-def run(runner: ExperimentRunner) -> Fig11Result:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    return [named_cell(b, c) for b in runner.benchmarks for c in CONFIG_NAMES]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> Fig11Result:
     sched: Dict[str, float] = {}
     partition: Dict[str, float] = {}
     sharing: Dict[str, float] = {}
     base: Dict[str, float] = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rb = runner.run(b, "baseline")
-        rsc = runner.run(b, "sched")
-        rp = runner.run(b, "partition")
-        rsh = runner.run(b, "partition_sharing")
+        rb, rsc, rp, rsh = (results[b, c] for c in CONFIG_NAMES)
         if not collect_failures(failures, b, rb, rsc, rp, rsh):
             continue
         base[b] = rb.cycles
@@ -116,3 +122,7 @@ def run(runner: ExperimentRunner) -> Fig11Result:
         partition[b] = rp.cycles / rb.cycles
         sharing[b] = rsh.cycles / rb.cycles
     return Fig11Result(sched, partition, sharing, base, failures)
+
+
+def run(runner: ExperimentRunner) -> Fig11Result:
+    return compute(runner, runner.execute(cells(runner)))

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     collect_failures,
     failed_rows,
     geomean,
+    named_cell,
 )
 
 
@@ -56,17 +59,29 @@ class Fig12Result:
         ]
 
 
-def run(runner: ExperimentRunner) -> Fig12Result:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    return [
+        named_cell(b, c)
+        for b in runner.benchmarks
+        for c in ("compression", "comp_ours")
+    ]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> Fig12Result:
     speedup = {}
     comp_cycles = {}
     combined_cycles = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        rc = runner.run(b, "compression")
-        ro = runner.run(b, "comp_ours")
+        rc = results[b, "compression"]
+        ro = results[b, "comp_ours"]
         if not collect_failures(failures, b, rc, ro):
             continue
         comp_cycles[b] = rc.cycles
         combined_cycles[b] = ro.cycles
         speedup[b] = rc.cycles / ro.cycles
     return Fig12Result(speedup, comp_cycles, combined_cycles, failures)
+
+
+def run(runner: ExperimentRunner) -> Fig12Result:
+    return compute(runner, runner.execute(cells(runner)))

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     arithmetic_mean,
     collect_failures,
     failed_rows,
+    named_cell,
 )
 
 
@@ -73,15 +76,27 @@ class Fig2Result:
         ]
 
 
-def run(runner: ExperimentRunner) -> Fig2Result:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    return [
+        named_cell(b, config)
+        for b in runner.benchmarks
+        for config in ("baseline", "l1_256")
+    ]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> Fig2Result:
     hit64 = {}
     hit256 = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        r64 = runner.run(b, "baseline")
-        r256 = runner.run(b, "l1_256")
+        r64 = results[b, "baseline"]
+        r256 = results[b, "l1_256"]
         if not collect_failures(failures, b, r64, r256):
             continue
         hit64[b] = r64.avg_l1_tlb_hit_rate
         hit256[b] = r256.avg_l1_tlb_hit_rate
     return Fig2Result(hit64, hit256, failures)
+
+
+def run(runner: ExperimentRunner) -> Fig2Result:
+    return compute(runner, runner.execute(cells(runner)))

@@ -15,7 +15,15 @@ from typing import Dict, List, Tuple
 
 from ..engine.stats import Histogram
 from ..characterization import cdf_points, fraction_within, interleaved_distances
-from .runner import ExperimentRunner, ShapeCheck, collect_failures, failed_rows
+from .runner import (
+    Cell,
+    ExperimentRunner,
+    Results,
+    ShapeCheck,
+    collect_failures,
+    failed_rows,
+    named_cell,
+)
 
 LONG_DISTANCE_BENCHMARKS = ("bfs", "mis", "nw", "atax", "bicg", "mvt")
 L1_CAPACITY = 64
@@ -58,12 +66,24 @@ class Fig5Result:
         ]
 
 
-def run(runner: ExperimentRunner) -> Fig5Result:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    """The baseline cells of Fig 2, asked to record their TLB streams."""
+    return [
+        named_cell(b, "baseline", record_tlb_trace=True)
+        for b in runner.benchmarks
+    ]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> Fig5Result:
     histograms = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        result = runner.run(b, "baseline", record_tlb_trace=True)
+        result = results[b, "baseline"]
         if not collect_failures(failures, b, result):
             continue
         histograms[b] = interleaved_distances(result.tlb_traces or [])
     return Fig5Result(histograms, failures)
+
+
+def run(runner: ExperimentRunner) -> Fig5Result:
+    return compute(runner, runner.execute(cells(runner)))

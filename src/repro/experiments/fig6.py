@@ -10,12 +10,13 @@ shorter distances for most benchmarks — the motivation for partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..engine.errors import SimulationError, classify
 from ..engine.stats import Histogram
 from ..characterization import fraction_within, isolated_distances
-from .runner import ExperimentRunner, ShapeCheck, failed_rows
+from . import fig5 as fig5_mod
+from .runner import Cell, ExperimentRunner, Results, ShapeCheck, failed_rows
 from .fig5 import L1_CAPACITY, Fig5Result
 
 
@@ -69,11 +70,18 @@ class Fig6Result:
         ]
 
 
-def run(runner: ExperimentRunner, fig5: Fig5Result = None) -> Fig6Result:
-    if fig5 is None:
-        from . import fig5 as fig5_mod
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    """Fig 5's cells: the interfered distances come from its traces."""
+    return fig5_mod.cells(runner)
 
-        fig5 = fig5_mod.run(runner)
+
+def compute(
+    runner: ExperimentRunner,
+    results: Results,
+    fig5: Optional[Fig5Result] = None,
+) -> Fig6Result:
+    if fig5 is None:
+        fig5 = fig5_mod.compute(runner, results)
     isolated: Dict[str, Histogram] = {}
     failures: Dict[str, str] = dict(fig5.failures)
     for b in runner.benchmarks:
@@ -86,3 +94,8 @@ def run(runner: ExperimentRunner, fig5: Fig5Result = None) -> Fig6Result:
                 raise
             failures[b] = classify(exc)
     return Fig6Result(isolated, fig5.histograms, failures)
+
+
+def run(runner: ExperimentRunner, fig5: Optional[Fig5Result] = None) -> Fig6Result:
+    results = runner.execute(cells(runner)) if fig5 is None else {}
+    return compute(runner, results, fig5)

@@ -17,13 +17,18 @@ from typing import Dict, List
 
 from ..translation.pagesize import fragmentation_from_addresses
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     arithmetic_mean,
     collect_failures,
     failed_rows,
     geomean,
+    named_cell,
 )
+
+CONFIG_NAMES = ("baseline", "huge_baseline", "huge_ours")
 
 
 @dataclass
@@ -90,16 +95,18 @@ class LargePageResult:
         ]
 
 
-def run(runner: ExperimentRunner) -> LargePageResult:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    return [named_cell(b, c) for b in runner.benchmarks for c in CONFIG_NAMES]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> LargePageResult:
     hit4 = {}
     hit2 = {}
     ours_time = {}
     util = {}
     failures: Dict[str, str] = {}
     for b in runner.benchmarks:
-        base = runner.run(b, "baseline")
-        huge_base = runner.run(b, "huge_baseline")
-        huge_ours = runner.run(b, "huge_ours")
+        base, huge_base, huge_ours = (results[b, c] for c in CONFIG_NAMES)
         if not collect_failures(failures, b, base, huge_base, huge_ours):
             continue
         hit4[b] = base.avg_l1_tlb_hit_rate
@@ -108,3 +115,7 @@ def run(runner: ExperimentRunner) -> LargePageResult:
         report = fragmentation_from_addresses(runner.kernel(b).addresses())
         util[b] = report.utilization
     return LargePageResult(hit4, hit2, ours_time, util, failures)
+
+
+def run(runner: ExperimentRunner) -> LargePageResult:
+    return compute(runner, runner.execute(cells(runner)))

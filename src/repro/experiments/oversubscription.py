@@ -26,7 +26,9 @@ from ..translation.address import PAGE_2M, PAGE_4K
 from ..translation.registry import resolve_spec
 from ..workloads import traced_footprint_bytes
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     collect_failures,
     failed_rows,
@@ -37,6 +39,12 @@ from .runner import (
 #: steady state); ~20 us at 1.4 GHz is a conservative migration cost,
 #: scaled down to keep run times reasonable.
 FAR_FAULT_LATENCY = 5000.0
+
+#: the registry spec of the Mosaic column
+MOSAIC_SPEC = "pagesize=mosaic,compress=contiguity"
+
+#: benchmarks the study runs on (when the sweep includes them)
+OVERSUB_BENCHMARKS = ("bfs", "nw", "atax", "mvt")
 
 
 @dataclass
@@ -102,22 +110,18 @@ class OversubscriptionResult:
         ]
 
 
-def run(
+def cells(
     runner: ExperimentRunner,
     capacity_fraction: float = 0.5,
-    benchmarks=("bfs", "nw", "atax", "mvt"),
-) -> OversubscriptionResult:
-    slowdown = {}
-    fault_rate = {}
-    ours_speedup = {}
-    mosaic_speedup = {}
-    mosaic_utilization = {}
-    failures: Dict[str, str] = {}
+    benchmarks=OVERSUB_BENCHMARKS,
+) -> List[Cell]:
+    """Four cells per benchmark, capped at a fraction of its traced
+    footprint (so declaring them generates the kernels)."""
+    cells = []
     for b in benchmarks:
         if b not in runner.benchmarks:
             continue
-        kernel = runner.kernel(b)
-        footprint = traced_footprint_bytes(kernel)
+        footprint = traced_footprint_bytes(runner.kernel(b))
         cap = max(PAGE_4K * 64, int(footprint * capacity_fraction))
         uncapped_cfg = BASELINE_CONFIG.replace(
             far_fault_latency=FAR_FAULT_LATENCY
@@ -128,13 +132,37 @@ def run(
             l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
         )
         # registry-resolved mechanism config, then the study's cap knobs
-        mosaic_cfg = resolve_spec("pagesize=mosaic,compress=contiguity").replace(
+        mosaic_cfg = resolve_spec(MOSAIC_SPEC).replace(
             far_fault_latency=FAR_FAULT_LATENCY, gpu_memory_bytes=cap
         )
-        uncapped = runner.run_config(b, uncapped_cfg, "oversub_uncapped")
-        capped = runner.run_config(b, capped_cfg, "oversub_capped")
-        ours = runner.run_config(b, ours_cfg, "oversub_ours")
-        mosaic = runner.run_config(b, mosaic_cfg, "oversub_mosaic")
+        cells += [
+            Cell(b, "oversub_uncapped", uncapped_cfg),
+            Cell(b, "oversub_capped", capped_cfg),
+            Cell(b, "oversub_ours", ours_cfg),
+            Cell(b, "oversub_mosaic", mosaic_cfg),
+        ]
+    return cells
+
+
+def compute(
+    runner: ExperimentRunner,
+    results: Results,
+    benchmarks=OVERSUB_BENCHMARKS,
+) -> OversubscriptionResult:
+    slowdown = {}
+    fault_rate = {}
+    ours_speedup = {}
+    mosaic_speedup = {}
+    mosaic_utilization = {}
+    failures: Dict[str, str] = {}
+    mosaic_page_size = resolve_spec(MOSAIC_SPEC).page_size
+    for b in benchmarks:
+        if b not in runner.benchmarks:
+            continue
+        uncapped, capped, ours, mosaic = (
+            results[b, f"oversub_{name}"]
+            for name in ("uncapped", "capped", "ours", "mosaic")
+        )
         if not collect_failures(failures, b, uncapped, capped, ours, mosaic):
             continue
         slowdown[b] = capped.cycles / uncapped.cycles
@@ -154,10 +182,19 @@ def run(
         )
         committed_bytes = live_regions * PAGE_2M
         mosaic_utilization[b] = (
-            resident * mosaic_cfg.page_size / committed_bytes
+            resident * mosaic_page_size / committed_bytes
             if committed_bytes else 0.0
         )
     return OversubscriptionResult(
         slowdown, fault_rate, ours_speedup,
         mosaic_speedup, mosaic_utilization, failures,
     )
+
+
+def run(
+    runner: ExperimentRunner,
+    capacity_fraction: float = 0.5,
+    benchmarks=OVERSUB_BENCHMARKS,
+) -> OversubscriptionResult:
+    results = runner.execute(cells(runner, capacity_fraction, benchmarks))
+    return compute(runner, results, benchmarks)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 from ..engine.errors import SimulationError, classify
 from ..engine.faults import FaultPlan
@@ -39,7 +39,7 @@ from . import (
     timeseries,
     zoo,
 )
-from .runner import ExperimentRunner, ShapeCheck, summarize_checks
+from .runner import Cell, ExperimentRunner, ShapeCheck, summarize_checks
 from .tables import format_table3, run_table2, table3_checks
 
 
@@ -66,6 +66,77 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _reads_kernels(run_fn: Callable) -> Tuple[Callable, Callable]:
+    """(cells, compute) of an experiment that simulates nothing."""
+    return (lambda runner: []), (lambda runner, results: run_fn(runner))
+
+
+#: the report's figures, in report order: id, title, ``cells(runner)``
+#: declaring the experiment's cells and ``compute(runner, results)``
+#: building its result from them
+FIGURES: List[Tuple[str, str, Callable, Callable]] = [
+    ("Fig 2", "Baseline L1 TLB hit rates (64 vs 256 entries)",
+     fig2.cells, fig2.compute),
+    ("Fig 3", "Inter-TB translation reuse", *_reads_kernels(fig3.run)),
+    ("Fig 4", "Intra-TB translation reuse", *_reads_kernels(fig4.run)),
+    ("Fig 5", "Intra-TB reuse distance (with interference)",
+     fig5.cells, fig5.compute),
+    ("Fig 6", "Intra-TB reuse distance (interference removed)",
+     fig6.cells, fig6.compute),
+    ("Fig 10", "L1 TLB hit rates of the proposal",
+     fig10.cells, fig10.compute),
+    ("Fig 11", "Normalized execution time", fig11.cells, fig11.compute),
+    ("Fig 12", "Comparison with TLB compression",
+     fig12.cells, fig12.compute),
+    ("Large pages", "2MB-page study (§V)",
+     large_pages.cells, large_pages.compute),
+    ("Ext: oversubscription",
+     "GPU memory oversubscription (motivating UVM scenario)",
+     oversubscription.cells, oversubscription.compute),
+    ("Ext: sharing ablation",
+     "1-bit vs counter vs all-to-all set sharing (§IV-B discussion)",
+     ablations.sharing_ablation_cells, ablations.compute_sharing_ablation),
+    ("Ext: geometry sweep", "L1 TLB capacity scaling (§III-B)",
+     ablations.geometry_sweep_cells, ablations.compute_geometry_sweep),
+    ("Ext: warp scheduling",
+     "translation-aware warp issue (future work)",
+     ablations.warp_scheduler_cells,
+     ablations.compute_warp_scheduler_ablation),
+    ("Ext: warp reuse",
+     "warp-granularity reuse share (future work)",
+     *_reads_kernels(ablations.run_warp_reuse)),
+    ("Ext: time-resolved",
+     "L1 TLB miss rate over time (telemetry sampler)",
+     timeseries.cells, timeseries.compute),
+    ("Ext: tenancy",
+     "multi-tenant isolation & interference (partition modes)",
+     tenancy.cells, tenancy.compute),
+    ("Ext: translation zoo",
+     "registry-generated mechanism ablation (policy zoo)",
+     zoo.cells, zoo.compute),
+]
+
+
+def declare_figures(
+    runner: ExperimentRunner,
+) -> List[Union[List[Cell], SimulationError]]:
+    """Declare every figure's cells on ``runner`` before any runs.
+
+    Returns one entry per figure: its cells, or the error that stopped
+    the figure from declaring them (its section then reports FAILED).
+    """
+    declared: List[Union[List[Cell], SimulationError]] = []
+    for _, _, cells, _ in FIGURES:
+        try:
+            declared.append(cells(runner))
+        except SimulationError as exc:
+            declared.append(exc)
+    runner.declare(
+        cell for entry in declared if isinstance(entry, list) for cell in entry
+    )
+    return declared
+
+
 def run_all(
     scale: str = "small",
     seed: int = 0,
@@ -82,10 +153,14 @@ def run_all(
 ) -> Tuple[List[ExperimentReport], ExperimentRunner]:
     """Regenerate every experiment.
 
-    Returns (one report per figure/table, the runner used) — the runner
-    exposes per-cell failures and checkpoint statistics for the caller.
-    By default the run is non-strict: failed cells degrade to
-    ``FAILED(<reason>)`` markers instead of raising.
+    Every figure declares its cells first; the runner deduplicates them
+    by content and simulates each distinct cell once, in plan order.
+    Then each figure computes its result from its cells, announced by
+    ``progress(experiment id)``.  Returns (one report per figure/table,
+    the runner used) — the runner exposes per-cell failures and
+    checkpoint statistics for the caller.  By default the run is
+    non-strict: failed cells degrade to ``FAILED(<reason>)`` markers
+    instead of raising.
     """
 
     def note(msg: str) -> None:
@@ -131,6 +206,7 @@ def run_all(
                 )
             )
 
+    declared = declare_figures(runner)
     guarded(
         "Table II",
         "Benchmarks",
@@ -149,50 +225,21 @@ def run_all(
         ),
     )
 
-    figures: List[Tuple[str, str, Callable]] = [
-        ("Fig 2", "Baseline L1 TLB hit rates (64 vs 256 entries)", fig2.run),
-        ("Fig 3", "Inter-TB translation reuse", fig3.run),
-        ("Fig 4", "Intra-TB translation reuse", fig4.run),
-        ("Fig 5", "Intra-TB reuse distance (with interference)", fig5.run),
-        ("Fig 6", "Intra-TB reuse distance (interference removed)", fig6.run),
-        ("Fig 10", "L1 TLB hit rates of the proposal", fig10.run),
-        ("Fig 11", "Normalized execution time", fig11.run),
-        ("Fig 12", "Comparison with TLB compression", fig12.run),
-        ("Large pages", "2MB-page study (§V)", large_pages.run),
-        ("Ext: oversubscription",
-         "GPU memory oversubscription (motivating UVM scenario)",
-         oversubscription.run),
-        ("Ext: sharing ablation",
-         "1-bit vs counter vs all-to-all set sharing (§IV-B discussion)",
-         ablations.run_sharing_ablation),
-        ("Ext: geometry sweep", "L1 TLB capacity scaling (§III-B)",
-         ablations.run_geometry_sweep),
-        ("Ext: warp scheduling",
-         "translation-aware warp issue (future work)",
-         ablations.run_warp_scheduler_ablation),
-        ("Ext: warp reuse",
-         "warp-granularity reuse share (future work)",
-         ablations.run_warp_reuse),
-        ("Ext: time-resolved",
-         "L1 TLB miss rate over time (telemetry sampler)",
-         timeseries.run),
-        ("Ext: tenancy",
-         "multi-tenant isolation & interference (partition modes)",
-         tenancy.run),
-        ("Ext: translation zoo",
-         "registry-generated mechanism ablation (policy zoo)",
-         zoo.run),
-    ]
-    for exp_id, title, run_fn in figures:
+    def produce(exp_id, title, cells, compute) -> ExperimentReport:
+        if isinstance(cells, SimulationError):
+            raise cells
+        result = compute(runner, runner.execute(cells))
+        return ExperimentReport(
+            exp_id, title, result.format_table(), result.shape_checks()
+        )
+
+    for (exp_id, title, _, compute), cells in zip(FIGURES, declared):
         guarded(
             exp_id,
             title,
-            lambda run_fn=run_fn, exp_id=exp_id, title=title: (
-                lambda result: ExperimentReport(
-                    exp_id, title, result.format_table(),
-                    result.shape_checks(),
-                )
-            )(run_fn(runner)),
+            lambda exp_id=exp_id, title=title, cells=cells, compute=compute: (
+                produce(exp_id, title, cells, compute)
+            ),
         )
     runner.close()
     return reports, runner
@@ -280,25 +327,51 @@ def build_parser() -> argparse.ArgumentParser:
                         help="simulate up to N cells concurrently in "
                              "supervised workers (deterministic results; "
                              "default: 1)")
+    parser.add_argument("--plan", action="store_true",
+                        help="print the sweep's cell plan and exit "
+                             "without simulating")
     return parser
 
 
 def main(argv: List[str]) -> int:
-    args = build_parser().parse_args(argv)
+    return run_cli(build_parser().parse_args(argv))
+
+
+def run_cli(args: argparse.Namespace) -> int:
+    """Run a report from parsed arguments (both report command lines)."""
     if args.resume and not args.checkpoint:
         args.checkpoint = f".repro_checkpoint.{args.scale}.jsonl"
-    reports, runner = run_all(
-        args.scale,
+    runner = ExperimentRunner(
+        scale=args.scale,
         seed=args.seed,
-        progress=lambda m: print(f"[running] {m}", flush=True),
-        benchmarks=tuple(args.benchmarks) if args.benchmarks else None,
+        benchmarks=tuple(args.benchmarks or BENCHMARKS),
         timeout=args.timeout,
-        checkpoint_path=args.checkpoint,
+        # --plan reads a resumed store but must not discard a fresh one
+        checkpoint_path=(
+            args.checkpoint if args.resume or not args.plan else None
+        ),
         resume=args.resume,
         fault_plan=FaultPlan.from_env(),
         strict=args.strict,
         sanitize=args.sanitize,
         parallel=max(1, args.parallel),
+    )
+    if args.plan:
+        declare_figures(runner)
+        planned, multi_tenant, done = runner.plan_status()
+        print(
+            f"plan             {planned} cells ({planned - multi_tenant} "
+            f"single-tenant, {multi_tenant} multi-tenant)"
+        )
+        if args.resume:
+            print(f"restored         {done} cells from checkpoint")
+        print(f"to simulate      {planned - done} cells")
+        return 0
+    reports, runner = run_all(
+        args.scale,
+        seed=args.seed,
+        progress=lambda m: print(f"[running] {m}", flush=True),
+        runner=runner,
     )
     text = render_markdown(reports, args.scale, runner)
     print(text)

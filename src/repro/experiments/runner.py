@@ -1,22 +1,34 @@
-"""Experiment runner: simulate (benchmark × config) cells with caching,
-supervision, checkpoint/resume, and graceful degradation.
+"""Experiment runner: a declared plan of cells, deduplicated by content
+and simulated once by one executor.
 
-All figure modules funnel their simulations through one
-:class:`ExperimentRunner`, which memoizes :class:`~repro.arch.gpu.RunResult`
-per (benchmark, config-tag, trace-recording, occupancy) — Fig 2, 10
-and 11 share baseline runs, so a full paper regeneration simulates each
-cell exactly once.
+Every experiment module declares the cells it needs as :class:`Cell`
+records (benchmark, config, tag, occupancy, tenancy, observer requests)
+and computes its result from the mapping :meth:`ExperimentRunner.execute`
+returns, keyed by ``(benchmark, tag)``.  The runner identifies a
+simulation by its *content key* (:func:`~repro.engine.supervision.cell_key`:
+benchmark, config hash, occupancy override), not by its tag, so cells
+that several experiments request under different names (``geo_64x4``
+is ``baseline``) are simulated once.  Observers — a TLB access trace,
+time-series sampling, a Chrome-trace part — never change a result (the
+``telemetry`` self-check suite), so they are requests merged onto the
+one cell rather than part of its key.  ``repro report`` declares every
+experiment's cells before any of them runs.
 
-On top of the in-memory memo the runner layers the resilience features
-of :mod:`repro.engine.supervision`:
+On top of the plan the runner layers the resilience features of
+:mod:`repro.engine.supervision`:
 
 * ``supervised=True`` (automatic whenever a ``timeout`` or
   ``fault_plan`` is set) runs each cell in an isolated subprocess
   worker with a wall-clock watchdog and retries transient failures with
-  exponential backoff;
+  exponential backoff; ``parallel=N`` runs up to N such workers at
+  once, starting every planned cell as soon as it is declared;
+* results are integrated — memo, checkpoint, trace parts — in plan
+  order, whatever order the workers finish in, so a parallel sweep is
+  byte-identical to a sequential one;
 * ``checkpoint_path`` appends every completed cell to a versioned
-  on-disk store; ``resume=True`` preloads it, so a killed sweep picks
-  up where it left off without re-simulating finished cells;
+  on-disk store keyed by content; ``resume=True`` preloads it, and a
+  restored record satisfies a cell that carries every observer the plan
+  merged onto it;
 * ``strict=False`` converts terminal cell failures into placeholder
   :meth:`RunResult.make_failed` results — the figure modules render
   those cells as ``FAILED(<reason>)`` instead of aborting the report.
@@ -27,40 +39,118 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..arch.config import GPUConfig
 from ..arch.gpu import RunResult
 from ..arch.kernel import Kernel
 from ..engine.checkpoint import CheckpointStore
-from ..engine.errors import CheckpointError, SimulationError, classify
+from ..engine.errors import (
+    CheckpointError,
+    ConfigError,
+    SimulationError,
+    classify,
+)
 from ..engine.faults import FaultPlan
 from ..engine.supervision import (
     CellFailure,
     CellSpec,
     RetryPolicy,
     Supervisor,
+    cell_key,
     simulate_cell,
 )
 from ..sanitizer import normalize_mode
 from ..telemetry import (
     RunManifest,
     TelemetrySettings,
-    config_hash,
     manifest_path_for,
     merge_traces,
 )
+from ..tenancy import TenancyResult, TenancySpec
 from ..workloads import BENCHMARKS, make_benchmark
 from .configs import get_config
 
 CellKey = Tuple
+#: one experiment's view of the sweep: ``(benchmark, tag) -> result``
+Results = Dict[Tuple[str, str], Any]
+
+
+@dataclass(frozen=True)
+class Cell:
+    """One simulation an experiment asks for.
+
+    ``tag`` names the cell inside its experiment and in fault plans,
+    failure reports and trace labels.  ``record_tlb_trace`` and
+    ``sample_every`` are observer requests: the plan merges them over
+    every request for the same content.  A ``tenancy`` spec makes this a
+    multi-tenant cell; ``benchmark`` then names the mix (``bfs+gemm``).
+    """
+
+    benchmark: str
+    tag: str
+    config: GPUConfig
+    occupancy_override: Optional[int] = None
+    tenancy: Optional[TenancySpec] = None
+    record_tlb_trace: bool = False
+    sample_every: Optional[int] = None
+
+
+def named_cell(benchmark: str, config_name: str, **requests: Any) -> Cell:
+    """A cell of one of the named configurations, tagged by its name."""
+    return Cell(benchmark, config_name, get_config(config_name), **requests)
+
+
+def decode_result(payload: Dict) -> Any:
+    """A worker's or checkpoint's result dict back as its result object."""
+    if "tenants" in payload:
+        return TenancyResult.from_dict(payload)
+    return RunResult.from_dict(payload)
+
+
+@dataclass
+class _Planned:
+    """One distinct simulation of the plan: the first request, every tag
+    that asked for it, and the union of the observers requested."""
+
+    key: CellKey
+    position: int
+    cell: Cell
+    tags: List[str] = field(default_factory=list)
+    record_tlb_trace: bool = False
+    sample_every: Optional[int] = None
+
+    def merge(self, cell: Cell, sample_every: Optional[int]) -> None:
+        if cell.tag not in self.tags:
+            self.tags.append(cell.tag)
+        self.record_tlb_trace = self.record_tlb_trace or cell.record_tlb_trace
+        if sample_every is not None and self.sample_every != sample_every:
+            if self.sample_every is not None:
+                raise ConfigError(
+                    f"cell ({cell.benchmark}, {'/'.join(self.tags)}) is "
+                    f"asked to sample every {self.sample_every} and every "
+                    f"{sample_every} cycles"
+                )
+            self.sample_every = sample_every
+
+    def satisfied_by(self, result: Any) -> bool:
+        """Does ``result`` carry every observer this cell requests?"""
+        run = result.combined if isinstance(result, TenancyResult) else result
+        if self.record_tlb_trace and run.tlb_traces is None:
+            return False
+        if self.sample_every is not None and (
+            run.timeseries is None
+            or run.timeseries["interval"] != self.sample_every
+        ):
+            return False
+        return True
 
 
 @dataclass
 class ExperimentRunner:
-    """Caching, supervising simulation front-end for the figure modules."""
+    """Planning, supervising simulation front-end for the figure modules."""
 
     scale: str = "small"
     seed: int = 0
@@ -83,19 +173,15 @@ class ExperimentRunner:
     #: per-cell part next to it, merged (one pid per cell) by close()
     trace_path: Optional[str] = None
     #: default time-series sampling interval for every cell (cycles);
-    #: per-call ``sample_every`` overrides it
+    #: a cell's own ``sample_every`` overrides it
     sample_every: Optional[int] = None
     #: runtime invariant checking mode ("strict"/"cheap"/"off"/None);
     #: ``None`` lets workers fall back to REPRO_SANITIZE, "off" forces it
     #: off even when the environment asks for it
     sanitize: Optional[str] = None
-    #: supervised worker processes used by :meth:`prefetch`; 1 keeps
-    #: every cell sequential and in-process (the default behaviour)
+    #: supervised worker processes the plan runs on; 1 keeps every cell
+    #: sequential (in-process unless supervised)
     parallel: int = 1
-    _results: Dict[CellKey, RunResult] = field(default_factory=dict)
-    _failed: Dict[CellKey, RunResult] = field(default_factory=dict)
-    #: terminal failures keyed like results (inspect after a degraded run)
-    failures: Dict[CellKey, CellFailure] = field(default_factory=dict)
     #: cells actually simulated (excludes memo and checkpoint hits)
     cells_simulated: int = 0
     #: cells restored from the on-disk checkpoint
@@ -103,10 +189,19 @@ class ExperimentRunner:
 
     def __post_init__(self) -> None:
         self._started = time.monotonic()
+        self._plan: Dict[CellKey, _Planned] = {}
+        self._results: Dict[CellKey, Any] = {}
+        self._failed: Dict[CellKey, RunResult] = {}
+        self._failures: Dict[CellKey, CellFailure] = {}
+        #: planned cells running on the worker pool: key -> (future, spec,
+        #: trace part)
+        self._pending: Dict[CellKey, Tuple[Future, CellSpec, Optional[str]]] = {}
+        self._pool: Optional[ThreadPoolExecutor] = None
         self._trace_parts: List[Tuple[str, str]] = []
+        self._trace_seq = 0
         self._config_hashes: Dict[str, str] = {}
         #: config hashes recorded by the manifest of a resumed checkpoint;
-        #: run_config refuses any tag whose current hash differs
+        #: declaring a tag whose current hash differs is refused
         self._resumed_hashes: Dict[str, str] = {}
         if self.sanitize is not None:
             # fail fast on a bad mode string ("off" stays distinct from
@@ -129,7 +224,7 @@ class ExperimentRunner:
             if self.resume:
                 self._validate_resume_manifest()
                 for key, payload in self._store.load().items():
-                    self._results[tuple(key)] = RunResult.from_dict(payload)
+                    self._results[tuple(key)] = decode_result(payload)
                     self.cells_restored += 1
             elif self._store.exists():
                 self._store.discard()
@@ -140,10 +235,9 @@ class ExperimentRunner:
         The checkpoint header already pins scale and seed; the manifest
         sidecar additionally records a hash of every configuration the
         producing run simulated, which lets us reject resumes after a
-        config edit — silently mixing old and new cells would produce a
-        sweep no single configuration ever generated.  A missing sidecar
-        (interrupted run, pre-manifest checkpoint) is tolerated; the
-        header checks still apply.
+        config edit of a tag — a sweep no single configuration ever
+        generated.  A missing sidecar (interrupted run, pre-manifest
+        checkpoint) is tolerated; the header checks still apply.
         """
         manifest_path = manifest_path_for(self.checkpoint_path)
         if not os.path.exists(manifest_path):
@@ -176,7 +270,7 @@ class ExperimentRunner:
         return make_benchmark(benchmark, scale=self.scale, seed=self.seed)
 
     # ------------------------------------------------------------------ #
-    # Cell execution
+    # Single cells
     # ------------------------------------------------------------------ #
     def run(
         self,
@@ -186,7 +280,7 @@ class ExperimentRunner:
         occupancy_override: Optional[int] = None,
         sample_every: Optional[int] = None,
     ) -> RunResult:
-        """Simulate one named-configuration cell (memoized)."""
+        """Simulate one named-configuration cell (memoized by content)."""
         return self.run_config(
             benchmark,
             get_config(config_name),
@@ -205,98 +299,73 @@ class ExperimentRunner:
         occupancy_override: Optional[int] = None,
         sample_every: Optional[int] = None,
     ) -> RunResult:
-        """Simulate one cell for an explicit config (memoized by ``tag``).
-
-        This is the single funnel every experiment goes through —
-        ad-hoc configs (ablations, oversubscription) get the same
-        supervision, checkpointing, degradation, and telemetry as named
-        ones.
-        """
-        spec, cell_trace = self._make_spec(
+        """Simulate one cell for an explicit config: a one-cell plan."""
+        cell = Cell(
             benchmark,
-            config,
             tag,
-            record_tlb_trace=record_tlb_trace,
+            config,
             occupancy_override=occupancy_override,
+            record_tlb_trace=record_tlb_trace,
             sample_every=sample_every,
         )
-        key = spec.key
-        if key in self._results:
-            return self._results[key]
-        if key in self._failed:
-            return self._failed[key]
-        try:
-            result = self._execute(spec)
-        except SimulationError as exc:
-            failure = CellFailure(
-                error_class=classify(exc),
-                message=str(exc),
-                attempts=getattr(exc, "attempts", 1),
-                elapsed=getattr(exc, "elapsed", 0.0),
-            )
-            self.failures[key] = failure
-            if self.strict:
-                raise
-            placeholder = RunResult.make_failed(benchmark, failure.error_class)
-            self._failed[key] = placeholder
-            return placeholder
-        self.cells_simulated += 1
-        self._results[key] = result
-        if cell_trace is not None:
-            self._trace_parts.append((f"{benchmark}:{tag}", cell_trace))
-        if self._store is not None:
-            self._store.append(key, result.to_dict())
-        return result
+        return self.execute([cell])[benchmark, tag]
 
-    def _make_spec(
-        self,
-        benchmark: str,
-        config: GPUConfig,
-        tag: str,
-        record_tlb_trace: bool = False,
-        occupancy_override: Optional[int] = None,
-        sample_every: Optional[int] = None,
-    ) -> Tuple[CellSpec, Optional[str]]:
-        """Validate the config against any resumed manifest and build the
-        :class:`CellSpec` (plus per-cell trace part path) for one cell."""
-        current_hash = self._config_hashes.setdefault(tag, config_hash(config))
-        resumed = self._resumed_hashes.get(tag)
-        if resumed is not None and resumed != current_hash:
-            raise CheckpointError(
-                f"cannot reuse checkpoint {self.checkpoint_path!r}: config "
-                f"{tag!r} hashes to {current_hash} but the checkpoint was "
-                f"produced with {resumed}; rerun without --resume (or "
-                f"restore the original configuration)"
+    # ------------------------------------------------------------------ #
+    # The plan and its executor
+    # ------------------------------------------------------------------ #
+    def declare(self, cells: Iterable[Cell]) -> List[CellKey]:
+        """Add cells to the plan; returns each cell's content key.
+
+        A cell whose content is already planned merges its tag and
+        observer requests onto the planned one.  With ``parallel > 1``
+        every planned cell that still needs a simulation starts on the
+        worker pool right away.
+        """
+        keys = []
+        for cell in cells:
+            key = cell_key(
+                cell.benchmark, cell.config, cell.occupancy_override,
+                cell.tenancy,
             )
-        if sample_every is None:
-            sample_every = self.sample_every
-        cell_trace = None
-        if self.trace_path is not None:
-            cell_trace = (
-                f"{self.trace_path}.cell{len(self._trace_parts)}.part"
+            self._check_tag_hash(cell.tag, key[1])
+            planned = self._plan.get(key)
+            if planned is None:
+                planned = self._plan[key] = _Planned(key, len(self._plan), cell)
+            planned.merge(
+                cell,
+                cell.sample_every
+                if cell.sample_every is not None
+                else self.sample_every,
             )
-        telemetry = None
-        if cell_trace is not None or sample_every is not None:
-            telemetry = TelemetrySettings(
-                trace_path=cell_trace, sample_every=sample_every
-            )
-        spec = CellSpec(
-            benchmark=benchmark,
-            config=config,
-            config_tag=tag,
-            scale=self.scale,
-            seed=self.seed,
-            record_tlb_trace=record_tlb_trace,
-            occupancy_override=occupancy_override,
-            telemetry=telemetry,
-            sanitize=self.sanitize,
+            keys.append(key)
+        if self.parallel > 1:
+            self._submit([self._plan[key] for key in dict.fromkeys(keys)])
+        return keys
+
+    def execute(self, cells: Sequence[Cell]) -> Results:
+        """Declare ``cells`` and simulate whichever are missing, in plan
+        order; returns ``(benchmark, tag) -> result`` for every cell."""
+        keys = self.declare(cells)
+        todo = {self._plan[key].position: self._plan[key] for key in keys}
+        for position in sorted(todo):
+            self._ensure(todo[position])
+        return {
+            (cell.benchmark, cell.tag): self._outcome(key)
+            for cell, key in zip(cells, keys)
+        }
+
+    def plan_status(self) -> Tuple[int, int, int]:
+        """(planned cells, multi-tenant among them, already satisfied by
+        the memo or a restored checkpoint record)."""
+        return (
+            len(self._plan),
+            sum(1 for p in self._plan.values() if p.cell.tenancy is not None),
+            sum(1 for p in self._plan.values() if self._done(p)),
         )
-        return spec, cell_trace
 
-    def record_config_hash(self, tag: str, hash_: str) -> None:
-        """Record (and resume-validate) a hash for cells built outside
-        :meth:`run_config` — e.g. tenancy cells, whose hash folds the
-        tenant composition into the GPU config hash."""
+    def _check_tag_hash(self, tag: str, hash_: str) -> None:
+        """Record the first hash seen for ``tag`` and refuse a resumed
+        checkpoint whose manifest recorded another one."""
         current = self._config_hashes.setdefault(tag, hash_)
         resumed = self._resumed_hashes.get(tag)
         if resumed is not None and resumed != current:
@@ -307,124 +376,155 @@ class ExperimentRunner:
                 f"restore the original configuration)"
             )
 
-    def _execute(self, spec: CellSpec) -> RunResult:
-        if self.supervised:
-            return RunResult.from_dict(self._supervisor.run_cell(spec))
-        return simulate_cell(spec)
+    def _done(self, planned: _Planned) -> bool:
+        if planned.key in self._failed:
+            return True
+        result = self._results.get(planned.key)
+        return result is not None and planned.satisfied_by(result)
 
-    # ------------------------------------------------------------------ #
-    # Parallel prefetch
-    # ------------------------------------------------------------------ #
-    def prefetch(
-        self,
-        cells: Sequence[Tuple[str, str]],
-        record_tlb_trace: bool = False,
-    ) -> None:
-        """Simulate ``(benchmark, config_name)`` cells ahead of time,
-        fanned out over ``parallel`` supervised subprocess workers.
-
-        Results are integrated into the memo (and checkpoint) in
-        **submission order**, regardless of worker completion order, so
-        a parallel sweep produces byte-identical bookkeeping to a
-        sequential one; subsequent :meth:`run` calls are memo hits.
-        Falls back to sequential execution when ``parallel <= 1``, when
-        only one cell is missing, or when per-cell tracing is on (trace
-        part numbering is inherently sequential).
-
-        The parallel path always runs cells in supervised workers (the
-        fan-out needs process isolation to actually run concurrently);
-        the ``supervised`` flag only governs the sequential path.
-        """
-        jobs: List[Tuple[CellSpec, str, str]] = []
-        seen_keys = set(self._results) | set(self._failed)
-        for benchmark, config_name in cells:
-            spec, _ = self._make_spec(
-                benchmark,
-                get_config(config_name),
-                config_name,
-                record_tlb_trace=record_tlb_trace,
+    def _spec(self, planned: _Planned) -> Tuple[CellSpec, Optional[str]]:
+        """The :class:`CellSpec` (plus trace part path) for one cell."""
+        cell = planned.cell
+        part = None
+        if self.trace_path is not None:
+            part = f"{self.trace_path}.cell{self._trace_seq}.part"
+            self._trace_seq += 1
+        telemetry = None
+        if part is not None or planned.sample_every is not None:
+            telemetry = TelemetrySettings(
+                trace_path=part, sample_every=planned.sample_every
             )
-            if spec.key in seen_keys:
-                continue
-            seen_keys.add(spec.key)
-            jobs.append((spec, benchmark, config_name))
+        spec = CellSpec(
+            benchmark=cell.benchmark,
+            config=cell.config,
+            config_tag=planned.tags[0],
+            scale=self.scale,
+            seed=self.seed,
+            record_tlb_trace=planned.record_tlb_trace,
+            occupancy_override=cell.occupancy_override,
+            telemetry=telemetry,
+            sanitize=self.sanitize,
+            alias_tags=tuple(planned.tags[1:]),
+            tenancy=cell.tenancy,
+        )
+        return spec, part
+
+    def _submit(self, planned_cells: List[_Planned]) -> None:
+        """Start every planned cell that still needs a simulation on the
+        worker pool."""
+        jobs = [
+            planned
+            for planned in planned_cells
+            if not self._done(planned) and planned.key not in self._pending
+        ]
         if not jobs:
             return
-        if self.parallel <= 1 or len(jobs) == 1 or self.trace_path is not None:
-            for _, benchmark, config_name in jobs:
-                self.run(benchmark, config_name, record_tlb_trace)
-            return
-        # Workers are forked from a (briefly) multi-threaded parent;
-        # importing the worker-side modules here first means the children
-        # find sys.modules populated and never touch the import machinery
-        # mid-fork.
-        _preimport_worker_modules()
-        run_cell = self._supervisor.run_cell
-        with ThreadPoolExecutor(
-            max_workers=min(self.parallel, len(jobs))
-        ) as pool:
-            futures = [pool.submit(run_cell, spec) for spec, _, _ in jobs]
-        # the pool has joined: every future is done; integrate in
-        # deterministic submission order
-        for (spec, benchmark, _), future in zip(jobs, futures):
-            key = spec.key
-            try:
-                result = RunResult.from_dict(future.result())
-            except SimulationError as exc:
-                failure = CellFailure(
-                    error_class=classify(exc),
-                    message=str(exc),
-                    attempts=getattr(exc, "attempts", 1),
-                    elapsed=getattr(exc, "elapsed", 0.0),
-                )
-                self.failures[key] = failure
-                if self.strict:
-                    # mirror a sequential strict sweep: cells before the
-                    # (first, in order) failure are kept, later ones are
-                    # not integrated
-                    raise
-                self._failed[key] = RunResult.make_failed(
-                    benchmark, failure.error_class
-                )
-                continue
-            self.cells_simulated += 1
-            self._results[key] = result
-            if self._store is not None:
-                self._store.append(key, result.to_dict())
-
-    def run_all(
-        self, config_name: str, record_tlb_trace: bool = False
-    ) -> Dict[str, RunResult]:
-        if self.parallel > 1:
-            self.prefetch(
-                [(b, config_name) for b in self.benchmarks], record_tlb_trace
+        if self._pool is None:
+            _preimport_worker_modules()
+            self._pool = ThreadPoolExecutor(max_workers=self.parallel)
+        # forked workers inherit the parent's kernel memo: generate each
+        # workload once here instead of once per cell
+        for benchmark in dict.fromkeys(
+            name
+            for planned in jobs
+            for name in (
+                planned.cell.tenancy.mix
+                if planned.cell.tenancy is not None
+                else (planned.cell.benchmark,)
             )
-        return {
-            b: self.run(b, config_name, record_tlb_trace)
-            for b in self.benchmarks
-        }
+        ):
+            try:
+                self.kernel(benchmark)
+            except (SimulationError, ValueError):
+                pass  # the worker reproduces and classifies it
+        for planned in jobs:
+            spec, part = self._spec(planned)
+            future = self._pool.submit(self._supervisor.run_cell, spec)
+            self._pending[planned.key] = (future, spec, part)
+
+    def _ensure(self, planned: _Planned) -> None:
+        """Make ``planned`` done: collect its worker or simulate it now."""
+        if self._done(planned):
+            return
+        pending = self._pending.pop(planned.key, None)
+        try:
+            if pending is not None:
+                future, spec, part = pending
+                result = decode_result(future.result())
+                if not planned.satisfied_by(result):
+                    # an observer was merged on after the worker started
+                    pending = None
+            if pending is None:
+                spec, part = self._spec(planned)
+                result = self._execute(spec)
+        except SimulationError as exc:
+            failure = CellFailure(
+                error_class=classify(exc),
+                message=str(exc),
+                attempts=getattr(exc, "attempts", 1),
+                elapsed=getattr(exc, "elapsed", 0.0),
+            )
+            self._failures[planned.key] = failure
+            if self.strict:
+                self._stop_pool()
+                raise
+            self._failed[planned.key] = RunResult.make_failed(
+                planned.cell.benchmark, failure.error_class
+            )
+            return
+        self.cells_simulated += 1
+        self._results[planned.key] = result
+        if part is not None:
+            self._trace_parts.append(
+                (f"{planned.cell.benchmark}:{planned.tags[0]}", part)
+            )
+        if self._store is not None:
+            self._store.append(planned.key, result.to_dict())
+
+    def _execute(self, spec: CellSpec) -> Any:
+        if self.supervised:
+            return decode_result(self._supervisor.run_cell(spec))
+        return simulate_cell(spec)
+
+    def _outcome(self, key: CellKey) -> Any:
+        result = self._results.get(key)
+        return result if result is not None else self._failed[key]
+
+    def _stop_pool(self) -> None:
+        """Cancel every cell not yet started; wait for running ones."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+        self._pending.clear()
 
     # ------------------------------------------------------------------ #
     # Degradation bookkeeping
     # ------------------------------------------------------------------ #
+    @property
+    def failures(self) -> Dict[CellKey, CellFailure]:
+        """Terminal cell failures keyed ``(benchmark, tag, config hash,
+        occupancy)``; ``tag`` is the first that requested the cell."""
+        return {
+            (key[0], self._plan[key].tags[0]) + key[1:]: failure
+            for key, failure in self._failures.items()
+        }
+
     def failure_for(self, benchmark: str, tag: str) -> Optional[CellFailure]:
-        for key, failure in self.failures.items():
-            if key[0] == benchmark and key[1] == tag:
+        for key, failure in self._failures.items():
+            if key[0] == benchmark and tag in self._plan[key].tags:
                 return failure
         return None
 
     def failure_summary(self) -> List[str]:
-        """One human-readable line per failed cell (dedup trace variants)."""
-        lines: List[str] = []
-        seen = set()
-        for key, f in sorted(self.failures.items(), key=lambda kv: kv[0][:2]):
-            cell = (key[0], key[1])
-            if cell in seen:
-                continue
-            seen.add(cell)
+        """One human-readable line per failed cell, naming every tag."""
+        lines = []
+        for key, f in sorted(
+            self._failures.items(),
+            key=lambda kv: (kv[0][0], self._plan[kv[0]].tags[0]),
+        ):
             lines.append(
-                f"({key[0]}, {key[1]}) {f.marker} after {f.attempts} "
-                f"attempt(s): {f.message.splitlines()[0]}"
+                f"({key[0]}, {'/'.join(self._plan[key].tags)}) {f.marker} "
+                f"after {f.attempts} attempt(s): {f.message.splitlines()[0]}"
             )
         return lines
 
@@ -466,12 +566,14 @@ class ExperimentRunner:
         return self._manifest(artifact_kind, artifact_path).write()
 
     def close(self) -> None:
-        """Flush telemetry artifacts and release the checkpoint store.
+        """Stop the worker pool, flush telemetry artifacts and release
+        the checkpoint store.
 
         Writes the merged trace plus a manifest sidecar for the trace
         and for the checkpoint store, so every on-disk artifact of this
         runner is reproducible from the files next to it.
         """
+        self._stop_pool()
         merged = self.finalize_trace()
         if merged is not None:
             self.write_manifest("trace", merged)
@@ -493,6 +595,7 @@ def _preimport_worker_modules() -> None:
     from ..sanitizer.core import Sanitizer  # noqa: F401
     from ..system import build_gpu  # noqa: F401
     from ..telemetry import TimeSeriesSampler, Tracer  # noqa: F401
+    from ..tenancy import build_tenant_gpu  # noqa: F401
     from ..workloads import make_benchmark  # noqa: F401
 
 

@@ -1,4 +1,4 @@
-"""Multi-tenant isolation & interference matrix (ISSUE 7 extension).
+"""Multi-tenant isolation & interference matrix (report extension).
 
 The tenancy axis the paper's follow-up work opens (arXiv 2404.18361,
 MIG-style co-residency): co-schedule 2+ kernels from the existing
@@ -6,15 +6,15 @@ generators under each partition mode and measure what co-residency does
 to each tenant — per-tenant IPC, slowdown vs running the machine alone,
 TLB cross-pollution, and Jain's fairness index.
 
-Cells run through :func:`simulate_tenancy_cell` (the tenancy analogue of
-:func:`repro.engine.supervision.simulate_cell`, same telemetry/sanitizer
-wiring); solo baselines go through the shared
-:class:`~repro.experiments.runner.ExperimentRunner` so they are memoized
-and checkpointable like every other cell.  The tenancy composition is
-folded into the recorded config hash
-(:func:`repro.telemetry.manifest.config_hash` with ``tenancy=``), so a
-multi-tenant cell can never collide with a single-tenant cache or golden
-entry.
+Every cell — each partition mode's multi-tenant run and the solo
+baselines — is an ordinary plan cell of the shared
+:class:`~repro.experiments.runner.ExperimentRunner`, so tenancy cells
+are memoized, checkpointed, supervised and run in parallel like every
+other cell.  A multi-tenant cell carries its
+:class:`~repro.tenancy.TenancySpec`, whose composition
+:func:`repro.telemetry.manifest.config_hash` folds into the cell's
+content key, so it can never collide with a single-tenant cache or
+golden entry.
 """
 
 from __future__ import annotations
@@ -23,63 +23,20 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..arch.config import BASELINE_CONFIG, GPUConfig
-from ..telemetry.manifest import config_hash
+from ..arch.gpu import RunResult
+from ..engine.supervision import CellSpec, simulate_cell
 from ..tenancy import (
     PartitionMode,
     TenancyResult,
     TenancySpec,
-    build_tenant_gpu,
 )
-from .runner import ExperimentRunner, ShapeCheck
+from .runner import Cell, ExperimentRunner, Results, ShapeCheck
 
 #: The report's tenant matrix: one heterogeneous mix (a TLB-thrashing
 #: graph workload against a well-behaved dense kernel) across every
 #: partition mode.  The CLI (`repro run --tenants ...`) exposes the full
 #: tenant-count x mode x mix space.
 REPORT_MIX: Tuple[str, ...] = ("bfs", "gemm")
-
-
-def simulate_tenancy_cell(
-    spec: TenancySpec,
-    config: GPUConfig,
-    config_tag: str,
-    sanitize: Optional[str] = None,
-    telemetry=None,
-) -> TenancyResult:
-    """Build and run one tenancy cell (tracer/sampler/sanitizer wired
-    exactly like single-tenant cells)."""
-    tracer = None
-    sampler = None
-    if telemetry is not None and telemetry.active:
-        from ..telemetry import TimeSeriesSampler, Tracer
-
-        tracer = Tracer() if telemetry.trace_path is not None else None
-        sampler = (
-            TimeSeriesSampler(telemetry.sample_every)
-            if telemetry.sample_every is not None
-            else None
-        )
-    from ..sanitizer.core import Sanitizer
-
-    sanitizer = Sanitizer.make(sanitize)
-    sim = None
-    if (
-        tracer is not None
-        or sampler is not None
-        or sanitizer is not None
-        or sanitize is not None
-    ):
-        from ..engine.simulator import Simulator
-
-        sim = Simulator(tracer=tracer, sampler=sampler, sanitizer=sanitizer)
-    gpu = build_tenant_gpu(spec, config, sim=sim)
-    result = gpu.run_tenants()
-    if tracer is not None:
-        tracer.export(
-            telemetry.trace_path,
-            label=f"tenancy:{'+'.join(spec.mix)}:{config_tag}",
-        )
-    return result
 
 
 def run_tenancy_cell(
@@ -90,21 +47,28 @@ def run_tenancy_cell(
     telemetry=None,
     solo_cycles: Optional[Dict[str, float]] = None,
 ) -> TenancyResult:
-    """One tenancy cell with slowdowns filled from solo baselines.
+    """One tenancy cell, in-process, with slowdowns filled from solo
+    baselines.
 
     ``solo_cycles`` maps benchmark -> solo makespan; missing benchmarks
     are simulated here (unsanitized — the solo run only anchors the
     slowdown denominator).
     """
-    result = simulate_tenancy_cell(
-        spec, config, config_tag, sanitize=sanitize, telemetry=telemetry
+    result = simulate_cell(
+        CellSpec(
+            benchmark="+".join(spec.mix),
+            config=config,
+            config_tag=config_tag,
+            scale=spec.scale,
+            seed=spec.seed,
+            telemetry=telemetry,
+            sanitize=sanitize,
+            tenancy=spec,
+        )
     )
-    if solo_cycles is None:
-        solo_cycles = {}
+    solo_cycles = dict(solo_cycles or {})
     for benchmark in set(spec.mix):
         if benchmark not in solo_cycles:
-            from ..engine.supervision import CellSpec, simulate_cell
-
             solo = simulate_cell(
                 CellSpec(
                     benchmark=benchmark,
@@ -215,44 +179,60 @@ class TenancyExperimentResult:
         return checks
 
 
+def _mode_tag(mode: PartitionMode) -> str:
+    return f"tenancy_{mode.value}"
+
+
+def cells(
+    runner: ExperimentRunner,
+    config: GPUConfig = BASELINE_CONFIG,
+    mix: Tuple[str, ...] = REPORT_MIX,
+) -> List[Cell]:
+    """The solo baselines, then one multi-tenant cell per mode."""
+    solos = [Cell(b, "baseline", config) for b in dict.fromkeys(mix)]
+    return solos + [
+        Cell(
+            "+".join(mix),
+            _mode_tag(mode),
+            config,
+            tenancy=TenancySpec(
+                mix=mix, mode=mode, scale=runner.scale, seed=runner.seed
+            ),
+        )
+        for mode in PartitionMode
+    ]
+
+
+def compute(
+    runner: ExperimentRunner,
+    results: Results,
+    mix: Tuple[str, ...] = REPORT_MIX,
+) -> TenancyExperimentResult:
+    solo_cycles = {
+        b: results[b, "baseline"].cycles for b in dict.fromkeys(mix)
+    }
+    by_mode: Dict[str, TenancyResult] = {}
+    failures: Dict[str, str] = {}
+    for mode in PartitionMode:
+        result = results["+".join(mix), _mode_tag(mode)]
+        if isinstance(result, RunResult):  # a FAILED placeholder
+            failures[mode.value] = result.failure
+            continue
+        result.apply_solo_baselines(solo_cycles)
+        by_mode[mode.value] = result
+    return TenancyExperimentResult(
+        mix=mix,
+        results=by_mode,
+        solo_cycles=solo_cycles,
+        failures=failures,
+        scale=runner.scale,
+    )
+
+
 def run(
     runner: ExperimentRunner,
     config: GPUConfig = BASELINE_CONFIG,
     mix: Tuple[str, ...] = REPORT_MIX,
 ) -> TenancyExperimentResult:
     """The report section: one mix, every partition mode, plus solos."""
-    solo_cycles: Dict[str, float] = {}
-    for benchmark in dict.fromkeys(mix):  # unique, order-preserving
-        solo = runner.run_config(benchmark, config, "baseline")
-        solo_cycles[benchmark] = solo.cycles
-    results: Dict[str, TenancyResult] = {}
-    failures: Dict[str, str] = {}
-    for mode in PartitionMode:
-        spec = TenancySpec(
-            mix=mix, mode=mode, scale=runner.scale, seed=runner.seed
-        )
-        tag = f"tenancy_{mode.value}"
-        runner.record_config_hash(
-            tag, config_hash(config, tenancy=spec.describe())
-        )
-        try:
-            results[mode.value] = run_tenancy_cell(
-                spec,
-                config,
-                config_tag=tag,
-                sanitize=runner.sanitize,
-                solo_cycles=solo_cycles,
-            )
-        except Exception as exc:  # degrade this mode, keep the section
-            from ..engine.errors import classify
-
-            if runner.strict:
-                raise
-            failures[mode.value] = classify(exc)
-    return TenancyExperimentResult(
-        mix=mix,
-        results=results,
-        solo_cycles=solo_cycles,
-        failures=failures,
-        scale=runner.scale,
-    )
+    return compute(runner, runner.execute(cells(runner, config, mix)), mix)

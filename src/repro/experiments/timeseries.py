@@ -16,10 +16,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..telemetry import interval_rate
-from .runner import ExperimentRunner, ShapeCheck, collect_failures, failed_rows
+from .runner import (
+    Cell,
+    ExperimentRunner,
+    Results,
+    ShapeCheck,
+    collect_failures,
+    failed_rows,
+    named_cell,
+)
 
 #: per-scale sampling interval (cycles) sized for ~20-200 samples/run
 SAMPLE_INTERVALS = {"micro": 500, "tiny": 500, "small": 2000, "paper": 10000}
+
+#: the configurations whose miss rate is charted
+TAGS = ("baseline", "partition_sharing")
 
 #: display resolution of the strip chart (time buckets)
 CHART_BUCKETS = 20
@@ -135,15 +146,24 @@ class TimeSeriesResult:
         return checks
 
 
-def run(runner: ExperimentRunner) -> TimeSeriesResult:
+def cells(runner: ExperimentRunner) -> List[Cell]:
+    """The first benchmark's cells, asked to sample their counters."""
+    interval = SAMPLE_INTERVALS.get(runner.scale, 2000)
+    return [
+        named_cell(runner.benchmarks[0], tag, sample_every=interval)
+        for tag in TAGS
+    ]
+
+
+def compute(runner: ExperimentRunner, results: Results) -> TimeSeriesResult:
     benchmark = runner.benchmarks[0]
     interval = SAMPLE_INTERVALS.get(runner.scale, 2000)
     rates: Dict[str, List[Optional[float]]] = {}
     cycles: Dict[str, float] = {}
     accesses: Dict[str, List[float]] = {}
     failures: Dict[str, str] = {}
-    for tag in ("baseline", "partition_sharing"):
-        result = runner.run(benchmark, tag, sample_every=interval)
+    for tag in TAGS:
+        result = results[benchmark, tag]
         if not collect_failures(failures, benchmark, result):
             continue
         if result.timeseries is None:
@@ -155,3 +175,7 @@ def run(runner: ExperimentRunner) -> TimeSeriesResult:
     return TimeSeriesResult(
         benchmark, interval, rates, cycles, accesses, failures
     )
+
+
+def run(runner: ExperimentRunner) -> TimeSeriesResult:
+    return compute(runner, runner.execute(cells(runner)))

@@ -2,9 +2,11 @@
 
 Every row of this experiment comes from
 :data:`repro.translation.registry.ZOO_SPECS` — a mechanism is one
-registry spec string, resolved into a ``GPUConfig`` and run through the
-generic :meth:`~repro.experiments.runner.ExperimentRunner.run_config`
-funnel.  There is deliberately *no per-mechanism experiment code* here:
+registry spec string, resolved into a ``GPUConfig`` and declared as an
+ordinary plan :class:`~repro.experiments.runner.Cell` (``zoo_baseline``
+is the plain baseline, so it is the same simulation as the other
+figures' ``baseline`` cell).  There is deliberately *no per-mechanism
+experiment code* here:
 adding a mechanism to the matrix is one spec line in the registry.
 
 The matrix stresses frame-placement sensitivity end to end: the
@@ -22,7 +24,9 @@ from typing import Dict, List
 
 from ..translation.registry import ZOO_SPECS, default_registry
 from .runner import (
+    Cell,
     ExperimentRunner,
+    Results,
     ShapeCheck,
     collect_failures,
     failed_rows,
@@ -113,27 +117,33 @@ class ZooResult:
         ]
 
 
-def run(
-    runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS
-) -> ZooResult:
+def cells(runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS) -> List[Cell]:
     registry = default_registry()
-    norm_time: Dict[str, Dict[str, float]] = {}
-    hit_rate: Dict[str, Dict[str, float]] = {}
-    failures: Dict[str, str] = {}
     configs = {
         name: registry.resolve(spec) for name, spec in ZOO_SPECS.items()
     }
+    return [
+        Cell(b, name, config)
+        for b in benchmarks
+        if b in runner.benchmarks
+        for name, config in configs.items()
+    ]
+
+
+def compute(
+    runner: ExperimentRunner, results: Results, benchmarks=ZOO_BENCHMARKS
+) -> ZooResult:
+    norm_time: Dict[str, Dict[str, float]] = {}
+    hit_rate: Dict[str, Dict[str, float]] = {}
+    failures: Dict[str, str] = {}
     for b in benchmarks:
         if b not in runner.benchmarks:
             continue
-        base = runner.run_config(b, configs["zoo_baseline"], "zoo_baseline")
+        base = results[b, "zoo_baseline"]
         if not collect_failures(failures, b, base):
             continue
-        for name, config in configs.items():
-            result = (
-                base if name == "zoo_baseline"
-                else runner.run_config(b, config, name)
-            )
+        for name in ZOO_SPECS:
+            result = results[b, name]
             if not collect_failures(failures, b, result):
                 continue
             norm_time.setdefault(name, {})[b] = (
@@ -144,3 +154,8 @@ def run(
                 if result.l1_tlb_accesses else 0.0
             )
     return ZooResult(norm_time, hit_rate, dict(ZOO_SPECS), failures)
+
+
+def run(runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS) -> ZooResult:
+    results = runner.execute(cells(runner, benchmarks))
+    return compute(runner, results, benchmarks)

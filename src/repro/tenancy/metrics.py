@@ -108,3 +108,13 @@ class TenancyResult:
             "cross_tenant_evictions": self.cross_tenant_evictions,
             "fairness_index": self.fairness_index,
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict) -> "TenancyResult":
+        """Inverse of :meth:`to_dict` (``fairness_index`` is derived)."""
+        return cls(
+            mode=data["mode"],
+            combined=RunResult.from_dict(data["combined"]),
+            tenants=[TenantMetrics(**t) for t in data["tenants"]],
+            cross_tenant_evictions=data["cross_tenant_evictions"],
+        )
