@@ -7,7 +7,7 @@ Workload generators run their per-thread address streams through
 post-coalescing transactions — exactly what the real unit emits.
 
 Trace building runs one :func:`coalesce` per warp memory instruction, so
-this file is hot in workload generation (which ``repro bench`` times as
+this file is hot in workload generation (which ``perf/run.py`` times as
 part of every cell).  Line sizes are powers of two in every config, so
 the line math is shift-based, and the common strided pattern is solved
 analytically instead of materializing 32 addresses per instruction.

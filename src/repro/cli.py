@@ -87,7 +87,8 @@ def _add_exec_group(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("execution resilience")
     group.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="wall-clock budget per cell; runs each cell in a supervised "
+        help="wall-clock budget per cell (a positive number; anything "
+             "else exits 3); runs each cell in a supervised "
              "subprocess worker with retry on transient failures",
     )
     group.add_argument(
@@ -343,46 +344,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Pinned micro/meso benchmarks + BENCH_*.json trajectory point."""
-    from .bench import (
-        compare_to_baseline,
-        format_results,
-        load_report,
-        run_benches,
-        write_report,
-    )
-
-    results = run_benches(
-        names=args.benches,
-        trials=args.trials,
-        quick=args.quick,
-        progress=lambda name: print(f"[bench] {name}", flush=True),
-    )
-    speedups = None
-    if args.baseline:
-        try:
-            baseline = load_report(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline!r}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if baseline.get("quick") != args.quick:
-            print(
-                f"baseline {args.baseline!r} was recorded with "
-                f"quick={baseline.get('quick')}; rerun with matching "
-                f"sizes for an honest comparison", file=sys.stderr,
-            )
-            return 2
-        speedups = compare_to_baseline(results, baseline)
-    print(format_results(results, speedups))
-    out = args.out or f"BENCH_{args.tag}.json"
-    write_report(out, results, trials=args.trials, quick=args.quick,
-                 tag=args.tag)
-    print(f"report           {out}")
-    return 0
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from .telemetry import load_trace, summarize_trace
 
@@ -521,41 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the golden gate")
     p_chk.set_defaults(func=cmd_check)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the pinned perf benchmarks, write BENCH_<tag>.json",
-    )
-    from .bench import BENCHES as _BENCHES
-
-    p_bench.add_argument(
-        "--benches", nargs="+", default=None, metavar="BENCH",
-        choices=sorted(_BENCHES),
-        help="run only these benches (default: full pinned suite)",
-    )
-    p_bench.add_argument(
-        "--trials", type=int, default=5, metavar="N",
-        help="timed repetitions per bench after one warm-up (default: 5)",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true",
-        help="shrink workload sizes ~10x (CI smoke; reports marked quick)",
-    )
-    p_bench.add_argument(
-        "--tag", default="PR5", metavar="TAG",
-        help="trajectory label; the report is BENCH_<tag>.json "
-             "(default: PR5)",
-    )
-    p_bench.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="explicit report path (overrides --tag naming)",
-    )
-    p_bench.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="compare against a recorded report "
-             "(e.g. tools/goldens/bench_baseline.json)",
-    )
-    p_bench.set_defaults(func=cmd_bench)
-
     p_trace = sub.add_parser(
         "trace", help="summarize a Chrome trace written by --trace"
     )
@@ -564,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="rows in the top-N tables (default: 5)")
     p_trace.set_defaults(func=cmd_trace)
 
-    p_list = sub.add_parser("list", help="list benchmarks/configs/scales")
+    p_list = sub.add_parser("list", help="list benchmarks, configs and scales")
     p_list.set_defaults(func=cmd_list)
     return parser
 

@@ -26,6 +26,7 @@ machine.
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import signal
 import time
@@ -35,6 +36,7 @@ from typing import Any, Callable, Optional, Tuple
 from .errors import (
     TRANSIENT_CLASSES,
     CellTimeoutError,
+    ConfigError,
     SimulationError,
     WorkerCrash,
     WorkloadError,
@@ -259,6 +261,16 @@ class Supervisor:
     clock: Callable[[], float] = time.monotonic
 
     def __post_init__(self) -> None:
+        # a budget of 0, a negative one or NaN would start a worker only
+        # to kill it and misreport the refusal as a cell timeout
+        if self.timeout is not None and not (
+            math.isfinite(self.timeout) and self.timeout > 0
+        ):
+            raise ConfigError(
+                f"timeout must be a positive number of seconds, "
+                f"got {self.timeout:g}",
+                field="timeout",
+            )
         # fork keeps worker start cheap and needs no pickling of targets;
         # every supported platform for this repo (linux CI) provides it.
         self._ctx = multiprocessing.get_context("fork")

@@ -1,7 +1,8 @@
 """Shared fixtures for the test suite.
 
 Simulation tests default to the ``micro`` workload scale so the whole
-suite stays fast; experiment-level shape tests live in benchmarks/.
+suite stays fast; the paper's shape checks run at the calibrated
+``small`` scale in ``repro report``, which renders EXPERIMENTS.md.
 """
 
 import os
@@ -16,7 +17,7 @@ try:
     # check), so a red run replays bit-for-bit anywhere.  Exploration
     # is kept by CI, which selects REPRO_HYPOTHESIS_PROFILE=explore and
     # pins a few --hypothesis-seed values; "ci" is the short stream the
-    # bench-smoke job uses.
+    # tests job replays over the property oracles.
     _hyp_settings.register_profile(
         "derandomized",
         deadline=None,

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.engine.errors import ConfigError
+from repro.engine.supervision import Supervisor
+from repro.experiments.runner import ExperimentRunner
 
 
 def test_list_command(capsys):
@@ -82,6 +85,29 @@ class TestFailureContract:
     def test_timeout_flag_supervises(self, capsys):
         assert main(["run", "nw", "--scale", "micro", "--timeout", "120"]) == 0
         assert "TBs completed" in capsys.readouterr().out
+
+    @pytest.fixture()
+    def no_worker(self, monkeypatch):
+        def attempt(*_args):
+            raise AssertionError("a worker was started")
+
+        monkeypatch.setattr(Supervisor, "_attempt", attempt)
+
+    @pytest.mark.parametrize("timeout", [0, -1, float("nan")])
+    def test_non_positive_timeout_is_config_error(self, timeout, no_worker):
+        with pytest.raises(ConfigError) as info:
+            ExperimentRunner(scale="micro", timeout=timeout)
+        assert info.value.exit_code == 3
+        assert info.value.field == "timeout"
+
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout_flag_exits_3(self, capsys, timeout,
+                                                no_worker):
+        code = main(["run", "nw", "--scale", "micro", "--timeout", timeout])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert "timeout" in payload["message"]
 
 
 class TestReportFlags:

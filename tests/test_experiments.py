@@ -1,7 +1,8 @@
 """Smoke tests for the experiment harness (micro scale).
 
-Shape assertions live in benchmarks/ at the calibrated ``small`` scale;
-here we verify the machinery: caching, table formats, check plumbing.
+The shape checks are judged at the calibrated ``small`` scale by
+``repro report`` (CI holds EXPERIMENTS.md at every check passing); here
+we verify the machinery: caching, table formats, check plumbing.
 """
 
 import pytest
