@@ -8,6 +8,9 @@ slice isolation, partition modes, the sub-entry TLB, the isolation
 sanitizer tags, and the CLI path.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.engine.errors import ConfigError, SanitizerError, WorkloadError
@@ -180,6 +183,43 @@ class TestMultiTenant:
         assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
         assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
         assert jain_fairness([]) == 0.0
+
+
+#: sha256 of the sorted-key ``TenancyResult.to_dict()`` JSON of the
+#: ``bfs+gemm`` micro mix at seed 0, per partition mode; the
+#: ``exclusive-oversub`` cell caps GPU memory at 64 pages, so every
+#: eviction shoots down one tenant's re-tagged translations.  The goldens
+#: pin single-tenant cells only; these pin the multi-tenant machine.
+PINNED_TENANCY = {
+    "exclusive":
+        "1a820c882a15ee5e33c464e7fe7cc8df06ad1a9e848b2011bf391d18ed046853",
+    "shared-tlb":
+        "04d02ab8db5b1520448a52e4067d8e0416da5a95b32ef37c66fff2b07ee62c63",
+    "sub-entry":
+        "27fa094f189f5bf2afb1846cb747f8637a82d5c0f17062bf626d71c8a78208e4",
+    "exclusive-oversub":
+        "b0903a2e66a0abb858e940144230cc5eed547de7ce070eebac68155d852ef79f",
+}
+
+
+class TestPinnedTenancy:
+    @pytest.mark.parametrize("cell", sorted(PINNED_TENANCY))
+    def test_result_matches_pinned_digest(self, cell):
+        from repro.arch.config import BASELINE_CONFIG
+
+        mode = cell.removesuffix("-oversub")
+        config = (
+            BASELINE_CONFIG
+            if mode == cell
+            else BASELINE_CONFIG.replace(gpu_memory_bytes=64 * 4096)
+        )
+        spec = TenancySpec(
+            mix=("bfs", "gemm"), mode=PartitionMode(mode), scale="micro",
+            seed=0,
+        )
+        result = build_tenant_gpu(spec, config).run_tenants()
+        payload = json.dumps(result.to_dict(), sort_keys=True).encode()
+        assert hashlib.sha256(payload).hexdigest() == PINNED_TENANCY[cell]
 
 
 # ---------------------------------------------------------------------- #
