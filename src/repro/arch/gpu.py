@@ -196,14 +196,20 @@ class GPU:
         if self._kernel is not None:
             raise RuntimeError("a kernel is already running")
         self._kernel = kernel
+        self._prepare_launch(kernel, occupancy_override)
+        self._pending = deque(kernel.tbs)
+        self._tbs_remaining = len(kernel.tbs)
+        self._fill_sms(self.sim.now)
+
+    def _prepare_launch(
+        self, kernel: Kernel, occupancy_override: Optional[int]
+    ) -> None:
+        """Per-kernel state before the first fill: every SM's occupancy."""
         occupancy = kernel.occupancy(self.config)
         if occupancy_override is not None:
             occupancy = min(occupancy, occupancy_override)
         for sm in self.sms:
             sm.prepare_kernel(occupancy)
-        self._pending = deque(kernel.tbs)
-        self._tbs_remaining = len(kernel.tbs)
-        self._fill_sms(self.sim.now)
 
     def _fill_sms(self, now: float) -> None:
         while self._pending:

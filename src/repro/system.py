@@ -16,7 +16,8 @@ to the paper's policies (core) according to the config.
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional, Sequence, Tuple
 
 from .arch.config import GPUConfig
 from .arch.gpu import GPU
@@ -48,6 +49,66 @@ def build_gpu(
     """
     if sim is None:
         sim = Simulator()
+    uvm = UVMManager(
+        geometry=geometry_for(config.page_size),
+        policy=config.allocation_policy,
+        far_fault_latency=config.far_fault_latency,
+        gpu_memory_bytes=config.gpu_memory_bytes,
+        # only mosaic records allocator counters; an unconditional group
+        # would change every config's stats dump (golden identity)
+        stats=(
+            sim.stats.group("uvm")
+            if config.allocation_policy is AllocationPolicy.MOSAIC
+            else None
+        ),
+    )
+    gpu = _assemble(
+        config,
+        sim,
+        record_tlb_trace,
+        page_tables=uvm,
+        address_spaces=((uvm, 0),),
+        l2_tlb=partial(
+            SetAssociativeTLB,
+            config.l2_tlb_entries,
+            config.l2_tlb_assoc,
+            config.l2_tlb_latency,
+        ),
+        l1_tlb=partial(build_l1_tlb, config),
+        memory=PartitionedMemory,
+        scheduler=make_scheduler(config.tb_scheduler, config.num_sms),
+    )
+    if sim.sanitizer is not None and uvm.mosaic is not None:
+        from .sanitizer import MosaicChecker
+
+        sim.sanitizer.register(MosaicChecker(uvm))
+    return gpu
+
+
+def _assemble(
+    config: GPUConfig,
+    sim: Simulator,
+    record_tlb_trace: bool,
+    *,
+    page_tables,
+    address_spaces: Sequence[Tuple[UVMManager, int]],
+    l2_tlb: Callable[..., SetAssociativeTLB],
+    l1_tlb: Callable[..., SetAssociativeTLB],
+    memory: Callable[..., PartitionedMemory],
+    scheduler,
+    machine: Callable[..., GPU] = GPU,
+) -> GPU:
+    """Wire the machine every builder shares around the parts that differ.
+
+    ``page_tables`` is what the walkers walk (a UVM or a router over
+    several); ``address_spaces`` pairs each UVM with the VPN tag its
+    local pages carry in the TLBs, so an eviction shoots down exactly its
+    own translations.  ``l2_tlb`` and ``l1_tlb`` are called with the
+    ``stats`` group and ``name`` of each TLB, ``memory`` with the
+    partitioned-memory geometry, and ``machine`` with the assembled
+    parts.  Stats groups, tracer lanes and checkers are created in one
+    fixed order: stats dumps and trace bytes depend on it.
+    """
     geometry = geometry_for(config.page_size)
     tracer = sim.tracer
     if tracer.enabled:
@@ -61,37 +122,18 @@ def build_gpu(
     clock = lambda: sim.queue.now  # noqa: E731 — cycle clock for untimed parts
 
     # Shared translation machinery (Fig 1 right-hand side).
-    uvm = UVMManager(
-        geometry=geometry,
-        policy=config.allocation_policy,
-        far_fault_latency=config.far_fault_latency,
-        gpu_memory_bytes=config.gpu_memory_bytes,
-        # only mosaic records allocator counters; an unconditional group
-        # would change every config's stats dump (golden identity)
-        stats=(
-            sim.stats.group("uvm")
-            if config.allocation_policy is AllocationPolicy.MOSAIC
-            else None
-        ),
-    )
     walkers = WalkerPool(
-        uvm,
+        page_tables,
         num_walkers=config.num_walkers,
         walk_latency=config.walk_latency,
         stats=sim.stats.group("walkers"),
     )
-    l2_tlb = SetAssociativeTLB(
-        config.l2_tlb_entries,
-        config.l2_tlb_assoc,
-        config.l2_tlb_latency,
-        stats=sim.stats.group("l2_tlb"),
-        name="l2_tlb",
-    )
+    l2 = l2_tlb(stats=sim.stats.group("l2_tlb"), name="l2_tlb")
     translation = SharedTranslationService(
-        sim, l2_tlb, walkers, port_interval=config.l2_tlb_port_interval
+        sim, l2, walkers, port_interval=config.l2_tlb_port_interval
     )
     if tracer.enabled:
-        l2_tlb.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
+        l2.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
         walkers.bind_tracer(
             tracer,
             tuple(
@@ -107,7 +149,7 @@ def build_gpu(
         injection_interval=config.noc_injection_interval,
         stats=sim.stats.group("interconnect"),
     )
-    partitions = PartitionedMemory(
+    partitions = memory(
         num_partitions=config.num_partitions,
         line_bytes=config.line_bytes,
         registry=sim.stats,
@@ -121,11 +163,11 @@ def build_gpu(
     # Per-SM private structures.
     sms = []
     for sm_id in range(config.num_sms):
-        l1_tlb = build_l1_tlb(
-            config, stats=sim.stats.group(f"sm{sm_id}_l1tlb"), name=f"sm{sm_id}_l1tlb"
+        l1 = l1_tlb(
+            stats=sim.stats.group(f"sm{sm_id}_l1tlb"), name=f"sm{sm_id}_l1tlb"
         )
         if tracer.enabled:
-            l1_tlb.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))
+            l1.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))
         l1_cache = Cache(
             config.l1_cache_bytes,
             config.l1_cache_assoc,
@@ -148,7 +190,7 @@ def build_gpu(
                 sm_id,
                 config,
                 geometry,
-                l1_tlb,
+                l1,
                 translation,
                 memory_path,
                 on_tb_finished=lambda sm, tb: None,  # GPU rebinds this
@@ -159,34 +201,36 @@ def build_gpu(
     if config.gpu_memory_bytes is not None:
         # TLB shootdown on page eviction: the victim's translation must
         # leave every TLB level before the page migrates to the host.
-        def _shootdown(vpn: int) -> None:
-            l2_tlb.invalidate(vpn)
-            for sm in sms:
-                sm.l1_tlb.invalidate(vpn)
+        def _make_shootdown(tag: int):
+            def _shootdown(local_vpn: int) -> None:
+                vpn = tag | local_vpn
+                l2.invalidate(vpn)
+                for sm in sms:
+                    sm.l1_tlb.invalidate(vpn)
 
-        uvm.invalidate_hook = _shootdown
+            return _shootdown
 
-    scheduler = make_scheduler(config.tb_scheduler, config.num_sms)
+        for uvm, tag in address_spaces:
+            uvm.invalidate_hook = _make_shootdown(tag)
+
     scheduler.bind_telemetry(tracer, clock)
     if sim.sampler is not None:
         # occupancy is state, not a counter — sample it via a probe
         sim.sampler.add_probe(
             "resident_tbs", lambda: sum(len(sm.resident) for sm in sms)
         )
+    gpu = machine(sim, config, geometry, sms, scheduler, l2, walkers, partitions)
     if sim.sanitizer is not None:
-        _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler, uvm)
-    return GPU(sim, config, geometry, sms, scheduler, l2_tlb, walkers, partitions)
+        _register_checkers(sim, sms, l2, walkers, translation, scheduler)
+    return gpu
 
 
-def _register_checkers(
-    sim, sms, l2_tlb, walkers, translation, scheduler, uvm=None
-) -> None:
+def _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler) -> None:
     """Attach the sanitizer's component checkers to a built machine."""
     from .core.tb_scheduler import TLBAwareScheduler
     from .sanitizer import (
         DeadEntryChecker,
         LifecycleChecker,
-        MosaicChecker,
         PartitionChecker,
         QueueChecker,
         StatusTableChecker,
@@ -208,8 +252,6 @@ def _register_checkers(
     san.register(LifecycleChecker(sms).bind(san))
     if isinstance(scheduler, TLBAwareScheduler):
         san.register(StatusTableChecker(scheduler))
-    if uvm is not None and uvm.mosaic is not None:
-        san.register(MosaicChecker(uvm))
 
 
 def run_kernel(

@@ -1,11 +1,11 @@
 """Multi-tenant machine assembly and the co-scheduling dispatch loop.
 
-``build_tenant_gpu`` mirrors :func:`repro.system.build_gpu` component
-for component, swapping in tenant-aware parts only where the partition
-mode demands them:
+``build_tenant_gpu`` runs the one machine assembly of
+:mod:`repro.system` and passes it the tenant-aware parts the partition
+mode demands:
 
 ========================  =====================  =====================
-component                 exclusive              shared-tlb / sub-entry
+part                      exclusive              shared-tlb / sub-entry
 ========================  =====================  =====================
 TB scheduler              per-tenant SM slices   one shared policy
 L1 TLB                    stock (slice-private)  ASID-tagged / sub-entry
@@ -14,9 +14,9 @@ memory partitions         NPS-style affinity*    line interleave
 page tables               private per tenant     private per tenant
 ========================  =====================  =====================
 
-(* with one tenant the stock component is used unchanged — the
-one-tenant exclusive machine is assembled from exactly the same classes
-as :func:`repro.system.build_gpu`, which is what makes its results
+(* with one tenant the stock part is used unchanged — the one-tenant
+exclusive machine is assembled from exactly the same classes as
+:func:`repro.system.build_gpu`, which is what makes its results
 bit-identical to the single-tenant path.)
 
 The shared modes' L1 TLBs are the stock TLB (or sub-entry format) with
@@ -25,15 +25,18 @@ they cannot honour a config's own L1 TLB organization: a config whose
 L1 TLB mode, compression, replacement or dead-entry filter differs from
 the baseline's is refused with a ``ConfigError`` before anything runs.
 
-:class:`MultiTenantGPU` extends the dispatch loop to round-robin across
-tenants' pending TB queues, asking the tenant-aware scheduler for a
-placement *for that tenant*; with one tenant the call sequence collapses
-to the single-tenant loop exactly.
+:class:`MultiTenantGPU` runs the composed tenants through
+:meth:`GPU.run <repro.arch.gpu.GPU.run>`; it overrides only the fill
+(round-robin across tenants' pending TB queues, asking the tenant-aware
+scheduler for a placement *for that tenant*), the per-tenant finish
+bookkeeping and the metric split.  With one tenant the call sequence
+collapses to the single-tenant loop exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import List, Optional
 
 from ..arch.config import BASELINE_CONFIG, GPUConfig
@@ -44,16 +47,11 @@ from ..core.partitioned_tlb import TenantIndexPolicy
 from ..core.tb_scheduler import ExclusiveTenantScheduler, SharedTenantScheduler
 from ..engine.errors import ConfigError
 from ..engine.simulator import Simulator
-from ..memory.cache import Cache
-from ..memory.interconnect import Interconnect
 from ..memory.partition import PartitionedMemory
-from ..memory.subsystem import SMMemoryPath
-from ..telemetry.tracer import CAT_KERNEL
+from ..system import _assemble
 from ..translation.pagesize import geometry_for
-from ..translation.service import SharedTranslationService
 from ..translation.tlb import SetAssociativeTLB, SubEntrySharedTLB
 from ..translation.uvm import UVMManager
-from ..translation.walker import WalkerPool
 from .compose import compose_tenants
 from .memory import TenantAffinityMemory
 from .metrics import TenancyResult, TenantMetrics
@@ -69,14 +67,14 @@ from .tlbs import TenantAccounting
 
 
 class _ComposedKernel:
-    """Name-only stand-in for the combined run's "kernel" (result
-    collection and the kernel-span tracer label need nothing else)."""
+    """The co-scheduled tenants as one kernel: the name and TB list that
+    :meth:`GPU.run <repro.arch.gpu.GPU.run>` traces and collects."""
 
-    __slots__ = ("name", "total_tbs")
+    __slots__ = ("name", "tbs")
 
-    def __init__(self, name: str, total_tbs: int) -> None:
-        self.name = name
-        self.total_tbs = total_tbs
+    def __init__(self, tenants: List[Tenant]) -> None:
+        self.name = "+".join(t.kernel.name for t in tenants)
+        self.tbs = [trace for t in tenants for trace in t.kernel.tbs]
 
 
 class MultiTenantGPU(GPU):
@@ -111,20 +109,25 @@ class MultiTenantGPU(GPU):
     # ------------------------------------------------------------------ #
     # Launch / dispatch
     # ------------------------------------------------------------------ #
-    def launch_tenants(self, occupancy_override: Optional[int] = None) -> None:
-        """Queue every tenant's TBs and fill the SMs.
+    def _prepare_launch(
+        self, kernel, occupancy_override: Optional[int]
+    ) -> None:
+        """Queue every tenant's TBs and prepare the SMs.
 
         Exclusive mode prepares each tenant's SM slice with that
         kernel's own occupancy; the shared modes prepare every SM with
         the most restrictive tenant's occupancy (co-resident kernels
         split SM resources, so the tightest bound governs).
         """
-        if self._kernel is not None:
-            raise RuntimeError("a kernel is already running")
-        n = len(self.tenants)
-        name = "+".join(t.kernel.name for t in self.tenants)
-        total_tbs = sum(t.num_tbs for t in self.tenants)
-        self._kernel = _ComposedKernel(name, total_tbs)
+        self._tenant_pending = [deque(t.kernel.tbs) for t in self.tenants]
+        self._tenant_remaining = [t.num_tbs for t in self.tenants]
+        self._tenant_finish = [self.sim.now] * len(self.tenants)
+        self._tb_tenant = {
+            id(trace): tid
+            for tid, tenant in enumerate(self.tenants)
+            for trace in tenant.kernel.tbs
+        }
+        self._rr_tenant = 0
         occupancies = []
         for tenant in self.tenants:
             occ = tenant.kernel.occupancy(self.config)
@@ -132,24 +135,13 @@ class MultiTenantGPU(GPU):
                 occ = min(occ, occupancy_override)
             occupancies.append(occ)
         if isinstance(self.scheduler, ExclusiveTenantScheduler):
-            for tid, tenant in enumerate(self.tenants):
+            for tid in range(len(self.tenants)):
                 for sm_id in self.scheduler.sm_slice(tid):
                     self.sms[sm_id].prepare_kernel(occupancies[tid])
         else:
             shared_occ = min(occupancies)
             for sm in self.sms:
                 sm.prepare_kernel(shared_occ)
-        self._tenant_pending = [deque(t.kernel.tbs) for t in self.tenants]
-        self._tenant_remaining = [t.num_tbs for t in self.tenants]
-        self._tenant_finish = [self.sim.now] * n
-        self._tb_tenant = {
-            id(trace): tid
-            for tid, tenant in enumerate(self.tenants)
-            for trace in tenant.kernel.tbs
-        }
-        self._tbs_remaining = total_tbs
-        self._rr_tenant = 0
-        self._fill_sms(self.sim.now)
 
     def _fill_sms(self, now: float) -> None:
         """Round-robin across tenants with pending TBs; a tenant whose
@@ -200,24 +192,8 @@ class MultiTenantGPU(GPU):
         self, occupancy_override: Optional[int] = None
     ) -> TenancyResult:
         """Launch every tenant, run to completion, split the metrics."""
-        start = self.sim.now
-        self.launch_tenants(occupancy_override)
-        self.sim.run()
-        if self._tbs_remaining != 0:
-            raise RuntimeError(
-                f"simulation drained with {self._tbs_remaining} TBs unfinished"
-            )
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                CAT_KERNEL, self._kernel.name, start, self.sim.now - start,
-                tracer.track("kernel"),
-                {"tbs": self._kernel.total_tbs, "sms": len(self.sms)},
-            )
-        combined = self._collect(self._kernel)
-        result = self._split_metrics(combined)
-        self._kernel = None
-        return result
+        combined = self.run(_ComposedKernel(self.tenants), occupancy_override)
+        return self._split_metrics(combined)
 
     def _tenant_l1_tallies(self, tid: int) -> tuple:
         """(hits, accesses) attributable to tenant ``tid``'s L1 probes."""
@@ -335,7 +311,7 @@ def build_tenant_gpu(
     record_tlb_trace: bool = False,
     tenants: Optional[List[Tenant]] = None,
 ) -> MultiTenantGPU:
-    """Assemble a multi-tenant GPU for ``spec`` (mirrors ``build_gpu``).
+    """Assemble a multi-tenant GPU for ``spec`` from the tenant parts.
 
     ``tenants`` overrides the composed workloads (tests use this to
     inject hand-built kernels); by default the spec's mix is composed
@@ -350,15 +326,6 @@ def build_tenant_gpu(
     mode = spec.mode
     geometry = geometry_for(config.page_size)
     v_shift = vpn_tag_shift(geometry.offset_bits)
-    asid_byte_shift = PPN_TAG_SHIFT + geometry.offset_bits
-    tracer = sim.tracer
-    if tracer.enabled:
-        tracer.track("kernel")
-        tracer.track("scheduler")
-        tracer.track("L2 TLB")
-        for walker_id in range(config.num_walkers):
-            tracer.track(f"walker{walker_id}")
-    clock = lambda: sim.queue.now  # noqa: E731 — cycle clock for untimed parts
 
     # Private translation per tenant, one router facing the walkers.
     per_tenant_memory = (
@@ -366,168 +333,71 @@ def build_tenant_gpu(
         if config.gpu_memory_bytes is not None
         else None
     )
-    uvms = []
     for tenant in tenants:
-        uvm = UVMManager(
+        tenant.uvm = UVMManager(
             geometry=geometry,
             policy=config.allocation_policy,
             far_fault_latency=config.far_fault_latency,
             gpu_memory_bytes=per_tenant_memory,
         )
-        tenant.uvm = uvm
-        uvms.append(uvm)
+    uvms = [tenant.uvm for tenant in tenants]
     router = ASIDRouter(uvms, v_shift)
-    walkers = WalkerPool(
-        router,
-        num_walkers=config.num_walkers,
-        walk_latency=config.walk_latency,
-        stats=sim.stats.group("walkers"),
-    )
 
-    def shared_tlb(entries: int, assoc: int, latency: float, name: str):
+    def shared_tlb(entries: int, assoc: int, latency: float, **parts):
         """A shared mode's TLB: ASID-tagged per-page entries
         (``shared-tlb``) or sub-entries, with tenant accounting."""
-        parts = dict(
-            stats=sim.stats.group(name), name=name,
-            hook=TenantAccounting(n, v_shift),
-        )
+        hook = TenantAccounting(n, v_shift)
         if mode is PartitionMode.SUB_ENTRY:
-            return SubEntrySharedTLB(entries, assoc, latency, v_shift, **parts)
-        return SetAssociativeTLB(entries, assoc, latency, **parts)
+            return SubEntrySharedTLB(
+                entries, assoc, latency, v_shift, hook=hook, **parts
+            )
+        return SetAssociativeTLB(entries, assoc, latency, hook=hook, **parts)
 
-    # Shared L2 TLB, per partition mode.
-    l2_sets = config.l2_tlb_entries // config.l2_tlb_assoc
+    l2_geometry = (
+        config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency
+    )
+    l2_tlb = partial(SetAssociativeTLB, *l2_geometry)
+    l1_tlb = partial(build_l1_tlb, config)
+    memory = PartitionedMemory
     if mode is not PartitionMode.EXCLUSIVE:
-        l2_tlb = shared_tlb(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            "l2_tlb",
+        l2_tlb = partial(shared_tlb, *l2_geometry)
+        l1_tlb = partial(
+            shared_tlb,
+            config.l1_tlb_entries, config.l1_tlb_assoc, config.l1_tlb_latency,
         )
-    elif n > 1:
-        l2_tlb = SetAssociativeTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            policy=TenantIndexPolicy(l2_sets, n, v_shift),
-            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    else:
-        # one-tenant exclusive: the stock L2, bit-identical wiring
-        l2_tlb = SetAssociativeTLB(
-            config.l2_tlb_entries, config.l2_tlb_assoc, config.l2_tlb_latency,
-            stats=sim.stats.group("l2_tlb"), name="l2_tlb",
-        )
-    translation = SharedTranslationService(
-        sim, l2_tlb, walkers, port_interval=config.l2_tlb_port_interval
-    )
-    if tracer.enabled:
-        l2_tlb.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
-        walkers.bind_tracer(
-            tracer,
-            tuple(
-                tracer.track(f"walker{walker_id}")
-                for walker_id in range(config.num_walkers)
-            ),
-        )
-
-    # Shared data-memory system; NPS-style affinity under exclusive.
-    interconnect = Interconnect(
-        config.num_sms,
-        traversal_latency=config.noc_latency,
-        injection_interval=config.noc_injection_interval,
-        stats=sim.stats.group("interconnect"),
-    )
-    partition_kwargs = dict(
-        num_partitions=config.num_partitions,
-        line_bytes=config.line_bytes,
-        registry=sim.stats,
-        l2_slice_bytes=config.l2_slice_bytes,
-        l2_associativity=config.l2_cache_assoc,
-        l2_latency=config.l2_cache_latency,
-        dram_latency=config.dram_latency,
-        dram_interval=config.dram_interval,
-    )
-    if mode is PartitionMode.EXCLUSIVE and n > 1:
-        partitions = TenantAffinityMemory(n, asid_byte_shift, **partition_kwargs)
-    else:
-        partitions = PartitionedMemory(**partition_kwargs)
-
-    # Per-SM private structures.
-    sms = []
-    for sm_id in range(config.num_sms):
-        if mode is not PartitionMode.EXCLUSIVE:
-            l1_tlb = shared_tlb(
-                config.l1_tlb_entries, config.l1_tlb_assoc,
-                config.l1_tlb_latency, f"sm{sm_id}_l1tlb",
-            )
-        else:
-            l1_tlb = build_l1_tlb(
-                config, stats=sim.stats.group(f"sm{sm_id}_l1tlb"),
-                name=f"sm{sm_id}_l1tlb",
-            )
-        if tracer.enabled:
-            l1_tlb.bind_tracer(tracer, clock, tracer.track(f"SM{sm_id} L1 TLB"))
-        l1_cache = Cache(
-            config.l1_cache_bytes,
-            config.l1_cache_assoc,
-            config.line_bytes,
-            stats=sim.stats.group(f"sm{sm_id}_l1cache"),
-            name=f"sm{sm_id}_l1cache",
-        )
-        memory_path = SMMemoryPath(
-            sim,
-            sm_id,
-            l1_cache,
-            interconnect,
-            partitions,
-            l1_latency=config.l1_cache_latency,
-            stats=sim.stats.group(f"sm{sm_id}_mem"),
-        )
-        sms.append(
-            StreamingMultiprocessor(
-                sim,
-                sm_id,
-                config,
-                geometry,
-                l1_tlb,
-                translation,
-                memory_path,
-                on_tb_finished=lambda sm, tb: None,  # GPU rebinds this
-                record_tlb_trace=record_tlb_trace,
-            )
-        )
-
-    if config.gpu_memory_bytes is not None:
-        # TLB shootdown on page eviction, re-tagged into the evicting
-        # tenant's VPN space so only that tenant's entries die.
-        def _make_shootdown(asid: int):
-            tag = asid << v_shift
-
-            def _shootdown(local_vpn: int) -> None:
-                vpn = tag | local_vpn
-                l2_tlb.invalidate(vpn)
-                for sm in sms:
-                    sm.l1_tlb.invalidate(vpn)
-
-            return _shootdown
-
-        for asid, uvm in enumerate(uvms):
-            uvm.invalidate_hook = _make_shootdown(asid)
-
-    if mode is PartitionMode.EXCLUSIVE:
-        scheduler = ExclusiveTenantScheduler(n, config.num_sms, config.tb_scheduler)
-    else:
         scheduler = SharedTenantScheduler(config.num_sms, config.tb_scheduler)
-    scheduler.bind_telemetry(tracer, clock)
-    if sim.sampler is not None:
-        sim.sampler.add_probe(
-            "resident_tbs", lambda: sum(len(sm.resident) for sm in sms)
+    else:
+        scheduler = ExclusiveTenantScheduler(
+            n, config.num_sms, config.tb_scheduler
         )
-    gpu = MultiTenantGPU(
-        sim, config, geometry, sms, scheduler, l2_tlb, walkers, partitions,
-        tenants=tenants, router=router, mode=mode,
+        if n > 1:
+            # tenant-sliced L2 sets and NPS-style memory affinity; one
+            # tenant keeps the stock parts, bit-identical wiring
+            l2_tlb = partial(
+                l2_tlb,
+                policy=TenantIndexPolicy(
+                    config.l2_tlb_entries // config.l2_tlb_assoc, n, v_shift
+                ),
+            )
+            memory = partial(
+                TenantAffinityMemory, n, PPN_TAG_SHIFT + geometry.offset_bits
+            )
+    gpu = _assemble(
+        config,
+        sim,
+        record_tlb_trace,
+        page_tables=router,
+        # evictions shoot down only the evicting tenant's entries: its
+        # local VPNs carry its ASID tag in every TLB
+        address_spaces=[(uvm, asid << v_shift) for asid, uvm in enumerate(uvms)],
+        l2_tlb=l2_tlb,
+        l1_tlb=l1_tlb,
+        memory=memory,
+        scheduler=scheduler,
+        machine=partial(MultiTenantGPU, tenants=tenants, router=router, mode=mode),
     )
     if sim.sanitizer is not None:
         from ..sanitizer import TenantIsolationChecker
-        from ..system import _register_checkers
 
-        _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler)
         sim.sanitizer.register(TenantIsolationChecker(gpu))
     return gpu
