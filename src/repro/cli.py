@@ -5,7 +5,8 @@ Commands:
 * ``run`` — simulate one benchmark under a named configuration;
   ``--tenants N --partition-mode {exclusive,shared-tlb,sub-entry}``
   co-schedules N tenants on one GPU and prints per-tenant isolation
-  metrics (IPC, slowdown vs solo, Jain fairness, TLB cross-pollution);
+  metrics (IPC, slowdown vs solo, Jain fairness, TLB cross-pollution)
+  from a plan of the multi-tenant cell and one solo cell per benchmark;
 * ``compare`` — run a benchmark across several configurations;
 * ``report`` — regenerate every table/figure (writes EXPERIMENTS.md
   with ``--write``); every distinct cell is simulated once, ``--parallel
@@ -58,16 +59,11 @@ import json
 import sys
 from typing import List, Optional
 
-from .engine.errors import (
-    ConfigError,
-    InterruptedRunError,
-    SimulationError,
-    classify,
-)
+from .engine.errors import InterruptedRunError, SimulationError, classify
 from .engine.faults import FaultPlan
 from .engine.interrupt import GracefulInterrupt
 from .experiments.configs import CONFIGS
-from .experiments.runner import ExperimentRunner
+from .experiments.runner import Cell, ExperimentRunner, Results, named_cell
 from .workloads import BENCHMARKS, SCALES, TABLE2
 
 
@@ -149,7 +145,7 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         trace_path=getattr(args, "trace", None),
         sample_every=getattr(args, "sample_every", None),
         sanitize=getattr(args, "sanitize", None),
-        parallel=max(1, getattr(args, "parallel", 1) or 1),
+        parallel=args.parallel,
     )
 
 
@@ -174,36 +170,49 @@ def _drain_runner(
         _finish_runner(runner)
 
 
+def _execute_run(runner: ExperimentRunner, cells) -> Results:
+    """``repro run``'s plan under two-stage signal handling: a graceful
+    interrupt flushes the runner's artifacts before the error exits."""
+    with GracefulInterrupt() as interrupt:
+        try:
+            return runner.execute(cells)
+        except InterruptedRunError:
+            _drain_runner(runner, interrupt)
+            print(
+                f"{cells[0].benchmark}/{cells[0].tag}: FAILED(interrupted)",
+                file=sys.stderr,
+            )
+            raise
+
+
 def _run_tenancy(args: argparse.Namespace) -> int:
     """``repro run --tenants N``: co-schedule N tenants on one GPU and
-    print per-tenant isolation/interference metrics."""
+    print per-tenant isolation/interference metrics.
+
+    The plan is the multi-tenant cell, then one solo cell per distinct
+    benchmark (the slowdown denominators).  The multi-tenant cell comes
+    first, so a shared mode refuses a config before any solo cell
+    simulates.
+    """
     from .experiments.configs import get_config
-    from .experiments.tenancy import run_tenancy_cell
-    from .telemetry import TelemetrySettings
+    from .experiments.tenancy import _tenancy_cell
     from .tenancy import TenancySpec, expand_mix, parse_partition_mode
 
-    if args.checkpoint or args.resume:
-        raise ConfigError(
-            "--tenants runs are not checkpointable yet; drop "
-            "--checkpoint/--resume"
-        )
     tenants = (
         args.tenants if args.tenants is not None else len(args.tenant_mix)
     )
     mix = expand_mix(args.benchmark, tenants, args.tenant_mix)
     mode = parse_partition_mode(args.partition_mode)
     spec = TenancySpec(mix=mix, mode=mode, scale=args.scale, seed=args.seed)
-    telemetry = None
-    if args.trace is not None or args.sample_every is not None:
-        telemetry = TelemetrySettings(
-            trace_path=args.trace, sample_every=args.sample_every
-        )
-    result = run_tenancy_cell(
-        spec,
-        get_config(args.config),
-        config_tag=args.config,
-        sanitize=args.sanitize,
-        telemetry=telemetry,
+    config = get_config(args.config)
+    runner = _make_runner(args)
+    shared = _tenancy_cell(spec, config)
+    solos = [Cell(b, args.config, config) for b in dict.fromkeys(mix)]
+    results = _execute_run(runner, [shared] + solos)
+    result = results[shared.benchmark, shared.tag]
+    result.apply_solo_baselines(
+        {solo.benchmark: results[solo.benchmark, solo.tag].cycles
+         for solo in solos}
     )
     print(f"configuration    {args.config} ({args.scale})")
     print(f"tenants          {spec.num_tenants} ({' + '.join(spec.mix)})")
@@ -221,8 +230,7 @@ def _run_tenancy(args: argparse.Namespace) -> int:
             f"{(hit if hit is not None else float('nan')):7.3f} "
             f"{t.far_faults:7d} {t.finish_cycle:12.0f}"
         )
-    if args.trace is not None:
-        print(f"trace            {args.trace}")
+    _finish_runner(runner)
     return 0
 
 
@@ -230,16 +238,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.tenants is not None or args.tenant_mix:
         return _run_tenancy(args)
     runner = _make_runner(args)
-    with GracefulInterrupt() as interrupt:
-        try:
-            result = runner.run(args.benchmark, args.config)
-        except InterruptedRunError:
-            _drain_runner(runner, interrupt)
-            print(
-                f"{args.benchmark}/{args.config}: FAILED(interrupted)",
-                file=sys.stderr,
-            )
-            raise
+    cell = named_cell(args.benchmark, args.config)
+    result = _execute_run(runner, [cell])[args.benchmark, args.config]
     print(f"benchmark        {args.benchmark} ({args.scale})")
     print(f"configuration    {args.config}")
     print(f"cycles           {result.cycles:.0f}")
@@ -259,7 +259,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     from .experiments.configs import get_config
-    from .experiments.runner import Cell
 
     runner = _make_runner(args)
     if args.specs:

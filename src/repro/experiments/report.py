@@ -354,7 +354,7 @@ def run_cli(args: argparse.Namespace) -> int:
         fault_plan=FaultPlan.from_env(),
         strict=args.strict,
         sanitize=args.sanitize,
-        parallel=max(1, args.parallel),
+        parallel=args.parallel,
     )
     if args.plan:
         declare_figures(runner)

@@ -188,6 +188,11 @@ class ExperimentRunner:
     cells_restored: int = 0
 
     def __post_init__(self) -> None:
+        if not self.parallel >= 1:
+            raise ConfigError(
+                f"parallel must be at least 1 worker, got {self.parallel}",
+                field="parallel",
+            )
         self._started = time.monotonic()
         self._plan: Dict[CellKey, _Planned] = {}
         self._results: Dict[CellKey, Any] = {}

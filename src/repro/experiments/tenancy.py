@@ -10,7 +10,8 @@ Every cell — each partition mode's multi-tenant run and the solo
 baselines — is an ordinary plan cell of the shared
 :class:`~repro.experiments.runner.ExperimentRunner`, so tenancy cells
 are memoized, checkpointed, supervised and run in parallel like every
-other cell.  A multi-tenant cell carries its
+other cell; ``repro run --tenants`` plans its cells here too.  A
+multi-tenant cell carries its
 :class:`~repro.tenancy.TenancySpec`, whose composition
 :func:`repro.telemetry.manifest.config_hash` folds into the cell's
 content key, so it can never collide with a single-tenant cache or
@@ -20,11 +21,10 @@ golden entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..arch.config import BASELINE_CONFIG, GPUConfig
 from ..arch.gpu import RunResult
-from ..engine.supervision import CellSpec, simulate_cell
 from ..tenancy import (
     PartitionMode,
     TenancyResult,
@@ -34,54 +34,10 @@ from .runner import Cell, ExperimentRunner, Results, ShapeCheck
 
 #: The report's tenant matrix: one heterogeneous mix (a TLB-thrashing
 #: graph workload against a well-behaved dense kernel) across every
-#: partition mode.  The CLI (`repro run --tenants ...`) exposes the full
-#: tenant-count x mode x mix space.
+#: partition mode.  `repro run --tenants ...` plans one cell of the full
+#: tenant-count x mode x mix space, with the same cells and solo
+#: baselines as the report.
 REPORT_MIX: Tuple[str, ...] = ("bfs", "gemm")
-
-
-def run_tenancy_cell(
-    spec: TenancySpec,
-    config: GPUConfig,
-    config_tag: str = "tenancy",
-    sanitize: Optional[str] = None,
-    telemetry=None,
-    solo_cycles: Optional[Dict[str, float]] = None,
-) -> TenancyResult:
-    """One tenancy cell, in-process, with slowdowns filled from solo
-    baselines.
-
-    ``solo_cycles`` maps benchmark -> solo makespan; missing benchmarks
-    are simulated here (unsanitized — the solo run only anchors the
-    slowdown denominator).
-    """
-    result = simulate_cell(
-        CellSpec(
-            benchmark="+".join(spec.mix),
-            config=config,
-            config_tag=config_tag,
-            scale=spec.scale,
-            seed=spec.seed,
-            telemetry=telemetry,
-            sanitize=sanitize,
-            tenancy=spec,
-        )
-    )
-    solo_cycles = dict(solo_cycles or {})
-    for benchmark in set(spec.mix):
-        if benchmark not in solo_cycles:
-            solo = simulate_cell(
-                CellSpec(
-                    benchmark=benchmark,
-                    config=config,
-                    config_tag=config_tag,
-                    scale=spec.scale,
-                    seed=spec.seed,
-                    sanitize="off",
-                )
-            )
-            solo_cycles[benchmark] = solo.cycles
-    result.apply_solo_baselines(solo_cycles)
-    return result
 
 
 @dataclass
@@ -183,6 +139,12 @@ def _mode_tag(mode: PartitionMode) -> str:
     return f"tenancy_{mode.value}"
 
 
+def _tenancy_cell(spec: TenancySpec, config: GPUConfig) -> Cell:
+    """The multi-tenant cell of ``spec`` (``repro run --tenants`` plans
+    it too)."""
+    return Cell("+".join(spec.mix), _mode_tag(spec.mode), config, tenancy=spec)
+
+
 def cells(
     runner: ExperimentRunner,
     config: GPUConfig = BASELINE_CONFIG,
@@ -191,13 +153,11 @@ def cells(
     """The solo baselines, then one multi-tenant cell per mode."""
     solos = [Cell(b, "baseline", config) for b in dict.fromkeys(mix)]
     return solos + [
-        Cell(
-            "+".join(mix),
-            _mode_tag(mode),
-            config,
-            tenancy=TenancySpec(
+        _tenancy_cell(
+            TenancySpec(
                 mix=mix, mode=mode, scale=runner.scale, seed=runner.seed
             ),
+            config,
         )
         for mode in PartitionMode
     ]

@@ -109,6 +109,28 @@ class TestFailureContract:
         assert payload["error"] == "config"
         assert "timeout" in payload["message"]
 
+    @pytest.mark.parametrize("parallel", [0, -3])
+    def test_parallel_below_one_is_config_error(self, parallel):
+        with pytest.raises(ConfigError) as info:
+            ExperimentRunner(scale="micro", parallel=parallel)
+        assert info.value.exit_code == 3
+        assert info.value.field == "parallel"
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--scale", "micro", "--benchmarks", "nw", "--plan",
+         "--parallel", "0"],
+        ["report", "--scale", "micro", "--benchmarks", "nw", "--plan",
+         "--parallel", "-3"],
+        ["run", "nw", "--scale", "micro", "--parallel", "0"],
+    ])
+    def test_parallel_flag_below_one_exits_3(self, capsys, argv, no_worker):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "plan" not in captured.out
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert "parallel" in payload["message"]
+
 
 class TestReportFlags:
     def test_report_parser_accepts_resilience_flags(self):

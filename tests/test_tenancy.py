@@ -341,14 +341,54 @@ class TestSurface:
         assert "fairness (Jain)" in out
         assert "gemm" in out and "slowdown" in out
 
-    def test_cli_rejects_checkpoint_with_tenants(self, capsys):
+    def test_cli_tenants_checkpoint_resume_round_trip(self, capsys, tmp_path):
+        from repro.cli import main
+
+        ckpt = str(tmp_path / "t.jsonl")
+        argv = ["run", "bfs", "--scale", "micro", "--tenants", "2",
+                "--tenant-mix", "bfs", "gemm", "--checkpoint", ckpt]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert main(argv + ["--resume"]) == 0
+        assert capsys.readouterr().out == cold
+        manifest = json.load(open(ckpt + ".manifest.json"))
+        assert manifest["cells_simulated"] == 0
+        assert manifest["cells_restored"] == 3  # bfs+gemm, bfs, gemm
+
+    def test_cli_tenants_refuse_zero_timeout(self, capsys):
         from repro.cli import main
 
         code = main([
             "run", "bfs", "--scale", "micro", "--tenants", "2",
-            "--checkpoint", "nope.jsonl",
+            "--timeout", "0",
         ])
-        assert code == 3  # ConfigError exit code
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+    def test_cli_tenants_honour_injected_livelock(self, capsys, monkeypatch):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_FAULT", "bfs+gemm:*:livelock")
+        code = main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--tenant-mix", "bfs", "gemm", "--timeout", "600",
+        ])
+        assert code == 5
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "livelock"
+
+    def test_cli_tenants_trace_writes_manifest(self, capsys, tmp_path):
+        from repro.cli import main
+
+        trace = tmp_path / "t.json"
+        assert main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--trace", str(trace),
+        ]) == 0
+        assert (tmp_path / "t.json.manifest.json").exists()
+        assert f"manifest         {trace}.manifest.json" in (
+            capsys.readouterr().out
+        )
 
     @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
     @pytest.mark.parametrize("config,field", [
