@@ -188,7 +188,7 @@ class ExperimentRunner:
     cells_restored: int = 0
 
     def __post_init__(self) -> None:
-        if not self.parallel >= 1:
+        if self.parallel < 1:
             raise ConfigError(
                 f"parallel must be at least 1 worker, got {self.parallel}",
                 field="parallel",

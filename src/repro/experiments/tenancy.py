@@ -34,9 +34,9 @@ from .runner import Cell, ExperimentRunner, Results, ShapeCheck
 
 #: The report's tenant matrix: one heterogeneous mix (a TLB-thrashing
 #: graph workload against a well-behaved dense kernel) across every
-#: partition mode.  `repro run --tenants ...` plans one cell of the full
-#: tenant-count x mode x mix space, with the same cells and solo
-#: baselines as the report.
+#: partition mode.  `repro run --tenants ...` plans any point of the
+#: tenant-count x mode x mix space the same way: one multi-tenant cell
+#: plus its solo baselines.
 REPORT_MIX: Tuple[str, ...] = ("bfs", "gemm")
 
 

@@ -11,7 +11,9 @@ This is the main entry point of the library::
     print(result.avg_l1_tlb_hit_rate, result.cycles)
 
 ``build_gpu`` wires the substrates (engine, translation, memory, arch)
-to the paper's policies (core) according to the config.
+to the paper's policies (core) according to the config.  The wiring is
+one assembly, ``_assemble``, which the multi-tenant builder
+(:func:`repro.tenancy.build_tenant_gpu`) calls with its own parts.
 """
 
 from __future__ import annotations

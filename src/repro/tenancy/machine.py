@@ -26,7 +26,8 @@ L1 TLB mode, compression, replacement or dead-entry filter differs from
 the baseline's is refused with a ``ConfigError`` before anything runs.
 
 :class:`MultiTenantGPU` runs the composed tenants through
-:meth:`GPU.run <repro.arch.gpu.GPU.run>`; it overrides only the fill
+:meth:`GPU.run <repro.arch.gpu.GPU.run>`; it overrides only the launch
+preparation (per-tenant queues and SM occupancies), the fill
 (round-robin across tenants' pending TB queues, asking the tenant-aware
 scheduler for a placement *for that tenant*), the per-tenant finish
 bookkeeping and the metric split.  With one tenant the call sequence
