@@ -230,8 +230,16 @@ def _run_tenancy(args: argparse.Namespace) -> int:
             f"{(hit if hit is not None else float('nan')):7.3f} "
             f"{t.far_faults:7d} {t.finish_cycle:12.0f}"
         )
+    _print_samples(result.combined.timeseries)
     _finish_runner(runner)
     return 0
+
+
+def _print_samples(timeseries) -> None:
+    """The ``samples`` line of a ``--sample-every`` run."""
+    if timeseries is not None:
+        print(f"samples          {len(timeseries['cycles'])} "
+              f"(every {timeseries['interval']} cycles)")
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -250,9 +258,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"far faults       {result.far_faults}")
     print(f"L1 cache hits    {result.l1_cache_hit_rate:.4f}")
     print(f"TBs completed    {result.tbs_completed}")
-    if result.timeseries is not None:
-        print(f"samples          {len(result.timeseries['cycles'])} "
-              f"(every {result.timeseries['interval']} cycles)")
+    _print_samples(result.timeseries)
     _finish_runner(runner)
     return 0
 
@@ -264,11 +270,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.specs:
         # resolve every spec up front: a typo fails with exit code 3
         # before any cell simulates
-        from .translation.registry import default_registry
+        from .experiments.configs import resolve_spec
 
-        registry = default_registry()
         names = [spec or "registry-default" for spec in args.specs]
-        configs = [registry.resolve(spec) for spec in args.specs]
+        configs = [resolve_spec(spec) for spec in args.specs]
     else:
         names = list(args.configs)
         configs = [get_config(name) for name in names]
@@ -363,11 +368,11 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("\nconfigurations:")
     for name in CONFIGS:
         print(f"  {name}")
-    from .translation.registry import ZOO_SPECS, default_registry
+    from .experiments.configs import ZOO_SPECS, describe_components
 
     print("\ntranslation-policy registry (compare --specs "
           "'dim=component,...'):")
-    for line in default_registry().describe():
+    for line in describe_components():
         print(f"  {line}")
     print("\nzoo ablation matrix (report 'Ext: translation zoo'):")
     for name, spec in ZOO_SPECS.items():
@@ -429,11 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cmp.add_argument(
         "--specs", nargs="+", default=None, metavar="SPEC",
-        help="compare translation-registry spec strings instead of named "
-             "configs (e.g. '' compress=contiguity "
+        help="compare 'dimension=component,...' spec strings instead "
+             "of named configs (e.g. '' compress=contiguity "
              "pagesize=mosaic,compress=contiguity); see 'repro list' for "
-             "the dimension=component table; first row is the "
-             "normalization base",
+             "the component table; first row is the normalization base",
     )
     p_cmp.set_defaults(func=cmd_compare)
 

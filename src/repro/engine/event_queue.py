@@ -191,16 +191,6 @@ class EventQueue:
         )
         return [(t, p) for t, p, _seq in live[:limit]]
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) event, or ``None``."""
-        heap = self._heap
-        pool = self._pool
-        while heap and heap[0][3] is None:
-            entry = heappop(heap)
-            entry[2] = -1
-            pool.append(entry)
-        return heap[0][0] if heap else None
-
     def pop_and_run(self) -> bool:
         """Pop the next event, advance the clock, and run its callback.
 

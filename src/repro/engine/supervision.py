@@ -25,7 +25,6 @@ machine.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import multiprocessing
 import signal
@@ -73,7 +72,7 @@ class CellSpec:
 
     ``config`` is the full (picklable) GPUConfig object so workers never
     depend on the parent's registry state; ``config_tag`` is the name
-    used for fault-plan lookups, retry jitter and trace labels, and
+    used for fault-plan lookups and trace labels, and
     ``alias_tags`` are the other names the same simulation was requested
     under (a fault plan entry for any of them fires).  ``tenancy`` (a
     :class:`~repro.tenancy.TenancySpec`) makes this a multi-tenant cell
@@ -124,33 +123,18 @@ class CellFailure:
 class RetryPolicy:
     """Deterministic exponential backoff for transient failures.
 
-    ``jitter`` spreads retries of concurrent cells apart by up to that
-    fraction of the base delay — but *deterministically*: the jitter
-    fraction ``u`` is derived by :meth:`Supervisor.jitter_u` from the
-    run seed and the cell identity, never from wall-clock entropy, so
-    two equal-seed fault-injected runs retry on byte-identical
-    schedules (the PR 2 trace-determinism guarantee extends to faulty
-    runs).
+    The schedule depends on nothing but the attempt number, so two
+    equal-seed fault-injected runs retry on byte-identical schedules.
     """
 
     #: total attempts (first try + retries)
     max_attempts: int = 3
     backoff_base: float = 0.25
     backoff_factor: float = 2.0
-    #: max extra delay as a fraction of the base delay (0 = no jitter)
-    jitter: float = 0.0
 
-    def delay(self, attempt: int, u: float = 0.0) -> float:
-        """Backoff before retrying after failed attempt ``attempt`` (0-based).
-
-        ``u`` is the deterministic jitter draw in ``[0, 1)``; the
-        effective delay is ``base * factor**attempt * (1 + jitter*u)``.
-        """
-        return (
-            self.backoff_base
-            * (self.backoff_factor ** attempt)
-            * (1.0 + self.jitter * u)
-        )
+    def delay(self, attempt: int) -> float:
+        """Backoff before retrying after failed attempt ``attempt`` (0-based)."""
+        return self.backoff_base * (self.backoff_factor ** attempt)
 
 
 def simulate_cell(spec: CellSpec) -> Any:
@@ -306,24 +290,10 @@ class Supervisor:
                     exc.attempts = attempt + 1
                     exc.elapsed = self.clock() - started
                     raise
-                self.sleep(
-                    self.retry.delay(attempt, self.jitter_u(spec, attempt))
-                )
+                self.sleep(self.retry.delay(attempt))
                 continue
             return result
         raise last_exc  # unreachable: loop always returns or raises
-
-    @staticmethod
-    def jitter_u(spec: CellSpec, attempt: int) -> float:
-        """Deterministic jitter draw in ``[0, 1)`` for one retry.
-
-        A pure function of (run seed, cell identity, attempt): equal-seed
-        runs back off on identical schedules, while distinct cells of
-        one sweep still spread apart.
-        """
-        token = f"{spec.seed}:{spec.benchmark}:{spec.config_tag}:{attempt}"
-        digest = hashlib.sha256(token.encode()).digest()
-        return int.from_bytes(digest[:8], "big") / 2 ** 64
 
     # ------------------------------------------------------------------ #
     # One supervised attempt

@@ -23,8 +23,8 @@ from typing import Dict, List
 
 from ..arch.config import BASELINE_CONFIG, L1TLBMode, TBSchedulerKind
 from ..translation.address import PAGE_2M, PAGE_4K
-from ..translation.registry import resolve_spec
 from ..workloads import traced_footprint_bytes
+from .configs import resolve_spec
 from .runner import (
     Cell,
     ExperimentRunner,
@@ -40,7 +40,7 @@ from .runner import (
 #: scaled down to keep run times reasonable.
 FAR_FAULT_LATENCY = 5000.0
 
-#: the registry spec of the Mosaic column
+#: the spec of the Mosaic column
 MOSAIC_SPEC = "pagesize=mosaic,compress=contiguity"
 
 #: benchmarks the study runs on (when the sweep includes them)
@@ -131,7 +131,7 @@ def cells(
             tb_scheduler=TBSchedulerKind.TLB_AWARE,
             l1_tlb_mode=L1TLBMode.PARTITIONED_SHARING,
         )
-        # registry-resolved mechanism config, then the study's cap knobs
+        # spec-resolved mechanism config, then the study's cap knobs
         mosaic_cfg = resolve_spec(MOSAIC_SPEC).replace(
             far_fault_latency=FAR_FAULT_LATENCY, gpu_memory_bytes=cap
         )

@@ -17,8 +17,7 @@ experiment's cells before any of them runs.
 On top of the plan the runner layers the resilience features of
 :mod:`repro.engine.supervision`:
 
-* ``supervised=True`` (automatic whenever a ``timeout`` or
-  ``fault_plan`` is set) runs each cell in an isolated subprocess
+* a ``timeout`` or a ``fault_plan`` runs each cell in an isolated subprocess
   worker with a wall-clock watchdog and retries transient failures with
   exponential backoff; ``parallel=N`` runs up to N such workers at
   once, starting every planned cell as soon as it is declared;
@@ -165,8 +164,6 @@ class ExperimentRunner:
     resume: bool = False
     #: deterministic fault injection (tests / CI smoke); implies supervision
     fault_plan: Optional[FaultPlan] = None
-    #: run cells in isolated subprocess workers; ``None`` = auto
-    supervised: Optional[bool] = None
     #: raise on cell failure (True) or degrade to FAILED placeholders
     strict: bool = True
     #: merged Chrome trace destination; each simulated cell writes a
@@ -212,10 +209,6 @@ class ExperimentRunner:
             # fail fast on a bad mode string ("off" stays distinct from
             # None: it must override REPRO_SANITIZE inside workers)
             normalize_mode(self.sanitize)
-        if self.supervised is None:
-            self.supervised = (
-                self.timeout is not None or self.fault_plan is not None
-            )
         self._supervisor = Supervisor(
             timeout=self.timeout,
             retry=self.retry,
@@ -485,6 +478,11 @@ class ExperimentRunner:
             )
         if self._store is not None:
             self._store.append(planned.key, result.to_dict())
+
+    @property
+    def supervised(self) -> bool:
+        """Whether sequential cells run in isolated subprocess workers."""
+        return self.timeout is not None or self.fault_plan is not None
 
     def _execute(self, spec: CellSpec) -> Any:
         if self.supervised:

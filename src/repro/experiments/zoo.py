@@ -1,13 +1,13 @@
-"""Translation-mechanism zoo: the registry-generated ablation matrix.
+"""Translation-mechanism zoo: the spec-generated ablation matrix.
 
 Every row of this experiment comes from
-:data:`repro.translation.registry.ZOO_SPECS` — a mechanism is one
-registry spec string, resolved into a ``GPUConfig`` and declared as an
-ordinary plan :class:`~repro.experiments.runner.Cell` (``zoo_baseline``
-is the plain baseline, so it is the same simulation as the other
-figures' ``baseline`` cell).  There is deliberately *no per-mechanism
-experiment code* here:
-adding a mechanism to the matrix is one spec line in the registry.
+:data:`repro.experiments.configs.ZOO_SPECS` — a mechanism is one spec
+string, resolved against the component table into a ``GPUConfig`` and
+declared as an ordinary plan :class:`~repro.experiments.runner.Cell`
+(``zoo_baseline`` is the plain baseline, so it is the same simulation
+as the other figures' ``baseline`` cell).  There is deliberately *no
+per-mechanism experiment code* here: adding a mechanism to the matrix
+is one spec line in ``ZOO_SPECS``.
 
 The matrix stresses frame-placement sensitivity end to end: the
 contiguity TLB (arXiv 2110.08613) coalesces only when frames preserve
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..translation.registry import ZOO_SPECS, default_registry
+from .configs import ZOO_SPECS, resolve_spec
 from .runner import (
     Cell,
     ExperimentRunner,
@@ -118,10 +118,7 @@ class ZooResult:
 
 
 def cells(runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS) -> List[Cell]:
-    registry = default_registry()
-    configs = {
-        name: registry.resolve(spec) for name, spec in ZOO_SPECS.items()
-    }
+    configs = {name: resolve_spec(spec) for name, spec in ZOO_SPECS.items()}
     return [
         Cell(b, name, config)
         for b in benchmarks

@@ -36,7 +36,7 @@ GOLDEN_METRICS = (
 )
 
 #: default golden matrix: the paper's mechanism spine at minimal cost,
-#: plus the registry-resolved translation-zoo mechanisms
+#: plus the spec-resolved translation-zoo mechanisms
 GOLDEN_BENCHMARKS = ("bfs", "atax")
 GOLDEN_CONFIGS = (
     "baseline",

@@ -21,7 +21,7 @@ the property fails a first-class gate instead of skewing figures:
   the entire tenancy layer (ASID relocation at offset 0, the ASID
   router, tenant-aware scheduling and metrics collection) must be a
   transparent no-op at n=1.
-* ``registry-identity`` — the policy registry's all-defaults spec must
+* ``registry-identity`` — the component table's all-defaults spec must
   resolve to a config equal to the hand-built ``BASELINE_CONFIG`` *and*
   simulate byte-identically to the named ``baseline`` configuration.
 * ``contiguity-degenerate`` — the subregion-contiguity TLB at
@@ -361,23 +361,25 @@ def _drive_tlb_pair(
 
 
 def suite_registry_identity(scale: str, seed: int) -> CheckOutcome:
-    """Registry all-defaults spec ≡ hand-constructed baseline config.
+    """All-defaults spec ≡ hand-constructed baseline config.
 
     Two layers: the resolved dataclass must *equal* ``BASELINE_CONFIG``
     (field-for-field), and simulating through it must produce the named
-    ``baseline`` configuration's result byte-identically — proving the
-    registry's wiring path adds nothing.
+    ``baseline`` configuration's result byte-identically — proving spec
+    resolution adds nothing.
     """
     from ..arch.config import BASELINE_CONFIG
     from ..engine.supervision import CellSpec, simulate_cell
-    from ..translation.registry import default_registry
+    from ..experiments.configs import COMPONENTS, resolve_spec
 
-    registry = default_registry()
-    resolved = registry.resolve(registry.default_spec())
+    default_spec = ",".join(
+        f"{dim}={next(iter(table))}" for dim, table in COMPONENTS.items()
+    )
+    resolved = resolve_spec(default_spec)
     if resolved != BASELINE_CONFIG:
         return CheckOutcome(
             "registry-identity", False,
-            f"resolve({registry.default_spec()!r}) != BASELINE_CONFIG",
+            f"resolve({default_spec!r}) != BASELINE_CONFIG",
         )
     base = _result_payload(simulate_cell(CellSpec(
         benchmark=_CELL_BENCHMARK, config=BASELINE_CONFIG,
@@ -393,7 +395,7 @@ def suite_registry_identity(scale: str, seed: int) -> CheckOutcome:
     return CheckOutcome(
         "registry-identity", True,
         f"default spec resolves to baseline; {_CELL_BENCHMARK} "
-        f"byte-identical through the registry",
+        "byte-identical through resolve_spec",
     )
 
 

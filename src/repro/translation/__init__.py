@@ -18,14 +18,6 @@ from .pagesize import (
     fragmentation_from_addresses,
     geometry_for,
 )
-from .registry import (
-    ZOO_SPECS,
-    Component,
-    PolicyRegistry,
-    default_registry,
-    resolve_spec,
-    zoo_matrix,
-)
 from .service import SharedTranslationService
 from .tlb import (
     DeadEntryFilter,
@@ -39,14 +31,11 @@ from .walker import WalkerPool
 
 __all__ = [
     "AllocationPolicy",
-    "Component",
     "CompressedTLB",
     "ContiguityTLB",
     "DeadEntryFilter",
     "FragmentationReport",
     "MosaicAllocator",
-    "PolicyRegistry",
-    "ZOO_SPECS",
     "GB",
     "GEOMETRY_2M",
     "GEOMETRY_4K",
@@ -64,9 +53,6 @@ __all__ = [
     "VPNIndexPolicy",
     "WalkOutcome",
     "WalkerPool",
-    "default_registry",
     "fragmentation_from_addresses",
     "geometry_for",
-    "resolve_spec",
-    "zoo_matrix",
 ]

@@ -139,7 +139,7 @@ def test_supervised_worker_writes_trace(tmp_path):
         benchmarks=("nw",),
         trace_path=trace,
         sample_every=500,
-        supervised=True,
+        timeout=600,
     )
     result = runner.run("nw", "baseline")
     assert result.timeseries is not None

@@ -1,58 +1,74 @@
-"""Tests for the declarative translation-policy registry (ISSUE 10).
+"""Tests for the translation-mechanism component table and its specs.
 
 Covers the spec grammar, the identity guarantee (empty spec ==
-``BASELINE_CONFIG``), the generated zoo matrix, and every typed
-error path: malformed token, unknown dimension/component, duplicate
-assignment, duplicate registration, tenancy-gated components, and
-cross-component / validation conflicts — all must surface as
+``BASELINE_CONFIG``), the zoo matrix resolved from
+:data:`ZOO_SPECS`, the table's own invariants, and every typed error
+path: malformed token, unknown dimension/component, duplicate
+assignment, and validation conflicts — all must surface as
 :class:`ConfigError` (exit code 3) naming the offending token.
 """
+
+import dataclasses
 
 import pytest
 
 from repro.arch.config import (
     BASELINE_CONFIG,
     CompressionKind,
+    GPUConfig,
     L1TLBMode,
     ReplacementKind,
     TBSchedulerKind,
 )
 from repro.engine.errors import ConfigError
-from repro.translation.registry import (
+from repro.experiments.configs import (
+    COMPONENTS,
     ZOO_SPECS,
-    Component,
-    PolicyRegistry,
-    default_registry,
+    describe_components,
     resolve_spec,
-    zoo_matrix,
 )
 from repro.translation.uvm import AllocationPolicy
+
+#: the fully spelled-out all-defaults spec
+DEFAULT_SPEC = ",".join(
+    f"{dim}={next(iter(table))}" for dim, table in COMPONENTS.items()
+)
+
+
+class TestTable:
+    def test_first_component_is_default_and_sets_nothing(self):
+        for dim, table in COMPONENTS.items():
+            name, (summary, overrides) = next(iter(table.items()))
+            assert summary, dim
+            assert overrides == {}, f"{dim}={name} is a default"
+
+    def test_no_field_set_by_two_dimensions(self):
+        owner = {}
+        fields = {f.name for f in dataclasses.fields(GPUConfig)}
+        for dim, table in COMPONENTS.items():
+            for _summary, overrides in table.values():
+                for fname in overrides:
+                    assert fname in fields, fname
+                    assert owner.setdefault(fname, dim) == dim, (
+                        f"{fname} set by {owner[fname]} and {dim}"
+                    )
 
 
 class TestParsing:
     def test_empty_spec_fills_defaults(self):
-        reg = default_registry()
-        chosen = reg.parse("")
-        assert set(chosen) == set(reg.dimensions())
-        assert chosen["tlb"] == "shared"
-        assert chosen["repl"] == "lru"
-        assert chosen["protect"] == "none"
+        defaults = {dim: next(iter(t)) for dim, t in COMPONENTS.items()}
+        assert defaults["tlb"] == "shared"
+        assert defaults["repl"] == "lru"
+        assert defaults["protect"] == "none"
+        assert resolve_spec(DEFAULT_SPEC) == resolve_spec("")
 
     def test_whitespace_and_empty_tokens_tolerated(self):
-        reg = default_registry()
-        assert reg.parse(" compress=contiguity , ,sched=tlb_aware ") == \
-            reg.parse("compress=contiguity,sched=tlb_aware")
+        assert resolve_spec(" compress=contiguity , ,sched=tlb_aware ") == \
+            resolve_spec("compress=contiguity,sched=tlb_aware")
 
-    def test_canonical_is_order_stable(self):
-        reg = default_registry()
-        a = reg.canonical("sched=tlb_aware,compress=stride")
-        b = reg.canonical("compress=stride,sched=tlb_aware")
-        assert a == b
-        assert a.count("=") == len(reg.dimensions())
-
-    def test_default_spec_round_trips(self):
-        reg = default_registry()
-        assert reg.canonical("") == reg.default_spec()
+    def test_token_order_does_not_matter(self):
+        assert resolve_spec("sched=tlb_aware,compress=stride") == \
+            resolve_spec("compress=stride,sched=tlb_aware")
 
 
 class TestErrorPaths:
@@ -68,20 +84,14 @@ class TestErrorPaths:
     ])
     def test_parse_errors_name_offending_token(self, spec, needle):
         with pytest.raises(ConfigError) as excinfo:
-            default_registry().parse(spec)
+            resolve_spec(spec)
         assert needle in str(excinfo.value)
         assert excinfo.value.exit_code == 3
         assert excinfo.value.field  # token recorded for machine handling
 
-    def test_tenancy_gated_component_rejected_single_tenant(self):
-        with pytest.raises(ConfigError, match="tlb=subentry"):
-            resolve_spec("tlb=subentry")
-        # ... but resolves once tenancy wiring is promised
-        assert resolve_spec("tlb=subentry", tenancy=True) == BASELINE_CONFIG
-
     def test_conflicting_combination_names_both_tokens(self):
         # dead-entry bypass and compressed entries both own the fill
-        # path; GPUConfig rejects the pair and the registry re-raises
+        # path; GPUConfig rejects the pair and resolve_spec re-raises
         # with the responsible token
         with pytest.raises(ConfigError, match="protect=deadentry"):
             resolve_spec("protect=deadentry,compress=contiguity")
@@ -90,30 +100,11 @@ class TestErrorPaths:
         with pytest.raises(ConfigError, match="pagesize="):
             resolve_spec("pagesize=mosaic,pagesize=2m")
 
-    def test_duplicate_registration_rejected(self):
-        reg = PolicyRegistry()
-        reg.register(Component("dim", "a", "first"), default=True)
-        with pytest.raises(ConfigError, match="dim=a"):
-            reg.register(Component("dim", "a", "again"))
-
-    def test_second_default_rejected(self):
-        reg = PolicyRegistry()
-        reg.register(Component("dim", "a", "first"), default=True)
-        with pytest.raises(ConfigError, match="dim=b"):
-            reg.register(Component("dim", "b", "second"), default=True)
-
     def test_unknown_dimension_listing(self):
-        with pytest.raises(ConfigError, match="bogus"):
-            default_registry().components("bogus")
-
-    def test_cross_component_field_conflict(self):
-        reg = PolicyRegistry()
-        reg.register(Component("x", "a", "", overrides={"page_size": 1}),
-                     default=True)
-        reg.register(Component("y", "b", "", overrides={"page_size": 2}),
-                     default=True)
-        with pytest.raises(ConfigError, match="page_size"):
-            reg.resolve("x=a,y=b")
+        with pytest.raises(ConfigError, match="bogus") as excinfo:
+            resolve_spec("bogus=lru")
+        for dim in COMPONENTS:
+            assert repr(dim) in str(excinfo.value)
 
 
 class TestResolution:
@@ -122,8 +113,7 @@ class TestResolution:
         assert resolve_spec("") is BASELINE_CONFIG
 
     def test_all_defaults_spelled_out_is_baseline(self):
-        reg = default_registry()
-        assert reg.resolve(reg.default_spec()) == BASELINE_CONFIG
+        assert resolve_spec(DEFAULT_SPEC) == BASELINE_CONFIG
 
     def test_single_component_overrides_apply(self):
         cfg = resolve_spec("compress=contiguity")
@@ -144,16 +134,14 @@ class TestResolution:
         assert cfg.allocation_policy is AllocationPolicy.MOSAIC
 
     def test_zoo_matrix_generated_from_specs(self):
-        matrix = zoo_matrix()
-        assert set(matrix) == set(ZOO_SPECS)
+        matrix = {name: resolve_spec(spec) for name, spec in ZOO_SPECS.items()}
         assert matrix["zoo_baseline"] is BASELINE_CONFIG
         assert matrix["zoo_dead_entry"].l1_tlb_dead_entry
         assert (matrix["zoo_mosaic"].allocation_policy
                 is AllocationPolicy.MOSAIC)
 
     def test_describe_lists_every_component(self):
-        reg = default_registry()
-        lines = "\n".join(reg.describe())
-        for dim in reg.dimensions():
-            for component in reg.components(dim):
-                assert component.token in lines
+        lines = "\n".join(describe_components())
+        for dim, table in COMPONENTS.items():
+            for name in table:
+                assert f"{dim}={name}" in lines

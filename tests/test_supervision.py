@@ -41,48 +41,6 @@ class TestRetryPolicy:
                              backoff_factor=2.0)
         assert [policy.delay(a) for a in range(3)] == [0.25, 0.5, 1.0]
 
-    def test_jitter_stretches_delay_proportionally(self):
-        policy = RetryPolicy(backoff_base=0.25, jitter=0.5)
-        assert policy.delay(0, u=0.0) == 0.25
-        assert policy.delay(0, u=1.0) == pytest.approx(0.25 * 1.5)
-        assert policy.delay(1, u=0.5) == pytest.approx(0.5 * 1.25)
-
-    def test_zero_jitter_ignores_draw(self):
-        policy = RetryPolicy(backoff_base=0.25, jitter=0.0)
-        assert policy.delay(0, u=0.9) == 0.25
-
-
-class TestJitterDraw:
-    def test_pure_function_of_seed_and_identity(self):
-        assert Supervisor.jitter_u(SPEC, 0) == Supervisor.jitter_u(SPEC, 0)
-
-    def test_in_unit_interval(self):
-        draws = [Supervisor.jitter_u(SPEC, a) for a in range(16)]
-        assert all(0.0 <= u < 1.0 for u in draws)
-
-    def test_varies_with_seed_cell_and_attempt(self):
-        base = Supervisor.jitter_u(SPEC, 0)
-        reseeded = CellSpec(benchmark="nw", config=BASELINE_CONFIG,
-                            config_tag="baseline", scale="micro", seed=7)
-        other_cell = CellSpec(benchmark="nw", config=BASELINE_CONFIG,
-                              config_tag="sched", scale="micro")
-        assert Supervisor.jitter_u(reseeded, 0) != base
-        assert Supervisor.jitter_u(other_cell, 0) != base
-        assert Supervisor.jitter_u(SPEC, 1) != base
-
-    def test_jittered_retry_schedule_is_reproducible(self):
-        plan = FaultPlan().add("nw", "baseline", FaultKind.CRASH, times=2)
-        schedules = []
-        for _ in range(2):
-            sup, slept = make_supervisor(
-                fault_plan=plan, retry=RetryPolicy(jitter=0.5)
-            )
-            sup.run_cell(SPEC)
-            schedules.append(list(slept))
-        assert schedules[0] == schedules[1]
-        # jitter is actually applied: delays exceed the bare schedule
-        assert schedules[0][0] > 0.25 and schedules[0][1] > 0.5
-
 
 class TestErrorTaxonomy:
     def test_wire_round_trip(self):

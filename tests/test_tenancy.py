@@ -390,6 +390,19 @@ class TestSurface:
             capsys.readouterr().out
         )
 
+    def test_cli_tenants_print_samples(self, capsys):
+        """``--sample-every`` prints the multi-tenant cell's ``samples``
+        line, as the single-tenant run does."""
+        from repro.cli import main
+
+        assert main([
+            "run", "bfs", "--scale", "micro", "--tenants", "2",
+            "--tenant-mix", "bfs", "gemm", "--sample-every", "500",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith("samples ")
+        assert "(every 500 cycles)" in out
+
     @pytest.mark.parametrize("mode", ["shared-tlb", "sub-entry"])
     @pytest.mark.parametrize("config,field", [
         ("partition_sharing", "l1_tlb_mode"),
