@@ -78,9 +78,10 @@ class StreamingMultiprocessor:
         # once per memory transaction
         self._page_shift = geometry.offset_bits
         self._page_mask = geometry.offset_mask
-        # bound methods for the per-transaction path (resolve subclass
-        # overrides once instead of per call)
+        # the TLB's probe/insert for the per-transaction path, fetched
+        # once: the TLB chose them when it was built and traced
         self._probe = l1_tlb.probe
+        self._insert = l1_tlb.insert
         self._probe_latency = l1_tlb.probe_latency
         self.tbid_alloc = TBIDAllocator(config.max_tbs_per_sm)
         self.resident: Dict[int, TBRuntime] = {}
@@ -237,21 +238,21 @@ class StreamingMultiprocessor:
         hw_tb_id = warp.tb.hw_tb_id
         if self.tlb_trace is not None:
             self.tlb_trace.append((warp.tb.trace.tb_index, vpn))
-        result = self._probe(vpn, hw_tb_id)
+        ppn, sets_probed = self._probe(vpn, hw_tb_id)
         if self._note_outcome is not None:
-            self._note_outcome(warp, result.hit)
-        lookup_done = now + self._probe_latency(result.sets_probed)
-        if result.hit:
-            paddr = (result.ppn << self._page_shift) | (vaddr & self._page_mask)
+            self._note_outcome(warp, ppn is not None)
+        lookup_done = now + self._probe_latency(sets_probed)
+        if ppn is not None:
+            paddr = (ppn << self._page_shift) | (vaddr & self._page_mask)
             self._data_access(warp, paddr, is_write, lookup_done)
             return
         waiters = self._pending.get(vpn)
         if waiters is not None:
             waiters.append((warp, vaddr, is_write, hw_tb_id, now))
-            self._merged.inc()
+            self._merged.value += 1
             return
         self._pending[vpn] = [(warp, vaddr, is_write, hw_tb_id, now)]
-        self._translations_sent.inc()
+        self._translations_sent.value += 1
         arrival_at_l2 = self.memory.noc.traverse(self.sm_id, lookup_done)
         self.translation.translate(vpn, arrival_at_l2, self._translation_reply)
 
@@ -262,13 +263,17 @@ class StreamingMultiprocessor:
     def _translation_filled(self, vpn: int, ppn: int) -> None:
         now = self._queue.now
         tracer = self._tracer
-        filled_for = set()
-        for warp, vaddr, is_write, hw_tb_id, miss_time in self._pending.pop(vpn, ()):
+        waiters = self._pending.pop(vpn, ())
+        # a lone waiter (the common case) needs no set of filled TBs
+        filled_for = set() if len(waiters) > 1 else None
+        for warp, vaddr, is_write, hw_tb_id, miss_time in waiters:
             # Fill once per requesting TB: under TB-id partitioning each
             # TB's fill lands in its own set(s) (the paper's "redundant
             # entries" effect); under VPN indexing later fills refresh.
-            if hw_tb_id not in filled_for:
-                self.l1_tlb.insert(vpn, ppn, hw_tb_id)
+            if filled_for is None:
+                self._insert(vpn, ppn, hw_tb_id)
+            elif hw_tb_id not in filled_for:
+                self._insert(vpn, ppn, hw_tb_id)
                 filled_for.add(hw_tb_id)
             if tracer is not None:
                 tracer.complete(

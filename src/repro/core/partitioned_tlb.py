@@ -219,37 +219,39 @@ class SetSharingSpill(EvictionHook):
     def bind(self, tlb: SetAssociativeTLB) -> None:
         if not isinstance(tlb.policy, TBIDIndexPolicy):
             raise ValueError("set-sharing spill needs a TB-id index policy")
-        self.policy = tlb.policy
-        self.sharing = tlb.policy.sharing
-        self._spills = tlb.stats.counter("sharing_spills")
-        self._spill_attempts = tlb.stats.counter("sharing_spill_attempts")
+        policy = tlb.policy
+        sharing = self.sharing = policy.sharing
+        spills = tlb.stats.counter("sharing_spills")
+        attempts = tlb.stats.counter("sharing_spill_attempts")
+        if sharing is None:
+            return
+        sets = tlb.sets
+        associativity = tlb.associativity
+
+        def spill(item: Tuple[int, Any], tb_id: Optional[int]) -> Optional[int]:
+            if tb_id is None:
+                return None
+            attempts.value += 1
+            for target_tb in sharing.spill_targets(tb_id, policy.occupancy):
+                if target_tb == tb_id:
+                    continue
+                for set_idx in policy.sets_for(target_tb):
+                    target = sets[set_idx]
+                    if len(target) < associativity:
+                        target[item[0]] = item[1]
+                        sharing.record_spill_to(tb_id, target_tb)
+                        spills.value += 1
+                        return set_idx
+            return None
+
+        # holds the TLB's storage and counters, not the TLB
+        self.spill = spill
 
     def configure_occupancy(self, occupancy: int) -> None:
         if self.sharing is not None:
             self.sharing.configure_occupancy(
                 min(occupancy, self.sharing.capacity)
             )
-
-    def evict(
-        self,
-        tlb: SetAssociativeTLB,
-        item: Tuple[int, Any],
-        vpn: int,
-        tb_id: Optional[int],
-    ) -> Optional[int]:
-        sharing = self.sharing
-        if sharing is None or tb_id is None:
-            return None
-        self._spill_attempts.inc()
-        for target_tb in sharing.spill_targets(tb_id, self.policy.occupancy):
-            if target_tb == tb_id:
-                continue
-            for set_idx in self.policy.sets_for(target_tb):
-                if tlb._place_if_free(set_idx, item):
-                    sharing.record_spill_to(tb_id, target_tb)
-                    self._spills.inc()
-                    return set_idx
-        return None
 
     def on_tb_finished(self, tb_id: int) -> None:
         """Reset sharing flags; the TB's entries are *not* flushed."""

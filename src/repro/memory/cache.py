@@ -93,9 +93,9 @@ class Cache:
         evicted_line = None
         if len(entry_set) >= self.associativity:
             evicted_line, dirty = entry_set.popitem(last=False)
-            self._evictions.inc()
+            self._evictions.value += 1
             if dirty:
-                self._writebacks.inc()
+                self._writebacks.value += 1
         entry_set[line] = is_write
         return evicted_line
 

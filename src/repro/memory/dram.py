@@ -35,7 +35,7 @@ class DRAMChannel:
     def access(self, now: float) -> float:
         """Issue one line-sized request; returns its completion time."""
         grant = self._port.acquire(now)
-        self._requests.inc()
+        self._requests.value += 1
         if grant > now:
             self._queue_hist.add(int(grant - now))
         return grant + self.access_latency

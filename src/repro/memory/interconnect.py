@@ -41,7 +41,7 @@ class Interconnect:
         destination partition (or the reply's arrival back at the SM —
         call twice for a round trip)."""
         grant = self._ports[sm_id].acquire(now)
-        self._packets.inc()
+        self._packets.value += 1
         return grant + self.traversal_latency
 
     @property

@@ -78,7 +78,7 @@ class SMMemoryPath:
         waiting = self._pending.get(line)
         if waiting is not None:
             waiting.append(callback)
-            self._merged.inc()
+            self._merged.value += 1
             return
         self._pending[line] = [callback]
         # Request crosses the NoC, is serviced by the owning partition,

@@ -118,8 +118,8 @@ def suite_tlb_sharing(scale: str, seed: int) -> CheckOutcome:
             continue
         vpn = rng.randrange(256)
         tb = rng.randrange(16)
-        hit_s = shared.probe(vpn, tb_id=tb).hit
-        hit_p = partitioned.probe(vpn, tb_id=tb).hit
+        hit_s = shared.probe(vpn, tb_id=tb)[0] is not None
+        hit_p = partitioned.probe(vpn, tb_id=tb)[0] is not None
         if hit_s != hit_p:
             return CheckOutcome(
                 "tlb-sharing", False,
@@ -337,15 +337,15 @@ def _drive_tlb_pair(
             tlb_b.flush()
             continue
         vpn = rng.randrange(256)
-        res_a = tlb_a.probe(vpn)
-        res_b = tlb_b.probe(vpn)
-        if (res_a.hit, res_a.ppn) != (res_b.hit, res_b.ppn):
+        ppn_a = tlb_a.probe(vpn)[0]
+        ppn_b = tlb_b.probe(vpn)[0]
+        if ppn_a != ppn_b:
             return CheckOutcome(
                 name, False,
                 f"step {step}: probe(vpn={vpn}) diverged — "
-                f"({res_a.hit}, {res_a.ppn}) != ({res_b.hit}, {res_b.ppn})",
+                f"ppn {ppn_a} != {ppn_b}",
             )
-        if not res_a.hit:
+        if ppn_a is None:
             ppn = vpn * 7 + 1
             tlb_a.insert(vpn, ppn)
             tlb_b.insert(vpn, ppn)

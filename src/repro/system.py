@@ -131,11 +131,13 @@ def _assemble(
         stats=sim.stats.group("walkers"),
     )
     l2 = l2_tlb(stats=sim.stats.group("l2_tlb"), name="l2_tlb")
+    if tracer.enabled:
+        # before the translation service caches the TLB's probe/insert
+        l2.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
     translation = SharedTranslationService(
         sim, l2, walkers, port_interval=config.l2_tlb_port_interval
     )
     if tracer.enabled:
-        l2.bind_tracer(tracer, clock, tracer.track("L2 TLB"))
         walkers.bind_tracer(
             tracer,
             tuple(

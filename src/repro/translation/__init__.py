@@ -23,7 +23,6 @@ from .tlb import (
     DeadEntryFilter,
     IndexPolicy,
     SetAssociativeTLB,
-    TLBProbeResult,
     VPNIndexPolicy,
 )
 from .uvm import AllocationPolicy, UVMManager
@@ -48,7 +47,6 @@ __all__ = [
     "PageTable",
     "SetAssociativeTLB",
     "SharedTranslationService",
-    "TLBProbeResult",
     "UVMManager",
     "VPNIndexPolicy",
     "WalkOutcome",

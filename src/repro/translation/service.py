@@ -44,6 +44,10 @@ class SharedTranslationService:
         # completion events are never cancelled: handle-less scheduling
         self._post = sim.queue.post
         self.l2_tlb = l2_tlb
+        # the TLB's probe/insert, fetched once (chosen when it was built
+        # and traced)
+        self._probe = l2_tlb.probe
+        self._insert = l2_tlb.insert
         self.walkers = walkers
         self.stats = stats if stats is not None else sim.stats.group("l2_translation")
         self._merged = self.stats.counter("merged_misses")
@@ -66,15 +70,15 @@ class SharedTranslationService:
         if granted > now:
             self._port_queue.add(int(granted - now))
         lookup_done = granted + self.l2_tlb.lookup_latency
-        result = self.l2_tlb.probe(vpn)
-        if result.hit:
-            self._post(lookup_done, callback, vpn, result.ppn, "l2")
+        ppn = self._probe(vpn)[0]
+        if ppn is not None:
+            self._post(lookup_done, callback, vpn, ppn, "l2")
             return
         waiting = self._pending.get(vpn)
         if waiting is not None:
             # A walk for this VPN is already in flight; piggyback on it.
             waiting.append(callback)
-            self._merged.inc()
+            self._merged.value += 1
             return
         self._pending[vpn] = [callback]
         walk_done, ppn = self.walkers.walk(vpn, lookup_done)
@@ -83,6 +87,6 @@ class SharedTranslationService:
     def _finish_walk(self, vpn: int, ppn: int) -> None:
         # Fill the shared L2 TLB (Fig 1 step 5), then wake every waiter.
         self.walks_completed += 1
-        self.l2_tlb.insert(vpn, ppn)
+        self._insert(vpn, ppn)
         for callback in self._pending.pop(vpn, ()):  # pragma: no branch
             callback(vpn, ppn, "walk")

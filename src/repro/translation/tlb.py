@@ -24,27 +24,30 @@ spill hook on the compressed format.
 
 Timing note: a lookup that probes ``k`` sets costs ``k`` times the base
 lookup latency (paper §IV-B: without extra comparators each additional
-set serializes).  :meth:`SetAssociativeTLB.probe` returns the number of
-sets actually probed so the SM charges the right latency.
+set serializes).  ``probe`` returns ``(ppn, sets_probed)`` — ``ppn`` is
+``None`` on a miss — so the SM charges the right latency.
+
+Each TLB chooses its ``probe`` and ``insert`` once, from its parts (see
+:meth:`SetAssociativeTLB._specialize`): the per-page, LRU, unfiltered,
+unobserved, untraced TLB — every L2 TLB and every baseline and TB-id
+partitioned L1 — gets a pair with the set walk, refresh, fill, eviction
+and spill inlined; every other combination keeps the general methods.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from ..engine.stats import StatGroup
 from ..telemetry.tracer import CAT_TLB
 
+#: ``(ppn, sets_probed)``; ``ppn`` is ``None`` on a miss
+ProbeResult = Tuple[Optional[int], int]
 
-@dataclass(slots=True)
-class TLBProbeResult:
-    """Outcome of a TLB probe."""
-
-    hit: bool
-    ppn: Optional[int]
-    sets_probed: int
+#: ``spill(item, tb_id)`` places a raw evicted ``(key, payload)`` item
+#: elsewhere and returns the set it landed in, or ``None`` if dropped
+Spill = Callable[[Tuple[int, Any], Optional[int]], Optional[int]]
 
 
 class IndexPolicy:
@@ -134,9 +137,16 @@ class EvictionHook:
     ``observe_probe(vpn, hit)`` is told the outcome of every probe.
     Hooks keep no reference to their TLB (``evict`` is handed it), so a
     finished machine is freed by reference counting alone.
+
+    A hook that only moves entries sets :attr:`spill` in ``bind``
+    instead of overriding ``evict``; the specialized fill path then
+    calls it directly.  Overriding ``evict`` (or defining
+    ``observe_probe``) keeps the TLB on its general path.
     """
 
     observe_probe = None
+    #: where evictions go (a :data:`Spill`); ``None`` drops them
+    spill: Optional[Spill] = None
 
     def bind(self, tlb: "SetAssociativeTLB") -> None:
         """Attach to ``tlb`` (counters go into its stat group)."""
@@ -151,7 +161,8 @@ class EvictionHook:
         """``item`` (a raw ``(key, payload)``) was displaced from ``tlb``
         by a fill of ``vpn``; return the set it spilled to, or ``None``
         if dropped."""
-        return None
+        spill = self.spill
+        return None if spill is None else spill(item, tb_id)
 
     def configure_occupancy(self, occupancy: int) -> None:
         """A new kernel's TB occupancy (already clamped to >= 1)."""
@@ -201,8 +212,8 @@ class SetAssociativeTLB:
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
         self._sets_probed = self.stats.counter("sets_probed")
-        # telemetry (see bind_tracer); None keeps the hot path to a
-        # single attribute check per probe/insert
+        # telemetry (see bind_tracer); a bound tracer keeps the TLB on
+        # its general path
         self._tracer = None
         self._clock = None
         self._track = 0
@@ -221,16 +232,7 @@ class SetAssociativeTLB:
         self.dead_filter = dead_filter
         if dead_filter is not None:
             dead_filter.bind(self)
-        # probe() inlines the per-page set lookup with LRU promotion;
-        # any other format, FIFO, a filter or a probe-observing hook
-        # takes the general loop — decided once here, not per probe
-        self._fast_probe = (
-            type(self) is SetAssociativeTLB
-            and self._refresh_lru
-            and dead_filter is None
-            and self._observe_probe is None
-        )
-        self._lookup_sets = self.policy.lookup_sets
+        self._specialize()
 
     def _init_format(self) -> None:
         """Create the entry format's own counters (formats override)."""
@@ -243,15 +245,46 @@ class SetAssociativeTLB:
 
         ``clock`` is a zero-arg callable returning the current cycle
         (the TLB itself is untimed); ``track`` is the tracer lane.  A
-        disabled tracer (or ``None``) detaches: the stored ``None`` is
-        what keeps the disabled path allocation-free.
+        disabled tracer (or ``None``) detaches.  Either way the TLB
+        chooses its ``probe``/``insert`` again: a traced TLB always takes
+        the general path.
         """
         if tracer is None or not tracer.enabled:
             self._tracer = None
-            return
-        self._tracer = tracer
-        self._clock = clock
-        self._track = track
+        else:
+            self._tracer = tracer
+            self._clock = clock
+            self._track = track
+        self._specialize()
+
+    # ------------------------------------------------------------------ #
+    # Specialization (probe/insert chosen once from the parts)
+    # ------------------------------------------------------------------ #
+    def _specialize(self) -> None:
+        """Choose this TLB's ``probe`` and ``insert`` from its parts.
+
+        Called when the TLB is built and again by :meth:`bind_tracer`,
+        so callers must fetch ``probe``/``insert`` after both (the
+        machine builder binds tracers before it builds the SMs and the
+        translation service that cache them).  The per-page, LRU,
+        unfiltered, untraced TLB whose hook neither observes probes nor
+        overrides ``evict`` gets the closures of :func:`_page_lru_path`
+        as instance attributes; any other TLB keeps the general methods
+        below.  The closures hold the storage, counters and parts, never
+        the TLB itself, so no reference cycle is made.
+        """
+        self.__dict__.pop("probe", None)
+        self.__dict__.pop("insert", None)
+        hook = self.hook
+        if (
+            type(self) is SetAssociativeTLB
+            and self._refresh_lru
+            and self.dead_filter is None
+            and self._tracer is None
+            and self._observe_probe is None
+            and type(hook).evict is EvictionHook.evict
+        ):
+            self.probe, self.insert = _page_lru_path(self, hook.spill)
 
     # ------------------------------------------------------------------ #
     # TB lifecycle (the SM calls these per kernel and per finished TB)
@@ -300,55 +333,23 @@ class SetAssociativeTLB:
         evicted = None
         if len(entry_set) >= self.associativity:
             evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
+            self._evictions.value += 1
         entry_set[vpn] = ppn
         return evicted
-
-    def _place_if_free(self, set_idx: int, item: Tuple[int, Any]) -> bool:
-        """Place a raw evicted ``(key, payload)`` item if the set has room.
-
-        Used by the dynamic set-sharing mechanism to spill an evicted
-        entry into the adjacent TB's set (paper §IV-B).
-        """
-        entry_set = self.sets[set_idx]
-        if len(entry_set) >= self.associativity:
-            return False
-        key, payload = item
-        entry_set[key] = payload
-        return True
 
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
-    def probe(self, vpn: int, tb_id: Optional[int] = None) -> TLBProbeResult:
-        """Probe for ``vpn``; updates LRU and hit/miss statistics."""
+    def probe(self, vpn: int, tb_id: Optional[int] = None) -> ProbeResult:
+        """Probe for ``vpn``: ``(ppn, sets_probed)``, ``ppn`` ``None`` on
+        a miss.  Updates LRU and the hit/miss statistics."""
         probed = 0
         tracer = self._tracer
-        if tracer is None and self._fast_probe:
-            # hottest loop in the model: _probe_set inlined (safe — the
-            # hooks are at their base implementations, checked at init)
-            sets = self.sets
-            for set_idx in self._lookup_sets(vpn, tb_id):
-                probed += 1
-                entry_set = sets[set_idx]
-                ppn = entry_set.get(vpn)
-                if ppn is not None:
-                    entry_set.move_to_end(vpn)
-                    self._hits.value += 1
-                    self._sets_probed.value += probed
-                    return TLBProbeResult(True, ppn, probed)
-            if probed < 1:
-                probed = 1
-            self._misses.value += 1
-            self._sets_probed.value += probed
-            return TLBProbeResult(False, None, probed)
         observe = self._observe_probe
         for set_idx in self.policy.lookup_sets(vpn, tb_id):
             probed += 1
             ppn = self._probe_set(set_idx, vpn)
             if ppn is not None:
-                # bump the counters in place: Counter.inc is a call per
-                # probe and this is the hottest loop in the model
                 self._hits.value += 1
                 self._sets_probed.value += probed
                 if self.dead_filter is not None:
@@ -360,7 +361,7 @@ class SetAssociativeTLB:
                     )
                 if observe is not None:
                     observe(vpn, True)
-                return TLBProbeResult(True, ppn, probed)
+                return ppn, probed
         if probed < 1:
             probed = 1
         self._misses.value += 1
@@ -372,7 +373,7 @@ class SetAssociativeTLB:
             )
         if observe is not None:
             observe(vpn, False)
-        return TLBProbeResult(False, None, probed)
+        return None, probed
 
     def contains(self, vpn: int, tb_id: Optional[int] = None) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
@@ -476,6 +477,97 @@ class SetAssociativeTLB:
         )
 
 
+def _page_lru_path(
+    tlb: SetAssociativeTLB, spill: Optional[Spill]
+) -> Tuple[Callable[..., ProbeResult], Callable[..., Optional[int]]]:
+    """The specialized ``(probe, insert)`` of a per-page LRU TLB.
+
+    Op for op what the general methods do with the per-page hooks, a
+    dropping or spilling eviction hook, no filter, observer or tracer.
+    A power-of-two VPN index reads its one set with a shift and a mask;
+    any other policy is asked for its sets on every call, so a later
+    ``configure_occupancy`` is seen.  Only ``tlb``'s parts are captured.
+    """
+    sets = tlb.sets
+    associativity = tlb.associativity
+    hits = tlb._hits
+    misses = tlb._misses
+    evictions = tlb._evictions
+    sets_probed = tlb._sets_probed
+    policy = tlb.policy
+
+    if type(policy) is VPNIndexPolicy and policy._shift is not None and spill is None:
+        shift = policy._shift
+        mask = policy._mask
+
+        def probe(vpn: int, tb_id: Optional[int] = None) -> ProbeResult:
+            sets_probed.value += 1
+            entry_set = sets[(vpn >> shift) & mask]
+            ppn = entry_set.get(vpn)
+            if ppn is None:
+                misses.value += 1
+                return None, 1
+            entry_set.move_to_end(vpn)
+            hits.value += 1
+            return ppn, 1
+
+        def insert(vpn: int, ppn: int, tb_id: Optional[int] = None) -> Optional[int]:
+            entry_set = sets[(vpn >> shift) & mask]
+            if vpn in entry_set:
+                entry_set[vpn] = ppn
+                entry_set.move_to_end(vpn)
+                return None
+            victim = None
+            if len(entry_set) >= associativity:
+                victim = entry_set.popitem(last=False)[0]
+                evictions.value += 1
+            entry_set[vpn] = ppn
+            return victim
+
+        return probe, insert
+
+    lookup_sets = policy.lookup_sets
+    insert_sets = policy.insert_sets
+
+    def probe(vpn: int, tb_id: Optional[int] = None) -> ProbeResult:
+        probed = 0
+        for set_idx in lookup_sets(vpn, tb_id):
+            probed += 1
+            entry_set = sets[set_idx]
+            ppn = entry_set.get(vpn)
+            if ppn is not None:
+                entry_set.move_to_end(vpn)
+                hits.value += 1
+                sets_probed.value += probed
+                return ppn, probed
+        if probed < 1:
+            probed = 1
+        misses.value += 1
+        sets_probed.value += probed
+        return None, probed
+
+    def insert(vpn: int, ppn: int, tb_id: Optional[int] = None) -> Optional[int]:
+        candidates = insert_sets(vpn, tb_id)
+        for set_idx in candidates:
+            entry_set = sets[set_idx]
+            if vpn in entry_set:
+                entry_set[vpn] = ppn
+                entry_set.move_to_end(vpn)
+                return None
+        entry_set = sets[candidates[0]]
+        if len(entry_set) < associativity:
+            entry_set[vpn] = ppn
+            return None
+        victim = entry_set.popitem(last=False)
+        evictions.value += 1
+        entry_set[vpn] = ppn
+        if spill is not None:
+            spill(victim, tb_id)
+        return victim[0]
+
+    return probe, insert
+
+
 class SubEntrySharedTLB(SetAssociativeTLB):
     """Sub-entry-sharing TLB for multi-tenant GPUs (arXiv 2404.18361).
 
@@ -531,7 +623,7 @@ class SubEntrySharedTLB(SetAssociativeTLB):
             entry_set.move_to_end(base)
         ppn = sub.get(asid)
         if ppn is None:
-            self._tag_hit_sub_miss.inc()
+            self._tag_hit_sub_miss.value += 1
         return ppn
 
     def _refresh(self, set_idx: int, vpn: int, ppn: int) -> bool:
@@ -542,7 +634,7 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         if sub is None:
             return False
         if asid not in sub:
-            self._sub_entry_fills.inc()
+            self._sub_entry_fills.value += 1
         sub[asid] = ppn
         if self._refresh_lru:
             entry_set.move_to_end(base)
@@ -557,7 +649,7 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         evicted = None
         if len(entry_set) >= self.associativity:
             evicted = entry_set.popitem(last=False)
-            self._evictions.inc()
+            self._evictions.value += 1
             self._sub_entry_evictions.value += len(evicted[1])
         entry_set[base] = {asid: ppn}
         return evicted
@@ -623,7 +715,7 @@ class DeadEntryFilter:
         if self.threshold is None:
             return False
         if self._streak.get(vpn, 0) >= self.threshold:
-            self._bypassed_fills.inc()
+            self._bypassed_fills.value += 1
             return True
         return False
 
@@ -639,7 +731,7 @@ class DeadEntryFilter:
         if vpn in self._pending:
             self._pending.discard(vpn)
             self._streak[vpn] = self._streak.get(vpn, 0) + 1
-            self._dead_fills.inc()
+            self._dead_fills.value += 1
 
     def on_invalidate(self, vpn: int) -> None:
         self._pending.discard(vpn)

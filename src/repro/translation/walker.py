@@ -61,13 +61,13 @@ class WalkerPool:
         when the page was not yet resident.
         """
         done = self._pool.acquire(now)
-        self._walks.inc()
+        self._walks.value += 1
         queue_delay = done - now - self.walk_latency
         if queue_delay > 0:
             self._queue_hist.add(int(queue_delay))
         ppn, fault_latency = self.uvm.ensure_mapped(vpn, now)
         if fault_latency > 0:
-            self._faults.inc()
+            self._faults.value += 1
             done += fault_latency
         tracer = self._tracer
         if tracer is not None:

@@ -16,8 +16,8 @@ def test_contiguous_fills_coalesce_into_one_entry():
     assert tlb.occupancy == 1
     assert tlb.pages_covered == 8
     for v in range(8):
-        r = tlb.probe(v)
-        assert r.hit and r.ppn == 100 + v
+        r_ppn, _ = tlb.probe(v)
+        assert r_ppn == 100 + v
 
 
 def test_range_never_exceeds_max_ratio():
@@ -39,8 +39,8 @@ def test_non_contiguous_ppn_does_not_coalesce():
     tlb.insert(0, 100)
     tlb.insert(1, 555)  # inconsistent stride
     assert tlb.occupancy == 2
-    assert tlb.probe(0).ppn == 100
-    assert tlb.probe(1).ppn == 555
+    assert tlb.probe(0)[0] == 100
+    assert tlb.probe(1)[0] == 555
 
 
 def test_backward_extension():
@@ -48,7 +48,7 @@ def test_backward_extension():
     tlb.insert(5, 105)
     tlb.insert(4, 104)
     assert tlb.occupancy == 1
-    assert tlb.probe(4).hit and tlb.probe(5).hit
+    assert tlb.probe(4)[0] is not None and tlb.probe(5)[0] is not None
 
 
 def test_remap_drops_stale_range():
@@ -56,10 +56,10 @@ def test_remap_drops_stale_range():
     tlb.insert(0, 100)
     tlb.insert(1, 101)
     tlb.insert(1, 999)  # page 1 remapped: the stale range is dropped
-    assert tlb.probe(1).ppn == 999
+    assert tlb.probe(1)[0] == 999
     # Page 0's mapping is never served stale: either gone or still correct.
-    result = tlb.probe(0)
-    assert not result.hit or result.ppn == 100
+    result_ppn, _ = tlb.probe(0)
+    assert result_ppn is None or result_ppn == 100
 
 
 def test_invalidate_covers_whole_range():
@@ -67,8 +67,8 @@ def test_invalidate_covers_whole_range():
     for v in range(4):
         tlb.insert(v, 100 + v)
     assert tlb.invalidate(2)
-    assert not tlb.probe(0).hit  # whole range dropped
-    assert not tlb.probe(2).hit
+    assert tlb.probe(0)[0] is None  # whole range dropped
+    assert tlb.probe(2)[0] is None
 
 
 def test_decompression_latency_added():
@@ -91,9 +91,9 @@ def test_property_translation_correctness_with_identity_map(vpns):
     """With contiguous VPN->PPN (delta 1000), any hit returns vpn+1000."""
     tlb = make(entries=32, assoc=4)
     for v in vpns:
-        r = tlb.probe(v)
-        if r.hit:
-            assert r.ppn == v + 1000
+        r_ppn, _ = tlb.probe(v)
+        if r_ppn is not None:
+            assert r_ppn == v + 1000
         else:
             tlb.insert(v, v + 1000)
 

@@ -62,37 +62,37 @@ class TestPartitionedL1TLB:
     def test_isolation_between_tbs(self):
         tlb = self.make()
         tlb.insert(100, 1, tb_id=0)
-        assert tlb.probe(100, tb_id=0).hit
-        assert not tlb.probe(100, tb_id=1).hit
+        assert tlb.probe(100, tb_id=0)[0] is not None
+        assert tlb.probe(100, tb_id=1)[0] is None
 
     def test_full_vpn_match_any_page_any_set(self):
         # TB-id indexing stores the whole VPN: any page can live in any set.
         tlb = self.make()
         tlb.insert(0, 10, tb_id=5)
         tlb.insert(16, 26, tb_id=5)   # would alias set 0 under VPN indexing
-        assert tlb.probe(0, tb_id=5).ppn == 10
-        assert tlb.probe(16, tb_id=5).ppn == 26
+        assert tlb.probe(0, tb_id=5)[0] == 10
+        assert tlb.probe(16, tb_id=5)[0] == 26
 
     def test_eviction_confined_to_own_set_without_sharing(self):
         tlb = self.make()
         for v in range(5):  # 4-way set: fifth insert evicts
             tlb.insert(v, v, tb_id=0)
         assert tlb.occupancy == 4
-        assert not tlb.probe(0, tb_id=0).hit  # LRU evicted
+        assert tlb.probe(0, tb_id=0)[0] is None  # LRU evicted
 
     def test_multi_set_tb_probes_cost_more(self):
         tlb = self.make(occupancy=4)  # 4 sets per TB
         tlb.insert(7, 70, tb_id=0)
-        result = tlb.probe(8, tb_id=0)  # miss probes all 4 sets
-        assert result.sets_probed == 4
-        assert tlb.probe_latency(result.sets_probed) == 4.0
+        _, probed = tlb.probe(8, tb_id=0)  # miss probes all 4 sets
+        assert probed == 4
+        assert tlb.probe_latency(probed) == 4.0
 
     def test_no_flush_on_tb_finish(self):
         # Paper: TB ids are recycled without flushing, preserving entries.
         tlb = self.make()
         tlb.insert(55, 5, tb_id=2)
         tlb.on_tb_finished(2)
-        assert tlb.probe(55, tb_id=2).hit
+        assert tlb.probe(55, tb_id=2)[0] is not None
 
     @given(st.lists(st.tuples(st.integers(0, 15), st.integers(0, 4096)),
                     min_size=1, max_size=400))
@@ -106,9 +106,9 @@ class TestPartitionedL1TLB:
         for tb, vpn in inserted:
             for other in range(16):
                 if other != tb:
-                    result = tlb.probe(vpn, tb_id=other)
+                    result_ppn, _ = tlb.probe(vpn, tb_id=other)
                     # A hit from another TB only if that TB inserted it too.
-                    if result.hit:
+                    if result_ppn is not None:
                         assert (other, vpn) in inserted
 
 
@@ -127,7 +127,7 @@ class TestSetSharing:
         for v in range(5):  # overflow TB 0's set; evictee spills to TB 1
             tlb.insert(v, v, tb_id=0)
         assert sharing.is_sharing(0)
-        assert tlb.probe(0, tb_id=0).hit        # found in the shared set
+        assert tlb.probe(0, tb_id=0)[0] is not None  # found in the shared set
         assert tlb.stats.counter("sharing_spills").value == 1
 
     def test_no_spill_when_neighbor_full(self):
@@ -137,7 +137,7 @@ class TestSetSharing:
         for v in range(5):
             tlb.insert(v, v, tb_id=0)
         assert not sharing.is_sharing(0)
-        assert not tlb.probe(0, tb_id=0).hit
+        assert tlb.probe(0, tb_id=0)[0] is None
 
     def test_flag_reset_on_tb_finish(self):
         tlb, sharing = self.make_sharing()
@@ -151,8 +151,8 @@ class TestSetSharing:
         tlb, sharing = self.make_sharing()
         for v in range(5):
             tlb.insert(v, v, tb_id=0)
-        result = tlb.probe(999, tb_id=0)        # miss probes own + partner
-        assert result.sets_probed == 2
+        _, probed = tlb.probe(999, tb_id=0)  # miss probes own + partner
+        assert probed == 2
 
 
 class TestSharingRegisters:
@@ -211,5 +211,5 @@ class TestCompressedPartitioned:
         for v in range(8):
             tlb.insert(v, 100 + v, tb_id=0)
         assert tlb.occupancy == 1          # one compressed range entry
-        assert tlb.probe(3, tb_id=0).ppn == 103
-        assert not tlb.probe(3, tb_id=1).hit
+        assert tlb.probe(3, tb_id=0)[0] == 103
+        assert tlb.probe(3, tb_id=1)[0] is None

@@ -288,7 +288,7 @@ class TestAllToAllSharingUnits:
     def test_clean_all_to_all_sweeps_clean(self):
         tlb, checker = self.make_tlb()
         for vpn in range(200):
-            if not tlb.probe(vpn, tb_id=vpn % 4).hit:
+            if tlb.probe(vpn, tb_id=vpn % 4)[0] is None:
                 tlb.insert(vpn, vpn, tb_id=vpn % 4)
         checker.sweep(_Recorder(), None)  # no raise
 

@@ -21,10 +21,10 @@ access_streams = st.lists(
 def run_stream(tlb, vpns, tb_id=None):
     outcomes = []
     for vpn in vpns:
-        result = tlb.probe(vpn, tb_id)
-        if not result.hit:
+        result_ppn, _ = tlb.probe(vpn, tb_id)
+        if result_ppn is None:
             tlb.insert(vpn, vpn + 1, tb_id)
-        outcomes.append(result.hit)
+        outcomes.append(result_ppn is not None)
     return outcomes
 
 
@@ -80,7 +80,7 @@ def test_compression_reach_holds_a_contiguous_run(prefix, run):
     compressed = CompressedTLB(64, 4, 1.0, max_ratio=REGION_PAGES)
     run_stream(compressed, prefix)
     run_stream(compressed, run)
-    assert all(compressed.probe(vpn).hit for vpn in run)
+    assert all(compressed.probe(vpn)[0] is not None for vpn in run)
 
 
 def test_compression_can_lose_hits_to_region_indexing():
