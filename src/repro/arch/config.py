@@ -273,10 +273,6 @@ class GPUConfig:
                     field="max_tbs_per_sm",
                 )
 
-    @property
-    def l1_tlb_sets(self) -> int:
-        return self.l1_tlb_entries // self.l1_tlb_assoc
-
     def replace(self, **changes) -> "GPUConfig":
         """Functional update (alias for :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)

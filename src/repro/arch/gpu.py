@@ -243,7 +243,7 @@ class GPU:
             # completions that cluster inside one period free several
             # slots at once, giving the scheduler an actual choice of SM.
             self._dispatch_scheduled = True
-            self.sim.post(
+            self.sim.queue.post(
                 self.sim.now + self.config.tb_dispatch_interval,
                 self._dispatch_tick,
             )

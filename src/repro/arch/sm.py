@@ -53,8 +53,8 @@ class StreamingMultiprocessor:
     ) -> None:
         self.sim = sim
         # bound queue reference for the per-transaction path: reading the
-        # clock and posting handle-less events skips the sim.now property
-        # hop and the EventHandle allocation (both profile-visible)
+        # clock and posting events skip the sim.now property hop and the
+        # queue attribute lookup (both profile-visible)
         self._queue = sim.queue
         self._post = sim.queue.post
         self.sm_id = sm_id

@@ -68,11 +68,6 @@ class WarpRuntime:
         self.tx_issued += 1
         return addr
 
-    @property
-    def has_unissued_transactions(self) -> bool:
-        instr = self.current_instruction()
-        return instr is not None and 0 < self.tx_issued < len(instr.transactions)
-
     def transaction_done(self) -> bool:
         """One transaction completed; True when the instruction retires."""
         self.outstanding -= 1

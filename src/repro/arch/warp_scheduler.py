@@ -115,10 +115,6 @@ class GTOIssuePort:
             if warp in waiting:
                 return warp
 
-    @property
-    def waiting_count(self) -> int:
-        return len(self._waiting)
-
     def note_outcome(self, warp: WarpRuntime, hit: bool) -> None:
         """Hook for translation-outcome feedback (no-op for plain GTO)."""
 

@@ -42,13 +42,6 @@ class ReuseBins:
     def b5(self) -> float:
         return self.fractions[4]
 
-    def as_percentages(self) -> List[float]:
-        return [100.0 * f for f in self.fractions]
-
-    def dominant_bin(self) -> int:
-        """1-based index of the most populated bin."""
-        return max(range(NUM_BINS), key=lambda i: self.fractions[i]) + 1
-
 
 def bin_index(intensity: float) -> int:
     """Map an intensity in [0, 1] to bin 0..4 (b1..b5)."""

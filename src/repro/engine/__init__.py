@@ -12,7 +12,7 @@ from .errors import (
     WorkerCrash,
     WorkloadError,
 )
-from .event_queue import EventHandle, EventQueue
+from .event_queue import EventQueue
 from .faults import FaultKind, FaultPlan, FaultSpec, corrupt_file
 from .resources import ResourcePool, SerialResource
 from .simulator import Simulator
@@ -36,7 +36,6 @@ __all__ = [
     "Counter",
     "DiskFaultKind",
     "DiskFaultSpec",
-    "EventHandle",
     "EventQueue",
     "FaultKind",
     "FaultPlan",

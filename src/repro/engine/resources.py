@@ -40,46 +40,16 @@ class SerialResource:
         self._next_free = grant + self.occupancy
         return grant
 
-    @property
-    def next_free(self) -> float:
-        return self._next_free
-
-    def reset(self) -> None:
-        self._next_free = 0.0
-
 
 class ResourcePool:
     """``n`` identical servers; each request occupies one server for
     ``service_time`` cycles.  Returns the completion time of the request.
 
-    The free-time multiset is tracked in one of two representations:
-
-    * **grouped** (the fast path): at most two distinct free times, each
-      with a count — ``(uniform_time × uniform_count, busy_time ×
-      busy_count)``.  This covers the states bursty traffic actually
-      produces (all servers idle at one time, a burst moving them to a
-      common completion time) and makes both ``acquire`` and ``reset``
-      O(1).  A full same-time burst collapses the groups back to one,
-      so the pool re-enters the fast path on every quiet period.
-    * **heap**: when a third distinct free time appears (staggered
-      arrivals under saturation) the pool degrades to the heap of free
-      times, identical to the classic implementation.  ``reset``
-      restores the grouped representation.
-
-    Both representations grant the earliest-free server, so completion
-    times are bit-identical to the always-heap version.
+    The servers' free times live in a min-heap, so each request is
+    granted the earliest-free server in O(log n).
     """
 
-    __slots__ = (
-        "service_time",
-        "name",
-        "_n",
-        "_heap",
-        "_uniform_time",
-        "_uniform_count",
-        "_busy_time",
-        "_busy_count",
-    )
+    __slots__ = ("service_time", "name", "_heap")
 
     def __init__(self, n_servers: int, service_time: float, name: str = "") -> None:
         if n_servers <= 0:
@@ -88,12 +58,8 @@ class ResourcePool:
             raise ValueError(f"negative service time {service_time}")
         self.service_time = service_time
         self.name = name
-        self._n = n_servers
-        self._heap: List[float] = []
-        self._uniform_time = 0.0
-        self._uniform_count = n_servers
-        self._busy_time = 0.0
-        self._busy_count = 0
+        # n equal keys already satisfy the heap invariant
+        self._heap: List[float] = [0.0] * n_servers
 
     def acquire(self, now: float) -> float:
         """Occupy the earliest-free server from ``max(now, free)``.
@@ -101,66 +67,11 @@ class ResourcePool:
         Returns the time at which the request *completes* service.
         """
         heap = self._heap
-        if heap:
-            earliest = heapq.heappop(heap)
-            start = now if now >= earliest else earliest
-            done = start + self.service_time
-            heapq.heappush(heap, done)
-            return done
-        ut = self._uniform_time
-        uc = self._uniform_count
-        bt = self._busy_time
-        bc = self._busy_count
-        # take the earlier of the (at most two) free-time groups
-        if uc and (not bc or ut <= bt):
-            earliest = ut
-            uc -= 1
-        else:
-            earliest = bt
-            bc -= 1
-        start = now if now >= earliest else earliest
-        done = start + self.service_time
-        # normalize so the uniform group is the non-empty one
-        if uc == 0:
-            ut = bt
-            uc = bc
-            bc = 0
-        # fold the completed server back into a group, or degrade
-        if uc and done == ut:
-            uc += 1
-        elif bc == 0:
-            if uc == 0:
-                ut = done
-                uc = 1
-            else:
-                bt = done
-                bc = 1
-        elif done == bt:
-            bc += 1
-        else:
-            # three distinct free times: fall back to the heap until the
-            # next reset (identical grant order, just O(log n) per call)
-            heap.extend((ut,) * uc)
-            heap.extend((bt,) * bc)
-            heap.append(done)
-            heapq.heapify(heap)
-            self._uniform_count = 0
-            self._busy_count = 0
-            return done
-        self._uniform_time = ut
-        self._uniform_count = uc
-        self._busy_time = bt
-        self._busy_count = bc
+        earliest = heap[0]
+        done = (now if now >= earliest else earliest) + self.service_time
+        heapq.heapreplace(heap, done)
         return done
 
     @property
     def n_servers(self) -> int:
-        return self._n
-
-    def reset(self) -> None:
-        """Return every server to free-at-0, in O(1)."""
-        self._heap.clear()
-        self._uniform_time = 0.0
-        self._uniform_count = self._n
-        self._busy_time = 0.0
-        self._busy_count = 0
+        return len(self._heap)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 # tracer.py is dependency-free, so the engine importing it keeps the
 # engine package the bottom layer (telemetry/__init__ is NOT imported)
 from ..telemetry.tracer import NULL_TRACER
 from .errors import LivelockError, SimulationError
-from .event_queue import EventHandle, EventQueue
+from .event_queue import EventQueue
 from .stats import StatRegistry
 
 __all__ = ["SimulationError", "LivelockError", "Simulator"]
@@ -22,9 +22,9 @@ _UNSET = object()
 class Simulator:
     """Top-level simulation context.
 
-    Components share one :class:`Simulator`: they schedule events through
-    it and record statistics into its registry.  ``run()`` drains the event
-    queue until it is empty or an optional stop predicate fires.
+    Components share one :class:`Simulator`: they post events with
+    ``sim.queue.post`` and record statistics into its registry.  ``run()``
+    drains the event queue until it is empty.
 
     Livelock protection is two-tiered.  Components that represent real
     forward progress (the GPU calls :meth:`note_progress` whenever a
@@ -45,15 +45,6 @@ class Simulator:
         sanitizer=_UNSET,
     ) -> None:
         self.queue = EventQueue()
-        # monomorphic dispatch: bind the queue's schedule methods as
-        # instance attributes so sim.schedule(...) is one call, not a
-        # forwarding frame — components schedule on every event, and the
-        # extra frame was measurable in the drive-loop profile.  The
-        # class-level forwarding defs below stay as the documented API
-        # (and for subclasses that override them).
-        self.schedule = self.queue.schedule
-        self.schedule_after = self.queue.schedule_after
-        self.post = self.queue.post
         self.stats = StatRegistry()
         #: telemetry event tracer; NULL_TRACER (enabled=False) when off.
         #: Components cache ``tracer if tracer.enabled else None`` so the
@@ -128,109 +119,62 @@ class Simulator:
                 lines.append(f"<diagnostic hook failed: {exc}>")
         return "\n".join(lines)
 
-    def schedule(
-        self, time: float, callback: Callable[[], None], priority: int = 0
-    ) -> EventHandle:
-        return self.queue.schedule(time, callback, priority)
+    def run(self) -> float:
+        """Run events until the queue drains; returns the final time.
 
-    def schedule_after(
-        self, delay: float, callback: Callable[[], None], priority: int = 0
-    ) -> EventHandle:
-        return self.queue.schedule_after(delay, callback, priority)
-
-    def post(
-        self,
-        time: float,
-        callback: Callable[..., None],
-        *args,
-        priority: int = 0,
-    ) -> None:
-        """:meth:`EventQueue.post` — ``callback(*args)`` with no handle."""
-        self.queue.post(time, callback, *args, priority=priority)
-
-    def run(self, until: Optional[Callable[[], bool]] = None) -> float:
-        """Run events until the queue drains (or ``until()`` is true).
-
-        Returns the final simulation time.  Raises :class:`LivelockError`
-        if no forward progress is noted across ``progress_window`` events
-        or the hard ``max_events`` budget is exhausted — both almost
-        always indicate a livelock in a component model.
+        Raises :class:`LivelockError` if no forward progress is noted
+        across ``progress_window`` events or the hard ``max_events``
+        budget is exhausted — both almost always indicate a livelock in
+        a component model.
         """
+        queue = self.queue
         sanitizer = self.sanitizer
-        drained = False
-        if sanitizer is None and until is None:
-            # Batched fast path: with no sanitizer and no stop predicate
-            # the only per-event bookkeeping the watchdogs need is a
-            # count, so we drain in batches sized to the next watchdog
-            # deadline.  Both error conditions trip on exactly the same
-            # event index as the per-event loop below: a batch budget of
-            # (deadline - events_run + 1) ends precisely one event past
-            # the deadline, where the per-event loop would raise.
-            while True:
-                budget = (
-                    self._last_progress_event
-                    + self.progress_window
-                    - self._events_run
-                    + 1
-                )
-                hard_cap = self.max_events - self._events_run + 1
-                if hard_cap < budget:
-                    budget = hard_cap
-                # run_batch maintains self._events_run itself (the tally)
-                # so note_progress calls inside callbacks record exact
-                # event indices, as the per-event loop would
-                ran = self.queue.run_batch(budget, self)
-                if ran < budget:
-                    drained = True
-                    break
-                if (
-                    self._events_run - self._last_progress_event
-                    > self.progress_window
-                ):
-                    raise LivelockError(
-                        f"no forward progress across {self.progress_window} "
-                        f"events\n{self.livelock_diagnostics()}"
-                    )
-                if self._events_run > self.max_events:
-                    raise LivelockError(
-                        f"exceeded event budget ({self.max_events}); likely "
-                        f"livelock\n{self.livelock_diagnostics()}"
-                    )
-        else:
-            sweep_at = (
-                self._events_run + sanitizer.sweep_interval
-                if sanitizer is not None
-                else 0
+        sweep_at = (
+            self._events_run + sanitizer.sweep_interval
+            if sanitizer is not None
+            else None
+        )
+        while True:
+            # Each batch ends at the nearest deadline: one event past the
+            # watchdog or max_events limit (where the check raises), or
+            # exactly at the next sanitizer sweep.  Progress marks only
+            # push the watchdog deadline later, so every check fires on
+            # the same event index as it would after each single event.
+            budget = (
+                self._last_progress_event
+                + self.progress_window
+                - self._events_run
+                + 1
             )
-            while True:
-                if until is not None and until():
-                    break
-                if not self.queue.pop_and_run():
-                    drained = True
-                    break
-                self._events_run += 1
-                if sanitizer is not None and self._events_run >= sweep_at:
-                    sanitizer.sweep(self)
-                    sweep_at = self._events_run + sanitizer.sweep_interval
-                if (
-                    self._events_run - self._last_progress_event
-                    > self.progress_window
-                ):
-                    raise LivelockError(
-                        f"no forward progress across {self.progress_window} "
-                        f"events\n{self.livelock_diagnostics()}"
-                    )
-                if self._events_run > self.max_events:
-                    raise LivelockError(
-                        f"exceeded event budget ({self.max_events}); likely "
-                        f"livelock\n{self.livelock_diagnostics()}"
-                    )
-        if sanitizer is not None and drained:
-            # conservation laws only hold on a fully drained queue; a
-            # stop predicate leaves work legitimately in flight
+            hard_cap = self.max_events - self._events_run + 1
+            if hard_cap < budget:
+                budget = hard_cap
+            if sweep_at is not None and sweep_at - self._events_run < budget:
+                budget = sweep_at - self._events_run
+            # run_batch maintains self._events_run itself (the tally)
+            if queue.run_batch(budget, self) < budget:
+                break
+            if sweep_at is not None and self._events_run >= sweep_at:
+                sanitizer.sweep(self)
+                sweep_at = self._events_run + sanitizer.sweep_interval
+            if (
+                self._events_run - self._last_progress_event
+                > self.progress_window
+            ):
+                raise LivelockError(
+                    f"no forward progress across {self.progress_window} "
+                    f"events\n{self.livelock_diagnostics()}"
+                )
+            if self._events_run > self.max_events:
+                raise LivelockError(
+                    f"exceeded event budget ({self.max_events}); likely "
+                    f"livelock\n{self.livelock_diagnostics()}"
+                )
+        if sanitizer is not None:
+            # conservation laws hold on the drained queue
             sanitizer.final(self)
         if self.sampler is not None:
             # close the last partial interval so the series covers the
             # whole run even when it ends between sample boundaries
-            self.sampler.finalize(self.queue.now)
-        return self.queue.now
+            self.sampler.finalize(queue.now)
+        return queue.now

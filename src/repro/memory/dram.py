@@ -43,6 +43,3 @@ class DRAMChannel:
     @property
     def requests(self) -> int:
         return self._requests.value
-
-    def reset_timing(self) -> None:
-        self._port.reset()

@@ -47,7 +47,3 @@ class Interconnect:
     @property
     def num_sms(self) -> int:
         return len(self._ports)
-
-    def reset_timing(self) -> None:
-        for port in self._ports:
-            port.reset()

@@ -71,8 +71,8 @@ class QueueChecker:
 
     Heap entries are plain ``[time, priority, seq, callback, args]``
     lists indexed by the ``E_*`` constants of
-    :mod:`repro.engine.event_queue`; a ``None`` callback marks a
-    cancelled entry awaiting lazy removal.
+    :mod:`repro.engine.event_queue`.  The drain raises the same tag when
+    it pops a past event; the sweep also catches one still pending.
     """
 
     def __init__(self, queue) -> None:
@@ -85,7 +85,7 @@ class QueueChecker:
     def sweep(self, san, sim) -> None:
         now = self.queue.now
         for entry in self.queue._heap:
-            if entry[E_CALLBACK] is not None and entry[E_TIME] < now:
+            if entry[E_TIME] < now:
                 san.violation(
                     "queue.past_event",
                     "pending event is scheduled before the current time",
@@ -95,7 +95,7 @@ class QueueChecker:
 
     # -- injection ------------------------------------------------------ #
     def _inject_past_event(self) -> None:
-        # bypass schedule()'s monotonicity guard — exactly what a
+        # bypass post()'s monotonicity guard — exactly what a
         # component mutating a handed-out event (or a heap-corruption
         # bug) would do
         entry = [None] * (E_ARGS + 1)

@@ -16,8 +16,8 @@ exposes:
 Two modes trade coverage for overhead:
 
 * ``strict`` — structural sweeps every :data:`STRICT_SWEEP_INTERVAL`
-  events plus per-event queue monotonicity checks;
-* ``cheap`` — the same per-event checks, but sweeps only every
+  events plus queue monotonicity checks on every clock change;
+* ``cheap`` — the same queue checks, but sweeps only every
   :data:`CHEAP_SWEEP_INTERVAL` events (plus the final pass).
 
 A violation emits a telemetry instant (category ``sanitizer``) with the
@@ -96,7 +96,7 @@ class Sanitizer:
         self._tracer = None
         self._clock: Optional[Callable[[], float]] = None
         self._track = 0
-        # queue-monotonicity state (per-event path, see EventQueue)
+        # queue-monotonicity state (clock-change path, see EventQueue)
         self._last_watch_time: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -142,10 +142,6 @@ class Sanitizer:
             self._injectors[tag] = injector
 
     @property
-    def checker_names(self) -> List[str]:
-        return [type(c).__name__ for c in self._checkers]
-
-    @property
     def known_injections(self) -> List[str]:
         return sorted(self._injectors)
 
@@ -170,7 +166,8 @@ class Sanitizer:
         raise SanitizerError(f"sanitizer[{tag}]: {message}{detail}", tag=tag)
 
     # ------------------------------------------------------------------ #
-    # Per-event queue checks (called from EventQueue.pop_and_run)
+    # Per-event queue checks (called from EventQueue.run_batch when the
+    # clock changes; a same-cycle event is never checked)
     # ------------------------------------------------------------------ #
     def check_pop(self, event_time: float, now: float) -> None:
         """The popped event must never be in the simulated past."""

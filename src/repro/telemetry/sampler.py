@@ -143,10 +143,6 @@ class TimeSeriesSampler:
     # ------------------------------------------------------------------ #
     # Output
     # ------------------------------------------------------------------ #
-    @property
-    def num_samples(self) -> int:
-        return len(self.cycles)
-
     def to_dict(self) -> Dict[str, Any]:
         """Columnar JSON-compatible form (stored on ``RunResult.timeseries``)."""
         return {

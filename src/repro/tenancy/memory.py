@@ -44,10 +44,6 @@ class TenantAffinityMemory(PartitionedMemory):
             (t * num_partitions) // num_tenants for t in range(num_tenants + 1)
         ]
 
-    def partitions_for_tenant(self, asid: int) -> range:
-        """The partition-id slice owned by tenant ``asid``."""
-        return range(self._bounds[asid], self._bounds[asid + 1])
-
     def partition_for(self, paddr: int) -> MemoryPartition:
         asid = (paddr >> self.asid_shift) % self.num_tenants
         lo, hi = self._bounds[asid], self._bounds[asid + 1]

@@ -90,7 +90,6 @@ class MosaicAllocator:
         self._region_pages: Dict[int, int] = {}
         self._next_region = 0
         self._free_regions: List[int] = []  # min-heap of recycled regions
-        self._regions_committed = 0  # running peak-independent commits
 
     def allocate(self, vpn: int) -> int:
         """Frame for a newly-resident ``vpn`` (commits its region first)."""
@@ -104,7 +103,6 @@ class MosaicAllocator:
                 self._next_region += 1
             self._regions[vregion] = pregion
             self._region_pages[vregion] = 0
-            self._regions_committed += 1
             if self.stats is not None:
                 self.stats.counter("mosaic_regions_committed").inc()
         self._region_pages[vregion] += 1
@@ -131,11 +129,6 @@ class MosaicAllocator:
     @property
     def committed_regions(self) -> int:
         return len(self._regions)
-
-    @property
-    def regions_committed_total(self) -> int:
-        """Commit events over the allocator's lifetime (incl. recommits)."""
-        return self._regions_committed
 
     @property
     def resident_pages(self) -> int:

@@ -672,11 +672,6 @@ class SubEntrySharedTLB(SetAssociativeTLB):
                     del entry_set[base]
         return found
 
-    @property
-    def sub_occupancy(self) -> int:
-        """Total sub-entries across all sets (>= entry occupancy)."""
-        return sum(len(sub) for s in self.sets for sub in s.values())
-
 
 class DeadEntryFilter:
     """Dead-entry miss protection for a TLB (arXiv 2606.00486).

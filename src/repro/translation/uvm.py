@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from .address import PAGE_2M, PAGE_4K, PageGeometry
@@ -45,15 +44,6 @@ class AllocationPolicy(enum.Enum):
     #: regions with offsets preserved, so contiguity survives a long-
     #: running heap and fragmentation is tracked per region.
     MOSAIC = "mosaic"
-
-
-@dataclass
-class FaultRecord:
-    """Bookkeeping for one far fault."""
-
-    vpn: int
-    ppn: int
-    time: float
 
 
 class UVMManager:

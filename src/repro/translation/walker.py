@@ -86,6 +86,3 @@ class WalkerPool:
     @property
     def num_walkers(self) -> int:
         return self._pool.n_servers
-
-    def reset_timing(self) -> None:
-        self._pool.reset()

@@ -1,19 +1,27 @@
 """Unit tests for the discrete-event queue."""
 
+import heapq
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.engine.errors import SanitizerError
 from repro.engine.event_queue import EventQueue
+from repro.sanitizer.core import Sanitizer
+
+
+def drain(q):
+    while q.run_batch(4):
+        pass
 
 
 def test_events_run_in_time_order():
     q = EventQueue()
     order = []
-    q.schedule(5.0, lambda: order.append("b"))
-    q.schedule(1.0, lambda: order.append("a"))
-    q.schedule(9.0, lambda: order.append("c"))
-    while q.pop_and_run():
-        pass
+    q.post(5.0, order.append, "b")
+    q.post(1.0, order.append, "a")
+    q.post(9.0, order.append, "c")
+    drain(q)
     assert order == ["a", "b", "c"]
 
 
@@ -21,88 +29,98 @@ def test_same_time_events_run_fifo():
     q = EventQueue()
     order = []
     for i in range(10):
-        q.schedule(3.0, lambda i=i: order.append(i))
-    while q.pop_and_run():
-        pass
+        q.post(3.0, order.append, i)
+    drain(q)
     assert order == list(range(10))
 
 
 def test_priority_breaks_ties():
     q = EventQueue()
     order = []
-    q.schedule(1.0, lambda: order.append("late"), priority=1)
-    q.schedule(1.0, lambda: order.append("early"), priority=-1)
-    while q.pop_and_run():
-        pass
+    q.post(1.0, order.append, "late", priority=1)
+    q.post(1.0, order.append, "early", priority=-1)
+    drain(q)
     assert order == ["early", "late"]
 
 
 def test_now_advances_with_events():
     q = EventQueue()
     seen = []
-    q.schedule(2.0, lambda: seen.append(q.now))
-    q.schedule(7.0, lambda: seen.append(q.now))
-    while q.pop_and_run():
-        pass
+    q.post(2.0, lambda: seen.append(q.now))
+    q.post(7.0, lambda: seen.append(q.now))
+    drain(q)
     assert seen == [2.0, 7.0]
     assert q.now == 7.0
 
 
 def test_cannot_schedule_in_the_past():
     q = EventQueue()
-    q.schedule(5.0, lambda: None)
-    q.pop_and_run()
+    q.post(5.0, lambda: None)
+    q.run_batch(1)
     with pytest.raises(ValueError):
-        q.schedule(4.0, lambda: None)
-
-
-def test_schedule_after_uses_relative_delay():
-    q = EventQueue()
-    times = []
-    q.schedule(10.0, lambda: q.schedule_after(5.0, lambda: times.append(q.now)))
-    while q.pop_and_run():
-        pass
-    assert times == [15.0]
-
-
-def test_schedule_after_rejects_negative_delay():
-    q = EventQueue()
-    with pytest.raises(ValueError):
-        q.schedule_after(-1.0, lambda: None)
-
-
-def test_cancelled_event_does_not_run():
-    q = EventQueue()
-    ran = []
-    handle = q.schedule(1.0, lambda: ran.append(1))
-    handle.cancel()
-    assert handle.cancelled
-    while q.pop_and_run():
-        pass
-    assert ran == []
-
-
-def test_len_excludes_cancelled():
-    q = EventQueue()
-    h1 = q.schedule(1.0, lambda: None)
-    q.schedule(2.0, lambda: None)
-    assert len(q) == 2
-    h1.cancel()
-    assert len(q) == 1
+        q.post(4.0, lambda: None)
 
 
 def test_events_scheduled_during_execution_run():
     q = EventQueue()
     order = []
-    q.schedule(1.0, lambda: (order.append("first"),
-                             q.schedule(1.0, lambda: order.append("nested"))))
-    while q.pop_and_run():
-        pass
+    q.post(1.0, lambda: (order.append("first"),
+                         q.post(1.0, order.append, "nested")))
+    drain(q)
     assert order == ["first", "nested"]
 
 
 def test_pop_on_empty_returns_false():
-    assert EventQueue().pop_and_run() is False
+    assert not EventQueue().run_batch(1)
+
+
+def test_watcher_sees_each_new_cycle_before_its_events():
+    q = EventQueue()
+    log = []
+    q.time_watcher = lambda t: log.append(("watch", t))
+    for t in (1.0, 1.0, 3.0):
+        q.post(t, log.append, ("event", t))
+    drain(q)
+    assert log == [("watch", 1.0), ("event", 1.0), ("event", 1.0),
+                   ("watch", 3.0), ("event", 3.0)]
+
+
+def test_snapshot_lists_next_pending_events_in_order():
+    q = EventQueue()
+    for t, prio in [(4.0, 0), (2.0, 1), (2.0, -1), (9.0, 0)]:
+        q.post(t, lambda: None, priority=prio)
+    assert q.snapshot(limit=3) == [(2.0, -1), (2.0, 1), (4.0, 0)]
+    assert len(q) == 4
+
+
+def _push_past_entry(q, ran):
+    # bypass post()'s guard, as a corrupted heap would
+    heapq.heappush(q._heap, [q.now - 1.0, 0, -1, ran.append, ("past",)])
+
+
+def test_sanitized_drain_raises_on_past_event():
+    q = EventQueue()
+    q.sanitizer = Sanitizer("strict")
+    ran = []
+    q.post(5.0, ran.append, "on time")
+    q.run_batch(1)
+    _push_past_entry(q, ran)
+    with pytest.raises(SanitizerError) as info:
+        q.run_batch(1)
+    assert info.value.tag == "queue.past_event"
+    assert ran == ["on time"]
+    assert q.now == 5.0
+
+
+def test_unsanitized_past_event_runs_without_moving_the_clock():
+    q = EventQueue()
+    ran = []
+    q.post(5.0, ran.append, "on time")
+    q.run_batch(1)
+    _push_past_entry(q, ran)
+    assert q.run_batch(1) == 1
+    assert ran == ["on time", "past"]
+    assert q.now == 5.0
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=200))
@@ -110,30 +128,7 @@ def test_property_pop_order_is_sorted(times):
     q = EventQueue()
     popped = []
     for t in times:
-        q.schedule(t, lambda t=t: popped.append(t))
-    while q.pop_and_run():
-        pass
+        q.post(t, popped.append, t)
+    drain(q)
     assert popped == sorted(times)
     assert len(popped) == len(times)
-
-
-@given(
-    st.lists(
-        st.tuples(st.floats(min_value=0, max_value=100), st.booleans()),
-        min_size=1,
-        max_size=100,
-    )
-)
-def test_property_cancellation_removes_exactly_cancelled(events):
-    q = EventQueue()
-    ran = []
-    handles = []
-    for i, (t, cancel) in enumerate(events):
-        handles.append((q.schedule(t, lambda i=i: ran.append(i)), cancel))
-    for handle, cancel in handles:
-        if cancel:
-            handle.cancel()
-    while q.pop_and_run():
-        pass
-    expected = {i for i, (_t, cancel) in enumerate(events) if not cancel}
-    assert set(ran) == expected

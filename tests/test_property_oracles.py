@@ -1,14 +1,13 @@
 """Property-based differential tests for the optimized hot paths.
 
-PR 5 rewrote the event queue (pooled list entries, lazy cancellation,
-batched drain) and the TLB index paths (interned set tuples, slot
-caches) for speed.  These tests pin the optimized implementations
-against deliberately naive oracles — a plain ``heapq`` of tuples for
-the event queue, dict+list LRU sets for the TLB, and a re-derivation
-from the paper's partitioning definition for the TB-id slot cache — on
-randomized operation streams, so any semantic drift introduced by a
-future optimization shows up as a counterexample, not as a golden-file
-mystery.
+The event queue (pooled list entries, batched drain) and the TLB index
+paths (interned set tuples, slot caches) are written for speed.  These
+tests pin the optimized implementations against deliberately naive
+oracles — a plain ``heapq`` of tuples for the event queue, dict+list LRU
+sets for the TLB, and a re-derivation from the paper's partitioning
+definition for the TB-id slot cache — on randomized operation streams,
+so any semantic drift introduced by a future optimization shows up as a
+counterexample, not as a golden-file mystery.
 
 Hypothesis drives the streams when available (it is in CI; see the
 ``ci`` profile registered in ``conftest.py``); otherwise a fixed set of
@@ -57,22 +56,18 @@ class _Tally:
 def run_queue_ops(ops):
     """Drive an EventQueue and a naive oracle with one op stream.
 
-    Ops: ``("push", delay_quarters, priority)``, ``("post", delay_quarters,
-    priority, value)`` (a handle-less event whose one shared callback
-    receives a payload object as its argument, no closure),
-    ``("cancel", index)`` (cancels the index-th handle ever created —
-    including handles whose event already ran or whose pooled entry was
-    recycled, which must be safe no-ops), and ``("pop",)``.  The tail is
-    drained through :meth:`EventQueue.run_batch`, the production drain.
-    A popped event must drop its payload: every payload's weakref dies
-    once its event ran.
+    Ops: ``("push", delay_quarters, priority)`` (a closure posted with
+    no arguments), ``("post", delay_quarters, priority, value)`` (one
+    shared callback receiving a payload object as its argument, no
+    closure) and ``("run", budget)`` (one :meth:`EventQueue.run_batch`
+    call with a budget of 1..k, the production drain).  A popped event
+    must drop its payload: every payload's weakref dies once its event
+    ran.
     """
     q = EventQueue()
     ran = []
-    handles = []
     payloads = {}  # seq -> (weakref to the posted payload, its value)
     oracle = []  # heap of (time, priority, seq)
-    status = {}  # seq -> "pending" | "cancelled" | "run"
     next_seq = 0
     now = 0.0
 
@@ -93,48 +88,32 @@ def run_queue_ops(ops):
             seq = next_seq
             next_seq += 1
             if op[0] == "push":
-                handles.append((q.schedule(t, make_cb(seq), op[2]), seq))
+                q.post(t, make_cb(seq), priority=op[2])
             else:
                 payload = _Payload(seq, op[3])
                 payloads[seq] = (weakref.ref(payload), op[3])
                 q.post(t, receive, payload, priority=op[2])
                 del payload
             heapq.heappush(oracle, (t, op[2], seq))
-            status[seq] = "pending"
-        elif op[0] == "cancel":
-            if handles:
-                handle, seq = handles[op[1] % len(handles)]
-                handle.cancel()
-                if status[seq] == "pending":
-                    status[seq] = "cancelled"
-                # run/recycled: the generation tag must make this a no-op
-        else:  # pop
-            while oracle and status[oracle[0][2]] != "pending":
-                heapq.heappop(oracle)
-            if not oracle:
-                assert q.pop_and_run() is False
-            else:
-                t, _prio, seq = heapq.heappop(oracle)
-                n_before = len(ran)
-                assert q.pop_and_run() is True
-                assert len(ran) == n_before + 1, "exactly one callback ran"
-                assert ran[-1] == seq, "pop order diverged from oracle"
-                assert q.now == t
+        else:  # run
+            budget = op[1]
+            expected = [
+                heapq.heappop(oracle) for _ in range(min(budget, len(oracle)))
+            ]
+            mark = len(ran)
+            assert q.run_batch(budget) == len(expected)
+            assert ran[mark:] == [seq for _t, _p, seq in expected], (
+                "pop order diverged from oracle"
+            )
+            if expected:
+                now = expected[-1][0]
+            assert q.now == now
+            for _t, _p, seq in expected:
                 assert_payload_freed(seq)
-                status[seq] = "run"
-                now = t
-        live = sum(1 for s in status.values() if s == "pending")
-        assert len(q) == live
-    # drain the rest in small batches: the full remaining order must
-    # match the oracle and every batch but the last must run its budget
-    expected_tail = []
-    last_time = now
-    while oracle:
-        t, _prio, seq = heapq.heappop(oracle)
-        if status[seq] == "pending":
-            expected_tail.append(seq)
-            status[seq] = "run"
-            last_time = t
+        assert len(q) == len(oracle)
+    # drain the rest in small batches through a tally: the full
+    # remaining order must match the oracle and the tally must count it
+    expected_tail = [seq for _t, _p, seq in sorted(oracle)]
     mark = len(ran)
     tally = _Tally()
     total = 0
@@ -145,28 +124,30 @@ def run_queue_ops(ops):
             break
     assert total == tally._events_run == len(expected_tail)
     assert ran[mark:] == expected_tail
-    assert q.now == last_time
+    if oracle:
+        assert q.now == max(oracle)[0]
     assert len(q) == 0
     assert q.run_batch(3) == 0
     for seq in payloads:
         assert_payload_freed(seq)
 
 
+QUEUE_MAX_BUDGET = 4
+
+
 def _random_queue_ops(rng: random.Random, n: int = 150):
     ops = []
     for _ in range(n):
         r = rng.random()
-        if r < 0.3:
+        if r < 0.35:
             ops.append(("push", rng.randrange(0, 12), rng.randrange(-1, 2)))
-        elif r < 0.5:
+        elif r < 0.7:
             ops.append(
                 ("post", rng.randrange(0, 12), rng.randrange(-1, 2),
                  rng.randrange(0, 1000))
             )
-        elif r < 0.7:
-            ops.append(("cancel", rng.randrange(0, 256)))
         else:
-            ops.append(("pop",))
+            ops.append(("run", rng.randint(1, QUEUE_MAX_BUDGET)))
     return ops
 
 
@@ -184,8 +165,10 @@ if HAVE_HYPOTHESIS:
                 st.integers(min_value=-1, max_value=1),
                 st.integers(min_value=0, max_value=999),
             ),
-            st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255)),
-            st.tuples(st.just("pop")),
+            st.tuples(
+                st.just("run"),
+                st.integers(min_value=1, max_value=QUEUE_MAX_BUDGET),
+            ),
         ),
         max_size=150,
     )

@@ -26,12 +26,6 @@ class TestSerialResource:
         with pytest.raises(ValueError):
             SerialResource(-1.0)
 
-    def test_reset_clears_backlog(self):
-        port = SerialResource(occupancy=10.0)
-        port.acquire(0.0)
-        port.reset()
-        assert port.acquire(0.0) == 0.0
-
     @given(
         st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=100),
         st.floats(min_value=0.5, max_value=10),
@@ -84,38 +78,26 @@ class TestResourcePool:
             )
             assert in_window <= n
 
-
-class TestResourcePoolTwoGroupRepresentation:
-    """Boundary tests for the O(1) two-group fast path of ResourcePool.
-
-    The pool tracks (free-time, count) for up to two groups of servers
-    and only degrades to a heap on a third distinct free time; these
-    tests walk each transition of that representation.
-    """
-
-    def test_same_time_burst_collapses_to_one_group(self):
+    def test_repeated_full_bursts_queue_one_service_time_apart(self):
         pool = ResourcePool(3, service_time=10.0)
-        # full burst: all servers busy until 10, one uniform group again
         assert [pool.acquire(0.0) for _ in range(3)] == [10.0] * 3
-        # second full burst folds onto the busy group, never the heap
         assert [pool.acquire(0.0) for _ in range(3)] == [20.0] * 3
 
-    def test_partial_burst_keeps_two_groups(self):
+    def test_partial_burst_fills_idle_servers_first(self):
         pool = ResourcePool(4, service_time=10.0)
         assert pool.acquire(0.0) == 10.0
-        # groups now: 3 free at 0.0, 1 busy until 10.0
+        # 3 servers free at 0.0, 1 busy until 10.0
         assert pool.acquire(5.0) == 15.0
         assert pool.acquire(5.0) == 15.0
         assert pool.acquire(5.0) == 15.0
         # all four busy: earliest completion is the first server
         assert pool.acquire(5.0) == 20.0
 
-    def test_degrades_to_heap_on_third_distinct_time(self):
+    def test_staggered_free_times_grant_earliest_first(self):
         pool = ResourcePool(3, service_time=7.0)
         assert pool.acquire(0.0) == 7.0
-        assert pool.acquire(1.0) == 8.0   # third distinct free time
+        assert pool.acquire(1.0) == 8.0
         assert pool.acquire(2.0) == 9.0
-        # heap mode must still grant earliest-server-first
         assert pool.acquire(2.0) == 14.0
         assert pool.acquire(2.0) == 15.0
 
@@ -125,16 +107,6 @@ class TestResourcePoolTwoGroupRepresentation:
         assert pool.acquire(0.0) == 0.0
         assert pool.acquire(0.0) == 0.0  # instant turnaround, never queues
         assert pool.acquire(3.5) == 3.5
-
-    def test_reset_restores_all_servers(self):
-        pool = ResourcePool(2, service_time=50.0)
-        pool.acquire(0.0)
-        pool.acquire(1.0)  # forces heap mode
-        pool.acquire(2.0)
-        pool.reset()
-        assert pool.acquire(0.0) == 50.0
-        assert pool.acquire(0.0) == 50.0
-        assert pool.acquire(0.0) == 100.0
 
     def test_n_servers_reported(self):
         assert ResourcePool(5, 1.0).n_servers == 5
@@ -149,9 +121,9 @@ class TestResourcePoolTwoGroupRepresentation:
         ),
     )
     def test_property_matches_heap_oracle(self, n, service, deltas):
-        """Differential: the two-group pool vs a plain min-heap of
+        """Differential: the pool vs a plain pop/push min-heap of
         per-server free times, on monotonic arrivals with frequent
-        exact ties (the collapse/degrade triggers)."""
+        exact ties."""
         import heapq
 
         pool = ResourcePool(n, service_time=service)

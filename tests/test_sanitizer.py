@@ -345,14 +345,13 @@ class TestOverhead:
         """Acceptance: strict sanitizing costs <= 35% wall time.
 
         Best-of-N timing to shave scheduler noise; the comparison is
-        in-process on the same warmed interpreter.  The budget was 10%
-        when both modes ran the same per-event drive loop; the batched
-        fast path lowered the unsanitized denominator (sanitized runs
-        legitimately keep per-event checks), and single-core CI boxes
-        show ~±25% min-of-N jitter, so the budget covers real overhead
-        plus timing noise rather than asserting a razor-thin margin.
-        Interleaving the modes keeps slow background drift from landing
-        entirely on one side of the ratio.
+        in-process on the same warmed interpreter.  Both modes drain
+        through the same batched loop, so the real overhead is the
+        sweeps plus the queue checks on clock changes; single-core CI
+        boxes show ~±25% min-of-N jitter, so the budget covers that
+        overhead plus timing noise rather than asserting a razor-thin
+        margin.  Interleaving the modes keeps slow background drift from
+        landing entirely on one side of the ratio.
         """
         monkeypatch.delenv(SANITIZE_ENV_VAR, raising=False)
         monkeypatch.delenv(SANITIZE_INJECT_ENV, raising=False)

@@ -5,34 +5,27 @@ import pytest
 from repro.arch.kernel import MemoryInstruction, WarpTrace
 from repro.arch.warp import WarpRuntime
 from repro.engine.simulator import LivelockError, SimulationError, Simulator
+from repro.sanitizer.core import STRICT_SWEEP_INTERVAL, Sanitizer
 
 
 class TestSimulator:
     def test_run_drains_queue(self):
         sim = Simulator()
         seen = []
-        sim.schedule(1.0, lambda: seen.append(1))
-        sim.schedule_after(5.0, lambda: seen.append(2))
+        sim.queue.post(1.0, seen.append, 1)
+        sim.queue.post(5.0, seen.append, 2)
         end = sim.run()
         assert seen == [1, 2]
         assert end == 5.0
         assert sim.events_run == 2
 
-    def test_until_predicate_stops_early(self):
-        sim = Simulator()
-        seen = []
-        for t in range(10):
-            sim.schedule(float(t), lambda t=t: seen.append(t))
-        sim.run(until=lambda: len(seen) >= 3)
-        assert len(seen) == 3
-
     def test_event_budget_detects_livelock(self):
         sim = Simulator(max_events=100)
 
         def respawn():
-            sim.schedule_after(1.0, respawn)
+            sim.queue.post(sim.now + 1.0, respawn)
 
-        sim.schedule(0.0, respawn)
+        sim.queue.post(0.0, respawn)
         with pytest.raises(SimulationError):
             sim.run()
 
@@ -111,9 +104,9 @@ class TestForwardProgressWatchdog:
         sim = Simulator(**kwargs)
 
         def respawn():
-            sim.schedule_after(1.0, respawn)
+            sim.queue.post(sim.now + 1.0, respawn)
 
-        sim.schedule(0.0, respawn)
+        sim.queue.post(0.0, respawn)
         return sim
 
     def test_no_progress_raises_livelock(self):
@@ -129,9 +122,9 @@ class TestForwardProgressWatchdog:
             seen.append(sim.events_run)
             sim.note_progress()           # real work every event
             if len(seen) < 200:
-                sim.schedule_after(1.0, tick)
+                sim.queue.post(sim.now + 1.0, tick)
 
-        sim.schedule(0.0, tick)
+        sim.queue.post(0.0, tick)
         sim.run()                         # 200 events >> window of 50
         assert len(seen) == 200
         assert sim.progress_marks == 200
@@ -167,8 +160,55 @@ class TestForwardProgressWatchdog:
 
         def busy():
             sim.note_progress()
-            sim.schedule_after(1.0, busy)
+            sim.queue.post(sim.now + 1.0, busy)
 
-        sim.schedule(0.0, busy)
+        sim.queue.post(0.0, busy)
         with pytest.raises(LivelockError):
             sim.run()
+
+
+class TestOneDrainLoop:
+    """A sanitized run drains through the same batched loop as a plain
+    one: each batch stops at the nearest of the watchdog, max_events and
+    sweep deadlines, so every check fires on the same event index."""
+
+    @staticmethod
+    def _chain(sim, n, note_progress=False):
+        def step(i):
+            if note_progress:
+                sim.note_progress()
+            if i + 1 < n:
+                sim.queue.post(sim.now + 1.0, step, i + 1)
+
+        sim.queue.post(0.0, step, 0)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            {"progress_window": 2 * STRICT_SWEEP_INTERVAL + 5},
+            {"max_events": STRICT_SWEEP_INTERVAL + 3, "progress_window": 10},
+        ],
+    )
+    def test_livelock_trips_on_the_same_event_sanitized_or_not(self, limits):
+        tripped = []
+        for sanitizer in (None, Sanitizer("strict")):
+            sim = Simulator(sanitizer=sanitizer, **limits)
+            self._chain(
+                sim, 10**9, note_progress="max_events" in limits
+            )
+            with pytest.raises(LivelockError):
+                sim.run()
+            tripped.append(sim.events_run)
+        expected = limits.get("max_events", limits["progress_window"]) + 1
+        assert tripped == [expected, expected]
+
+    @pytest.mark.parametrize(
+        "n", [1, STRICT_SWEEP_INTERVAL, 3 * STRICT_SWEEP_INTERVAL + 17]
+    )
+    def test_strict_sweeps_every_interval_plus_final(self, n):
+        sanitizer = Sanitizer("strict")
+        sim = Simulator(sanitizer=sanitizer)
+        self._chain(sim, n)
+        sim.run()
+        assert sim.events_run == n
+        assert sanitizer.sweeps == n // STRICT_SWEEP_INTERVAL + 1
