@@ -24,9 +24,6 @@ class _Entry:
 class TLBStatusTable:
     """Scheduler-side table of per-SM TLB statistics."""
 
-    #: table geometry from the paper: 4-bit SM id + two 32-bit counters
-    BYTES_PER_ENTRY = (4 + 32 + 32) // 8 * 2  # conservative; paper says 136 B total
-
     def __init__(self, num_sms: int, ema_alpha: float = 0.5) -> None:
         if num_sms <= 0:
             raise ValueError(f"num_sms must be positive, got {num_sms}")

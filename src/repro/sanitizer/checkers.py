@@ -545,15 +545,14 @@ class TenantIsolationChecker:
       (per-tenant page tables must isolate regardless of TLB sharing).
     """
 
-    def __init__(self, gpu) -> None:
-        from ..core.tb_scheduler import ExclusiveTenantScheduler
-        from ..tenancy.tenant import PPN_TAG_SHIFT
+    def __init__(self, machine) -> None:
+        from ..tenancy.tenant import PPN_TAG_SHIFT, PartitionMode
 
-        self.gpu = gpu
-        self.router = gpu.router
+        self.gpu = machine.gpu
+        self.router = machine.router
         self._ppn_shift = PPN_TAG_SHIFT
-        self._vpn_shift = gpu.router.vpn_tag_shift
-        self._exclusive = isinstance(gpu.scheduler, ExclusiveTenantScheduler)
+        self._vpn_shift = machine.router.vpn_tag_shift
+        self._exclusive = machine.mode is PartitionMode.EXCLUSIVE
         self.injectors = {"tenant.asid_leak": self._inject_asid_leak}
         if self._exclusive:
             self.injectors["tenant.cross_tlb"] = self._inject_cross_tlb
@@ -567,11 +566,11 @@ class TenantIsolationChecker:
         from ..core.partitioned_tlb import TenantIndexPolicy
         from ..translation.compression import CompressedTLB
 
-        scheduler = self.gpu.scheduler
         shift = self._vpn_shift
-        for tid in range(len(self.gpu.tenants)):
-            for sm_id in scheduler.sm_slice(tid):
-                tlb = self.gpu.sms[sm_id].l1_tlb
+        # in exclusive mode lane ``tid`` is tenant ``tid``'s SM slice
+        for tid, lane in enumerate(self.gpu.lanes):
+            for sm in lane.sms:
+                tlb = sm.l1_tlb
                 if isinstance(tlb, CompressedTLB):
                     continue  # range-keyed sets; keys are not raw VPNs
                 for set_idx, entry_set in enumerate(tlb.sets):
@@ -581,7 +580,7 @@ class TenantIsolationChecker:
                                 "tenant.cross_tlb",
                                 "foreign-tenant entry in an exclusive "
                                 "SM slice's L1 TLB",
-                                {"sm": sm_id, "set": set_idx, "vpn": vpn,
+                                {"sm": sm.sm_id, "set": set_idx, "vpn": vpn,
                                  "owner": tid, "tagged": vpn >> shift},
                             )
         l2 = self.gpu.l2_tlb
@@ -620,8 +619,7 @@ class TenantIsolationChecker:
         # plant a foreign-tagged translation in tenant 0's SM slice, in
         # the VPN's own home set so only the tenant invariant trips (a
         # misplaced entry would be the generic TLBChecker's diagnosis)
-        sm_id = self.gpu.scheduler.sm_slice(0)[0]
-        tlb = self.gpu.sms[sm_id].l1_tlb
+        tlb = self.gpu.lanes[0].sms[0].l1_tlb
         foreign_vpn = (1 << self._vpn_shift) | 3
         try:
             home = tlb.policy.lookup_sets(foreign_vpn, None)[0]

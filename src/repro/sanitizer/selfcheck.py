@@ -268,9 +268,10 @@ def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
     The strongest metamorphic property the tenancy subsystem offers:
     with one tenant in exclusive mode every tenancy mechanism must
     reduce to the identity (relocation adds offset 0, the ASID router
-    passes through, the tenant scheduler delegates to the stock
-    scheduler over all SMs), so the combined result — stats dump
-    included — must be byte-identical to :func:`repro.system.build_gpu`.
+    passes through, the one tenant's lane is the plain machine's lane:
+    the stock scheduler over all SMs), so the combined result — stats
+    dump included — must be byte-identical to
+    :func:`repro.system.build_gpu`.
     Checked for both the baseline and the proposal configuration.
     """
     from ..experiments.configs import get_config
@@ -295,8 +296,7 @@ def suite_tenancy_identity(scale: str, seed: int) -> CheckOutcome:
             scale=scale,
             seed=seed,
         )
-        gpu = build_tenant_gpu(spec, get_config(config_tag))
-        tenant = gpu.run_tenants()
+        tenant = build_tenant_gpu(spec, get_config(config_tag)).run_tenants()
         diff = _diff_payloads(
             _result_payload(base), _result_payload(tenant.combined)
         )

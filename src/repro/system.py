@@ -13,7 +13,8 @@ This is the main entry point of the library::
 ``build_gpu`` wires the substrates (engine, translation, memory, arch)
 to the paper's policies (core) according to the config.  The wiring is
 one assembly, ``_assemble``, which the multi-tenant builder
-(:func:`repro.tenancy.build_tenant_gpu`) calls with its own parts.
+(:func:`repro.tenancy.build_tenant_gpu`) calls with its own parts and
+one dispatch lane per tenant.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from functools import partial
 from typing import Callable, Optional, Sequence, Tuple
 
 from .arch.config import GPUConfig
-from .arch.gpu import GPU
+from .arch.gpu import GPU, Lane
 from .arch.sm import StreamingMultiprocessor
 from .core.factory import build_l1_tlb
-from .core.tb_scheduler import make_scheduler
+from .core.tb_scheduler import TBScheduler, TLBAwareScheduler, make_scheduler
 from .engine.simulator import Simulator
 from .memory.cache import Cache
 from .memory.interconnect import Interconnect
@@ -64,6 +65,7 @@ def build_gpu(
             else None
         ),
     )
+    scheduler = make_scheduler(config.tb_scheduler, config.num_sms)
     gpu = _assemble(
         config,
         sim,
@@ -78,7 +80,7 @@ def build_gpu(
         ),
         l1_tlb=partial(build_l1_tlb, config),
         memory=PartitionedMemory,
-        scheduler=make_scheduler(config.tb_scheduler, config.num_sms),
+        lanes=[(range(config.num_sms), scheduler)],
     )
     if sim.sanitizer is not None and uvm.mosaic is not None:
         from .sanitizer import MosaicChecker
@@ -97,8 +99,7 @@ def _assemble(
     l2_tlb: Callable[..., SetAssociativeTLB],
     l1_tlb: Callable[..., SetAssociativeTLB],
     memory: Callable[..., PartitionedMemory],
-    scheduler,
-    machine: Callable[..., GPU] = GPU,
+    lanes: Sequence[Tuple[range, TBScheduler]],
 ) -> GPU:
     """Wire the machine every builder shares around the parts that differ.
 
@@ -106,10 +107,11 @@ def _assemble(
     several); ``address_spaces`` pairs each UVM with the VPN tag its
     local pages carry in the TLBs, so an eviction shoots down exactly its
     own translations.  ``l2_tlb`` and ``l1_tlb`` are called with the
-    ``stats`` group and ``name`` of each TLB, ``memory`` with the
-    partitioned-memory geometry, and ``machine`` with the assembled
-    parts.  Stats groups, tracer lanes and checkers are created in one
-    fixed order: stats dumps and trace bytes depend on it.
+    ``stats`` group and ``name`` of each TLB, and ``memory`` with the
+    partitioned-memory geometry.  ``lanes`` pairs the SM ids of each
+    dispatch lane with the TB scheduler that places its TBs; lanes may
+    share a scheduler.  Stats groups, tracer lanes and checkers are
+    created in one fixed order: stats dumps and trace bytes depend on it.
     """
     geometry = geometry_for(config.page_size)
     tracer = sim.tracer
@@ -217,21 +219,26 @@ def _assemble(
         for uvm, tag in address_spaces:
             uvm.invalidate_hook = _make_shootdown(tag)
 
-    scheduler.bind_telemetry(tracer, clock)
+    schedulers = list({id(s): s for _, s in lanes}.values())
+    for scheduler in schedulers:
+        scheduler.bind_telemetry(tracer, clock)
     if sim.sampler is not None:
         # occupancy is state, not a counter — sample it via a probe
         sim.sampler.add_probe(
             "resident_tbs", lambda: sum(len(sm.resident) for sm in sms)
         )
-    gpu = machine(sim, config, geometry, sms, scheduler, l2, walkers, partitions)
+    gpu = GPU(
+        sim, config, geometry, sms,
+        [Lane([sms[i] for i in ids], scheduler) for ids, scheduler in lanes],
+        l2, walkers, partitions,
+    )
     if sim.sanitizer is not None:
-        _register_checkers(sim, sms, l2, walkers, translation, scheduler)
+        _register_checkers(sim, sms, l2, walkers, translation, schedulers)
     return gpu
 
 
-def _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler) -> None:
+def _register_checkers(sim, sms, l2_tlb, walkers, translation, schedulers) -> None:
     """Attach the sanitizer's component checkers to a built machine."""
-    from .core.tb_scheduler import TLBAwareScheduler
     from .sanitizer import (
         DeadEntryChecker,
         LifecycleChecker,
@@ -254,8 +261,9 @@ def _register_checkers(sim, sms, l2_tlb, walkers, translation, scheduler) -> Non
             san.register(DeadEntryChecker(sm.l1_tlb))
     san.register(WalkerChecker(walkers, translation))
     san.register(LifecycleChecker(sms).bind(san))
-    if isinstance(scheduler, TLBAwareScheduler):
-        san.register(StatusTableChecker(scheduler))
+    for scheduler in schedulers:
+        if isinstance(scheduler, TLBAwareScheduler):
+            san.register(StatusTableChecker(scheduler))
 
 
 def run_kernel(

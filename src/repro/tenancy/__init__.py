@@ -7,15 +7,19 @@ Quickstart::
     from repro.experiments.configs import get_config
 
     spec = TenancySpec(mix=("bfs", "gemm"), mode=PartitionMode.SUB_ENTRY)
-    gpu = build_tenant_gpu(spec, get_config("baseline"))
-    result = gpu.run_tenants()
+    machine = build_tenant_gpu(spec, get_config("baseline"))
+    result = machine.run_tenants()
     for t in result.tenants:
         print(t.benchmark, t.ipc, t.l1_tlb_hit_rate)
     print(result.fairness_index, result.cross_tenant_evictions)
+
+``build_tenant_gpu`` returns a :class:`TenantMachine`: a plain
+:class:`~repro.arch.gpu.GPU` (``machine.gpu``) with one dispatch lane
+per tenant, and the per-tenant split of its results.
 """
 
 from .compose import compose_tenants, relocate_kernel
-from .machine import MultiTenantGPU, build_tenant_gpu
+from .machine import TenantMachine, build_tenant_gpu
 from .memory import TenantAffinityMemory
 from .metrics import TenancyResult, TenantMetrics, jain_fairness
 from .router import ASIDRouter
@@ -35,7 +39,6 @@ from .tlbs import TenantAccounting
 __all__ = [
     "ADDRESS_SPACE_BITS",
     "ASIDRouter",
-    "MultiTenantGPU",
     "PARTITION_MODES",
     "PPN_TAG_SHIFT",
     "PartitionMode",
@@ -44,6 +47,7 @@ __all__ = [
     "Tenant",
     "TenantAccounting",
     "TenantAffinityMemory",
+    "TenantMachine",
     "TenantMetrics",
     "build_tenant_gpu",
     "compose_tenants",

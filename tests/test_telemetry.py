@@ -321,7 +321,7 @@ class TestDisabledOverhead:
         assert gpu.sms[0].l1_tlb._tracer is None
         assert gpu.l2_tlb._tracer is None
         assert gpu.walkers._tracer is None
-        assert gpu.scheduler._tracer is None
+        assert gpu.lanes[0].scheduler._tracer is None
 
     def test_disabled_run_never_calls_tracer(self):
         spy = _SpyTracer()
