@@ -40,13 +40,11 @@ a second signal hard-exits with ``128 + signum``.
 
 ``--timeout`` runs cells in supervised subprocess workers with a
 wall-clock watchdog; ``report --checkpoint/--resume`` makes a long
-sweep restartable, even after ``kill -9``.
+sweep restartable, even after ``kill -9`` or a full disk (a failed
+append degrades the affected figure to ``FAILED(checkpoint)``).
 ``REPRO_FAULT=bench:config:kind[:times]`` injects deterministic faults
-for testing the degradation path, and
-``REPRO_FAULT=disk:<layer>:<kind>[:<nth-op>]`` injects *disk* faults
-(``enospc``/``eio``/``fsync``/``torn``/``crash``) into a named
-persistence layer (``checkpoint``/``goldens``/``manifest``/``atomic``,
-or ``*``) through the storage shim;
+for testing the degradation path (the removed ``disk:...`` form exits
+3);
 ``--sanitize[=strict|cheap]`` (or ``REPRO_SANITIZE``) enables runtime
 invariant checking, and ``REPRO_SANITIZE_INJECT=<tag>`` deliberately
 breaks one invariant to prove the checker fires.

@@ -17,15 +17,6 @@ from .faults import FaultKind, FaultPlan, FaultSpec, corrupt_file
 from .resources import ResourcePool, SerialResource
 from .simulator import Simulator
 from .stats import Counter, Histogram, StatGroup, StatRegistry
-from .storage import (
-    DiskFaultKind,
-    DiskFaultSpec,
-    SimulatedCrash,
-    Storage,
-    StorageOp,
-    get_storage,
-    parse_disk_spec,
-)
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -34,8 +25,6 @@ __all__ = [
     "CheckpointStore",
     "ConfigError",
     "Counter",
-    "DiskFaultKind",
-    "DiskFaultSpec",
     "EventQueue",
     "FaultKind",
     "FaultPlan",
@@ -44,16 +33,11 @@ __all__ = [
     "LivelockError",
     "ResourcePool",
     "SerialResource",
-    "SimulatedCrash",
     "SimulationError",
     "Simulator",
     "StatGroup",
     "StatRegistry",
-    "Storage",
-    "StorageOp",
     "WorkerCrash",
     "WorkloadError",
     "corrupt_file",
-    "get_storage",
-    "parse_disk_spec",
 ]

@@ -15,23 +15,17 @@ files, compacted checkpoint stores, workload caches — goes through
 
 A crash — including SIGKILL — at any point leaves either the complete
 old file or the complete new file, never a torn hybrid.  Failed writes
-clean up their temp file instead of littering the directory — including
-the sibling a path-writing library created under a name it chose itself
+— a full disk, a failed ``fsync`` or ``os.replace`` — clean up their
+temp file instead of littering the directory, including the sibling a
+path-writing library created under a name it chose itself
 (``np.savez`` appends ``.npz`` when the temp name carries no extension).
-
-Every filesystem operation routes through the injectable storage shim
-(:mod:`repro.engine.storage`): callers tag their persistence ``layer``
-so disk faults (ENOSPC, failed fsync, torn write, crash-after-N-bytes)
-can be injected per layer.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from typing import Iterator, Optional, Union
-
-from .storage import Storage, get_storage
+from typing import Iterator, Union
 
 
 def _tmp_name(path: str) -> str:
@@ -67,50 +61,48 @@ def _cleanup_tmp(tmp: str) -> None:
                 os.remove(os.path.join(directory, name))
 
 
+def _fsync(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 @contextlib.contextmanager
-def atomic_path(
-    path: str,
-    layer: str = "atomic",
-    storage: Optional[Storage] = None,
-) -> Iterator[str]:
+def atomic_path(path: str) -> Iterator[str]:
     """Yield a temp path; on clean exit, atomically move it to ``path``.
 
     For writers that must control the file themselves (``np.savez``,
     ``json.dump`` on a handle the caller opens, ...).  On an exception
-    — the writer's own, or an injected disk fault — every temp artifact
-    is removed and the destination is left untouched.
+    — the writer's own, or a failed fsync or rename — every temp
+    artifact is removed and the destination is left untouched.
     """
-    store = storage if storage is not None else get_storage()
     directory = os.path.dirname(path)
     if directory:
         os.makedirs(directory, exist_ok=True)
     tmp = _tmp_name(path)
     try:
         yield tmp
-        store.fsync_path(tmp, layer)
-        store.replace(tmp, path, layer)
-        store.fsync_dir(directory, layer)
+        _fsync(tmp)
+        os.replace(tmp, path)
+        # persist the rename itself (best effort: some filesystems
+        # cannot open or fsync a directory)
+        with contextlib.suppress(OSError):
+            _fsync(directory or ".")
     except BaseException:
         _cleanup_tmp(tmp)
         raise
 
 
-def atomic_write(
-    path: str,
-    data: Union[str, bytes],
-    layer: str = "atomic",
-    storage: Optional[Storage] = None,
-) -> str:
+def atomic_write(path: str, data: Union[str, bytes]) -> str:
     """Atomically replace ``path`` with ``data`` (temp + rename + fsync).
 
     Returns ``path``.  Readers racing the writer see either the old or
     the new contents, and SIGKILL mid-write never tears the file.
-    ``layer`` tags the storage-shim operations with the calling
-    persistence layer (checkpoint/goldens/manifest) for fault
-    injection.
     """
-    store = storage if storage is not None else get_storage()
     blob = data.encode() if isinstance(data, str) else data
-    with atomic_path(path, layer=layer, storage=store) as tmp:
-        store.write_file(tmp, blob, layer)
+    with atomic_path(path) as tmp:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
     return path

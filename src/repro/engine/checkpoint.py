@@ -20,6 +20,11 @@ garbled line, a CRC mismatch from bit rot or tampering, a header that
 is unreadable, foreign, from a different store version or from a
 different (scale, seed) sweep — raises :class:`CheckpointError`: a
 cache we cannot trust end-to-end is worse than no cache.
+
+An append that fails — a full disk, a failed ``fsync`` — closes its
+handle, truncates the file back to its pre-append size and raises
+:class:`CheckpointError`, so the caller degrades the cell instead of
+crashing and the next append starts from a clean store.
 """
 
 from __future__ import annotations
@@ -31,10 +36,6 @@ import zlib
 from typing import Any, Dict, Optional, Tuple
 
 from .errors import CheckpointError
-from .storage import Storage, get_storage
-
-#: storage-shim layer tag for every checkpoint filesystem operation
-STORAGE_LAYER = "checkpoint"
 
 #: bump when the RunResult wire format or cell-key shape changes
 #: incompatibly (v2: keys grew telemetry fields, results grew timeseries;
@@ -54,17 +55,10 @@ def _canonical(result: Dict[str, Any]) -> bytes:
 class CheckpointStore:
     """Append-only cell-result cache bound to one (scale, seed) sweep."""
 
-    def __init__(
-        self,
-        path: str,
-        scale: str = "",
-        seed: int = 0,
-        storage: Optional[Storage] = None,
-    ) -> None:
+    def __init__(self, path: str, scale: str = "", seed: int = 0) -> None:
         self.path = path
         self.scale = scale
         self.seed = seed
-        self.storage = storage if storage is not None else get_storage()
         self._handle = None
         self._loaded = False
         #: start of a torn final append found by ``load``; cut off
@@ -88,7 +82,8 @@ class CheckpointStore:
         self._torn_at = None
         if not self.exists():
             return results
-        blob = self.storage.read_bytes(self.path, STORAGE_LAYER)
+        with open(self.path, "rb") as handle:
+            blob = handle.read()
         lines = blob.split(b"\n")
         torn = lines.pop()  # whatever follows the last newline
         if not lines and not torn:
@@ -172,23 +167,25 @@ class CheckpointStore:
         if self.exists() and not self._loaded:
             self.load()  # validate the header and find any torn tail
         if self._torn_at is not None:
-            self.storage.truncate(self.path, self._torn_at, STORAGE_LAYER)
+            os.truncate(self.path, self._torn_at)
             self._torn_at = None
         fresh = not self.exists() or os.path.getsize(self.path) == 0
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        self._handle = self.storage.open_append(self.path, STORAGE_LAYER)
+        self._handle = open(self.path, "ab")
         return fresh
 
     def append(self, key: CellKey, result: Dict[str, Any]) -> None:
         """Durably record one completed cell (flushed immediately).
 
-        A storage failure (ENOSPC, failed fsync, torn write) surfaces
-        as :class:`CheckpointError` after rolling the file back to its
+        A write or fsync failure (ENOSPC, EIO) surfaces as
+        :class:`CheckpointError` after rolling the file back to its
         pre-append size — the header write of a fresh file included —
         so a torn partial line can never corrupt the *middle* of the
-        store for the next ``load``.
+        store for the next ``load``.  The failed handle is dropped
+        even when closing it fails too (its buffered flush hits the
+        same full disk), so the next append reopens the file.
         """
         record = {
             "key": list(key),
@@ -204,14 +201,13 @@ class CheckpointStore:
         pre_size = self._handle.tell()
         try:
             if fresh:
-                # its own write, so a fault can tear the header alone
                 self._write_line(self._header_line())
             self._write_line(json.dumps(record))
-            self.storage.fsync_handle(
-                self._handle, STORAGE_LAYER, self.path
-            )
+            os.fsync(self._handle.fileno())
         except OSError as exc:
-            self.close()
+            handle, self._handle = self._handle, None
+            with contextlib.suppress(OSError):
+                handle.close()  # retries the flush; may fail the same way
             with contextlib.suppress(OSError):
                 if os.path.getsize(self.path) > pre_size:
                     os.truncate(self.path, pre_size)
@@ -220,9 +216,8 @@ class CheckpointStore:
             ) from exc
 
     def _write_line(self, line: str) -> None:
-        self.storage.write_handle(
-            self._handle, (line + "\n").encode(), STORAGE_LAYER, self.path
-        )
+        self._handle.write((line + "\n").encode())
+        self._handle.flush()
 
     def compact(self) -> None:
         """Atomically rewrite the store from its intact records.
@@ -248,12 +243,7 @@ class CheckpointStore:
                     }
                 )
             )
-        atomic_write(
-            self.path,
-            "\n".join(lines) + "\n",
-            layer=STORAGE_LAYER,
-            storage=self.storage,
-        )
+        atomic_write(self.path, "\n".join(lines) + "\n")
         self._torn_at = None
 
     def close(self, compact: bool = False) -> None:

@@ -14,19 +14,11 @@ can inject faults through a real ``python -m repro report`` invocation:
     REPRO_FAULT="nw:baseline:crash:2"           # first two attempts only
     REPRO_FAULT="nw:*:timeout;gemm:sched:crash" # several cells; any config
 
-The same variable also carries *disk* faults, distinguished by the
-reserved ``disk`` prefix and parsed by
-:func:`repro.engine.storage.parse_disk_spec`:
-
-    REPRO_FAULT="disk:checkpoint:crash:4"       # die mid 4th write
-    REPRO_FAULT="disk:goldens:torn;nw:*:crash"  # mixed disk + process
-
-Disk specs are *matched and fired* by the storage shim itself (it reads
-the environment directly, so no plumbing is needed); :class:`FaultPlan`
-parses them too so ``to_env``/``parse`` round-trip a mixed plan and a
-malformed disk spec — including one naming an unknown layer — fails
-fast with a :class:`ConfigError` instead of being silently ignored.
-
+This is the only fault grammar.  Disk failures are not injected: the
+persistence code calls the OS directly, and its tests fake a full disk
+or a failed ``fsync`` by patching ``os``.  A spec in the removed
+``disk:<layer>:<kind>`` form is refused with a :class:`ConfigError`
+rather than read as a process fault for a benchmark named ``disk``.
 Checkpoint corruption is injected directly on the file with
 :func:`corrupt_file` (deterministic byte flip), since it attacks the
 store rather than a running cell.
@@ -38,15 +30,12 @@ import enum
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError, LivelockError, SimulationError
-from .storage import (  # noqa: F401  (FAULT_ENV_VAR re-exported for callers)
-    DISK_PREFIX,
-    DiskFaultSpec,
-    FAULT_ENV_VAR,
-    parse_disk_spec,
-)
+
+#: environment variable a fault plan rides in (CLI / CI injection)
+FAULT_ENV_VAR = "REPRO_FAULT"
 
 #: config-tag wildcard: the fault fires for every configuration
 ANY_CONFIG = "*"
@@ -86,9 +75,6 @@ class FaultPlan:
     """Deterministic schedule of faults keyed by (benchmark, config-tag)."""
 
     specs: Dict[Tuple[str, str], FaultSpec] = field(default_factory=dict)
-    #: disk faults (fired by the storage shim; carried here for
-    #: round-tripping and validation only)
-    disk: List[DiskFaultSpec] = field(default_factory=list)
 
     def add(
         self, benchmark: str, config_tag: str, kind: FaultKind, times: int = -1
@@ -119,7 +105,7 @@ class FaultPlan:
         return None
 
     def __bool__(self) -> bool:
-        return bool(self.specs) or bool(self.disk)
+        return bool(self.specs)
 
     # ------------------------------------------------------------------ #
     # Environment round-trip (CLI / CI injection)
@@ -131,7 +117,6 @@ class FaultPlan:
             if spec.times >= 0:
                 part += f":{spec.times}"
             parts.append(part)
-        parts.extend(spec.to_part() for spec in self.disk)
         return ";".join(parts)
 
     @classmethod
@@ -143,9 +128,12 @@ class FaultPlan:
             if not part:
                 continue
             fields = part.split(":")
-            if fields[0] == DISK_PREFIX:
-                plan.disk.append(parse_disk_spec(part))
-                continue
+            if fields[0] == "disk":
+                raise ConfigError(
+                    f"disk fault spec {part!r} is no longer supported; "
+                    "REPRO_FAULT takes benchmark:config:kind[:times] only",
+                    field=FAULT_ENV_VAR,
+                )
             if len(fields) not in (3, 4):
                 raise ConfigError(
                     f"bad fault spec {part!r}; expected "

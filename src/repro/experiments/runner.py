@@ -582,9 +582,16 @@ class ExperimentRunner:
             self.write_manifest("trace", merged)
         if self._store is not None:
             # compaction squeezes out any torn tail a crashed ancestor
-            # left behind, so the surviving store is byte-exact JSONL
-            self._store.close(compact=True)
-            self.write_manifest("checkpoint", self._store.path)
+            # left behind, so the surviving store is byte-exact JSONL;
+            # both writes are atomic, so a full disk leaves the appended
+            # store as it was, still resumable
+            try:
+                self._store.close(compact=True)
+                self.write_manifest("checkpoint", self._store.path)
+            except OSError as exc:
+                raise CheckpointError(
+                    f"{self._store.path}: checkpoint close failed: {exc}"
+                ) from exc
 
 
 def _preimport_worker_modules() -> None:

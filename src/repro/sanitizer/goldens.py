@@ -87,17 +87,9 @@ def collect_cells(
 
 
 def load_goldens(path: str) -> Dict:
-    """Load + validate a golden file (ValueError on a foreign file).
-
-    Reads through the storage shim (layer ``goldens``) so an injected
-    EIO surfaces exactly like a real media error: the gate fails with
-    a diagnostic instead of silently passing.
-    """
-    from ..engine.storage import get_storage
-
-    payload = json.loads(
-        get_storage().read_bytes(path, "goldens").decode("utf-8")
-    )
+    """Load + validate a golden file (ValueError on a foreign file)."""
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
     if payload.get("kind") != GOLDEN_KIND:
         raise ValueError(f"{path!r} is not a golden file (kind mismatch)")
     if payload.get("version") != GOLDEN_VERSION:
@@ -122,9 +114,7 @@ def write_goldens(
         "cells": {key: cells[key] for key in sorted(cells)},
     }
     # atomic: the regression gate must never see a half-written pin file
-    return atomic_write(
-        path, json.dumps(payload, indent=2) + "\n", layer="goldens"
-    )
+    return atomic_write(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _within(current: float, golden: float, tolerance: float) -> bool:

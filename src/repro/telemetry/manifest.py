@@ -131,15 +131,12 @@ class RunManifest:
         from ..engine.atomic import atomic_write
 
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        return atomic_write(path, payload + "\n", layer="manifest")
+        return atomic_write(path, payload + "\n")
 
     @classmethod
     def load(cls, path: str) -> "RunManifest":
-        from ..engine.storage import get_storage
-
-        payload = json.loads(
-            get_storage().read_bytes(path, "manifest").decode("utf-8")
-        )
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         if payload.get("kind") != _MANIFEST_KIND:
             raise ValueError(f"{path}: not a repro manifest")
         if payload.get("version") != MANIFEST_VERSION:

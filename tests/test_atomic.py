@@ -1,9 +1,12 @@
 """Tests for the atomic durable-write helper."""
 
+import errno
+import io
 import os
 
 import pytest
 
+from repro.engine import atomic
 from repro.engine.atomic import atomic_path, atomic_write
 
 
@@ -65,30 +68,63 @@ def test_atomic_path_failure_before_any_write(tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# Disk faults through the storage shim: failed writes must never strand
+# Faked disk failures: a failed write, fsync or rename must never strand
 # temp files or touch the destination
 # --------------------------------------------------------------------- #
-def _faulted_storage(kind, layer="atomic"):
-    from repro.engine.storage import DiskFaultKind, DiskFaultSpec, Storage
+class _FullDisk(io.FileIO):
+    """A file on a full disk: each write lands ``keep`` of its bytes,
+    then fails with ENOSPC, as the kernel does once the disk fills."""
 
-    return Storage(faults=[DiskFaultSpec(layer, DiskFaultKind(kind))])
+    keep = 0.0
+
+    def write(self, data):
+        super().write(bytes(data)[: int(len(data) * self.keep)])
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
-@pytest.mark.parametrize("kind", ["enospc", "torn", "fsync"])
-def test_injected_fault_leaves_no_strandings(tmp_path, kind):
+class _TornDisk(_FullDisk):
+    keep = 0.5
+
+
+def _raise(code):
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+
+    return fail
+
+
+def _inject(monkeypatch, kind):
+    """Make one step of ``atomic_write`` fail the way ``kind`` names."""
+    if kind in ("enospc", "torn"):
+        disk = _FullDisk if kind == "enospc" else _TornDisk
+        monkeypatch.setattr(
+            atomic, "open",
+            lambda path, mode: io.BufferedWriter(disk(path, mode)),
+            raising=False,
+        )
+    else:
+        monkeypatch.setattr(os, kind, _raise(errno.EIO))
+
+
+@pytest.mark.parametrize("kind", ["enospc", "torn", "fsync", "replace"])
+def test_injected_fault_leaves_no_strandings(tmp_path, monkeypatch, kind):
     path = tmp_path / "out.json"
     path.write_text("original")
+    _inject(monkeypatch, kind)
     with pytest.raises(OSError):
-        atomic_write(str(path), "replacement", storage=_faulted_storage(kind))
+        atomic_write(str(path), "replacement")
+    monkeypatch.undo()
     # the destination is untouched and no temp artifact survives
     assert path.read_text() == "original"
     assert os.listdir(tmp_path) == ["out.json"]
 
 
-def test_injected_fault_with_no_preexisting_file(tmp_path):
+def test_injected_fault_with_no_preexisting_file(tmp_path, monkeypatch):
     path = tmp_path / "fresh.json"
+    _inject(monkeypatch, "torn")
     with pytest.raises(OSError):
-        atomic_write(str(path), "data", storage=_faulted_storage("torn"))
+        atomic_write(str(path), "data")
+    monkeypatch.undo()
     assert os.listdir(tmp_path) == []
 
 
@@ -107,11 +143,43 @@ def test_cleanup_sweeps_writer_derived_siblings(tmp_path):
     assert os.listdir(tmp_path) == []
 
 
-def test_atomic_write_routes_through_given_storage(tmp_path):
-    from repro.engine.storage import Storage
+def test_atomic_write_syncs_before_rename(tmp_path, monkeypatch):
+    """The payload is written and fsynced before the rename makes it
+    visible, and the directory is fsynced after, so the rename itself
+    survives power loss."""
+    calls, opened = [], {}
+    real_open, real_fsync, real_replace = os.open, os.fsync, os.replace
 
-    ops = []
-    store = Storage(record=ops.append)
-    atomic_write(str(tmp_path / "x.json"), "data", storage=store)
-    kinds = [op.kind for op in ops]
-    assert kinds == ["write", "fsync", "rename", "fsync_dir"]
+    class Recording(io.FileIO):
+        def write(self, data):
+            calls.append(("write", self.name))
+            return super().write(data)
+
+    def os_open(path, flags, *args):
+        fd = real_open(path, flags, *args)
+        opened[fd] = path
+        return fd
+
+    def fsync(fd):
+        calls.append(("fsync", opened[fd]))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(
+        atomic, "open",
+        lambda path, mode: io.BufferedWriter(Recording(path, mode)),
+        raising=False,
+    )
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = str(tmp_path / "x.json")
+    atomic_write(path, "data")
+    tmp = path + ".tmp.json"
+    assert calls == [
+        ("write", tmp), ("fsync", tmp), ("replace", path),
+        ("fsync", str(tmp_path)),
+    ]

@@ -1,5 +1,7 @@
 """Tests for the versioned checkpoint store and runner resume path."""
 
+import errno
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,6 @@ from repro.arch.gpu import RunResult
 from repro.engine.checkpoint import CHECKPOINT_VERSION, CheckpointStore
 from repro.engine.errors import CheckpointError
 from repro.engine.faults import corrupt_file
-from repro.engine.storage import DiskFaultKind, DiskFaultSpec, Storage
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -64,6 +65,44 @@ class TestRunResultSerialization:
         assert failed.failure == "livelock"
         assert failed.cycles != failed.cycles  # NaN
         assert failed.avg_l1_tlb_hit_rate != failed.avg_l1_tlb_hit_rate
+
+
+class _FullDisk(io.FileIO):
+    """A file on a full disk: each write lands half its bytes, then
+    fails with ENOSPC, as the kernel does once the disk fills."""
+
+    def write(self, data):
+        super().write(bytes(data)[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _raise(code):
+    def fail(*args):
+        raise OSError(code, os.strerror(code))
+
+    return fail
+
+
+def _torn_write(store, line):
+    """Half of the line reaches the file, then the write fails."""
+    data = (line + "\n").encode()
+    store._handle.write(data[: len(data) // 2])
+    store._handle.flush()
+    raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def _fail_nth(monkeypatch, owner, name, nth, fail):
+    """Patch ``owner.name`` so its nth call runs ``fail`` instead."""
+    real = getattr(owner, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(None)
+        if len(calls) == nth:
+            return fail(*args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, patched)
 
 
 class TestCheckpointStore:
@@ -173,15 +212,22 @@ class TestCheckpointStore:
 
     @pytest.mark.parametrize("nth", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["enospc", "fsync", "torn"])
-    def test_failed_append_is_rolled_back(self, tmp_path, kind, nth):
-        """A write/fsync/torn fault on any append, the header write of
-        a fresh file included, leaves a store that compacts and loads
-        exactly the records whose appends returned."""
+    def test_failed_append_is_rolled_back(
+        self, tmp_path, monkeypatch, kind, nth
+    ):
+        """A failed nth write (nothing or half the line lands) or nth
+        fsync, the header write of a fresh file included, leaves a
+        store that compacts and loads exactly the records whose appends
+        returned."""
         path = str(tmp_path / "ckpt.jsonl")
-        faults = [DiskFaultSpec("checkpoint", DiskFaultKind(kind), nth)]
-        store = CheckpointStore(
-            path, scale="micro", seed=0, storage=Storage(faults=faults)
-        )
+        if kind == "fsync":
+            _fail_nth(monkeypatch, os, "fsync", nth, _raise(errno.EIO))
+        else:
+            _fail_nth(
+                monkeypatch, CheckpointStore, "_write_line", nth,
+                _torn_write if kind == "torn" else _raise(errno.ENOSPC),
+            )
+        store = CheckpointStore(path, scale="micro", seed=0)
         kept, refused = set(), 0
         for i in range(4):
             key = ("bfs", "baseline", False, i)
@@ -219,6 +265,25 @@ class TestCheckpointStore:
         store.close()
         assert set(CheckpointStore(path, scale="micro", seed=0).load()) == {
             ("nw",)
+        }
+
+    def test_full_disk_append_fails_cleanly(self, tmp_path):
+        """On a full disk the buffered flush fails, and closing the
+        handle retries that flush and fails again: the append must
+        still roll back, raise CheckpointError and drop the handle."""
+        path = str(tmp_path / "ckpt.jsonl")
+        store = CheckpointStore(path, scale="micro", seed=0)
+        store.append(("bfs",), make_result().to_dict())
+        pre_size = os.path.getsize(path)
+        store._handle.close()
+        store._handle = io.BufferedWriter(_FullDisk(path, "ab"))
+        with pytest.raises(CheckpointError, match="append failed"):
+            store.append(("gemm",), make_result("gemm").to_dict())
+        assert os.path.getsize(path) == pre_size
+        store.append(("nw",), make_result("nw").to_dict())  # healthy again
+        store.close()
+        assert set(CheckpointStore(path, scale="micro", seed=0).load()) == {
+            ("bfs",), ("nw",)
         }
 
     def test_discard_removes_file(self, tmp_path):
@@ -266,6 +331,27 @@ class TestRunnerResume:
         assert second.cells_simulated == 1
         second.close()
 
+    def test_full_disk_at_close_is_a_checkpoint_error(
+        self, tmp_path, monkeypatch
+    ):
+        """Compaction and the manifest are atomic writes: when the disk
+        is full, closing raises CheckpointError (not a raw OSError) and
+        the appended store still resumes."""
+        path = str(tmp_path / "ckpt.jsonl")
+        runner = ExperimentRunner(
+            scale="micro", benchmarks=("nw",), checkpoint_path=path
+        )
+        runner.run("nw", "baseline")
+        monkeypatch.setattr(os, "replace", _raise(errno.ENOSPC))
+        with pytest.raises(CheckpointError, match="close failed"):
+            runner.close()
+        monkeypatch.undo()
+        resumed = ExperimentRunner(
+            scale="micro", benchmarks=("nw",), checkpoint_path=path,
+            resume=True,
+        )
+        assert resumed.cells_restored == 1
+
     def test_resume_rejects_other_sweeps_checkpoint(self, tmp_path):
         path = str(tmp_path / "ckpt.jsonl")
         first = ExperimentRunner(
@@ -283,11 +369,9 @@ class TestRunnerResume:
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _report(ckpt, *extra, fault=None):
+def _report(ckpt, *extra):
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO_ROOT, "src"))
     env.pop("REPRO_FAULT", None)
-    if fault is not None:
-        env["REPRO_FAULT"] = fault
     argv = [sys.executable, "-m", "repro", "report", "--scale", "micro",
             "--benchmarks", "nw"]
     if ckpt is not None:
@@ -305,9 +389,18 @@ def cold_report():
     return cold.stdout
 
 
-def _crash_then_resume(ckpt, fault, restored, cold):
-    crashed = _report(ckpt, fault=fault)
-    assert crashed.returncode == 86
+@pytest.fixture(scope="module")
+def cold_store(tmp_path_factory, cold_report):
+    """The compacted store a cold checkpointed report leaves behind."""
+    ckpt = str(tmp_path_factory.mktemp("cold") / "ck.jsonl")
+    run = _report(ckpt)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == cold_report
+    with open(ckpt, "rb") as handle:
+        return handle.read()
+
+
+def _resume_equals_cold(ckpt, restored, cold):
     resumed = _report(ckpt, "--resume")
     assert resumed.returncode == 0, resumed.stderr
     lines = resumed.stdout.splitlines(keepends=True)
@@ -320,23 +413,54 @@ def _crash_then_resume(ckpt, fault, restored, cold):
     assert again.stdout.splitlines()[1:] == cold.splitlines()
 
 
-def test_report_resumes_after_crash_mid_append(tmp_path, cold_report):
+def _torn_store(path, store, kept_lines):
+    """Write what a kill inside the write of line ``kept_lines + 1``
+    leaves: the whole lines before it and the first half of it."""
+    lines = store.splitlines(keepends=True)
+    size = sum(map(len, lines[:kept_lines])) + len(lines[kept_lines]) // 2
+    with open(path, "wb") as handle:
+        handle.write(store[:size])
+
+
+def test_report_resumes_after_crash_mid_append(
+    tmp_path, cold_report, cold_store
+):
     """A sweep killed mid-append resumes to exactly a cold run's report.
 
-    The injected disk crash tears the 4th checkpoint write (the third
-    cell record) and exits 86, like a SIGKILL between two bytes.
+    The store is cut inside its 4th line (the third cell record), as
+    a kill -9 between two bytes of that append leaves it.
     """
-    _crash_then_resume(
-        str(tmp_path / "ck.jsonl"), "disk:checkpoint:crash:4", 2, cold_report
-    )
+    ckpt = str(tmp_path / "ck.jsonl")
+    _torn_store(ckpt, cold_store, 3)
+    _resume_equals_cold(ckpt, 2, cold_report)
 
 
-def test_report_resumes_after_crash_in_header_write(tmp_path, cold_report):
-    """The same kill on the 1st write tears the header: the resume
-    restores no cell, so it prints no "resumed" line at all."""
-    _crash_then_resume(
-        str(tmp_path / "ck.jsonl"), "disk:checkpoint:crash:1", 0, cold_report
+def test_report_resumes_after_crash_in_header_write(
+    tmp_path, cold_report, cold_store
+):
+    """The same kill inside the header write leaves half a header: the
+    resume restores no cell, so it prints no "resumed" line at all."""
+    ckpt = str(tmp_path / "ck.jsonl")
+    _torn_store(ckpt, cold_store, 0)
+    _resume_equals_cold(ckpt, 0, cold_report)
+
+
+def test_report_degrades_on_failed_append_and_resumes(
+    tmp_path, monkeypatch, cold_report
+):
+    """A failed append (here the third write: the second cell record)
+    marks its figure FAILED(checkpoint) instead of crashing the sweep,
+    and the rolled-back store resumes to a cold run's report."""
+    from repro.experiments.report import render_markdown, run_all
+
+    ckpt = str(tmp_path / "ck.jsonl")
+    _fail_nth(monkeypatch, CheckpointStore, "_write_line", 3, _torn_write)
+    reports, runner = run_all(
+        scale="micro", benchmarks=("nw",), checkpoint_path=ckpt
     )
+    monkeypatch.undo()
+    assert "FAILED(checkpoint)" in render_markdown(reports, "micro", runner)
+    _resume_equals_cold(ckpt, runner.cells_simulated - 1, cold_report)
 
 
 class TestResumeManifestValidation:

@@ -255,7 +255,8 @@ class TestServiceOptionGroups:
         for spec, named in (
             ("bfs:*:stall:9", "stall"),
             ("net:server:drop", "drop"),  # no net faults: unknown kind
-            ("disk:journal:enospc", "journal"),  # removed layer
+            ("disk:journal:enospc", "journal"),  # removed grammar
+            ("disk:checkpoint:crash:4", "disk"),  # not a bench named disk
         ):
             with pytest.raises(ConfigError, match=named):
                 FaultPlan.parse(spec)

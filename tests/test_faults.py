@@ -101,32 +101,13 @@ class TestCorruptFile:
 
 
 class TestDiskSpecsInPlan:
-    def test_parse_mixed_process_and_disk(self):
-        from repro.engine.storage import DiskFaultKind
-
-        plan = FaultPlan.parse(
-            "bfs:baseline:livelock;disk:checkpoint:enospc;disk:goldens:torn:3"
-        )
-        assert plan.specs[("bfs", "baseline")].kind is FaultKind.LIVELOCK
-        assert [(s.layer, s.kind, s.nth) for s in plan.disk] == [
-            ("checkpoint", DiskFaultKind.ENOSPC, 1),
-            ("goldens", DiskFaultKind.TORN, 3),
-        ]
-
-    def test_round_trip_preserves_disk_specs(self):
-        plan = FaultPlan.parse("disk:*:fsync:2;nw:*:crash")
-        back = FaultPlan.parse(plan.to_env())
-        assert back.specs == plan.specs
-        assert back.disk == plan.disk
-
-    def test_disk_only_plan_is_truthy(self):
-        assert FaultPlan.parse("disk:checkpoint:eio")
-
     def test_bad_disk_spec_rejected(self):
-        with pytest.raises(ValueError, match="disk fault"):
-            FaultPlan.parse("disk:checkpoint:meltdown")
-        with pytest.raises(ValueError, match="expected"):
-            FaultPlan.parse("disk:checkpoint")
-        for bad_layer in ("chekpoint", "journal", "results"):
-            with pytest.raises(ValueError, match=f"layer {bad_layer!r}"):
-                FaultPlan.parse(f"disk:{bad_layer}:crash")
+        """The removed disk grammar is refused outright, not read as a
+        process fault for a benchmark named ``disk``."""
+        for text in (
+            "disk:checkpoint:crash:4",
+            "disk:goldens:torn",
+            "nw:*:crash;disk:*:fsync:2",
+        ):
+            with pytest.raises(ValueError, match="disk"):
+                FaultPlan.parse(text)
