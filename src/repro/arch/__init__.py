@@ -1,6 +1,6 @@
 """GPU execution substrate: SMs, warps, TBs, schedulers, configuration."""
 
-from .coalescer import coalesce, coalesce_strided, transactions_per_instruction
+from .coalescer import coalesce
 from .config import (
     BASELINE_CONFIG,
     GPUConfig,
@@ -36,7 +36,5 @@ __all__ = [
     "WarpSchedulerKind",
     "WarpTrace",
     "coalesce",
-    "coalesce_strided",
-    "transactions_per_instruction",
     "validate_kernel",
 ]

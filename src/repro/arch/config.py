@@ -226,11 +226,13 @@ class GPUConfig:
                     f"x {assoc}-way)",
                     field=f"{prefix}_entries",
                 )
-        if not _is_pow2(self.page_size):
-            raise ConfigError(
-                f"page_size must be a power of two (got {self.page_size})",
-                field="page_size",
-            )
+        for name in ("page_size", "line_bytes"):
+            if not _is_pow2(getattr(self, name)):
+                raise ConfigError(
+                    f"{name} must be a power of two "
+                    f"(got {getattr(self, name)})",
+                    field=name,
+                )
         if self.max_threads_per_sm % self.warp_size != 0:
             raise ConfigError(
                 f"max_threads_per_sm ({self.max_threads_per_sm}) must be a "

@@ -41,7 +41,7 @@ a second signal hard-exits with ``128 + signum``.
 ``--timeout`` runs cells in supervised subprocess workers with a
 wall-clock watchdog; ``report --checkpoint/--resume`` makes a long
 sweep restartable, even after ``kill -9`` or a full disk (a failed
-append degrades the affected figure to ``FAILED(checkpoint)``).
+append degrades the affected cell to ``FAILED(checkpoint)``).
 ``REPRO_FAULT=bench:config:kind[:times]`` injects deterministic faults
 for testing the degradation path (the removed ``disk:...`` form exits
 3);

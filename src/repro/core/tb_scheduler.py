@@ -67,19 +67,12 @@ class RoundRobinScheduler(TBScheduler):
 class TLBAwareScheduler(TBScheduler):
     """Translation-reuse-aware TB scheduling (paper §IV-A).
 
-    ``tolerance`` loosens the "low miss rate compared to other SMs"
-    test: a candidate passes if its miss rate is at most
-    ``mean * (1 + tolerance)``.
+    A candidate SM has a "low miss rate compared to other SMs" when its
+    miss rate is at most the mean over the SMs that report one.
     """
 
-    def __init__(
-        self,
-        num_sms: int,
-        tolerance: float = 0.0,
-        ema_alpha: float = 0.5,
-    ) -> None:
+    def __init__(self, num_sms: int, ema_alpha: float = 0.5) -> None:
         self.table = TLBStatusTable(num_sms, ema_alpha=ema_alpha)
-        self.tolerance = tolerance
         self._next = 0
 
     # ------------------------------------------------------------------ #
@@ -112,11 +105,10 @@ class TLBAwareScheduler(TBScheduler):
             # No TLB traffic yet (kernel launch): behave like round-robin.
             self._advance_past(sms, default)
             return default
-        threshold = mean * (1.0 + self.tolerance)
         chosen = None
         for sm in candidates:
             rate = self.table.miss_rate(sm.sm_id)
-            if rate is None or rate <= threshold:
+            if rate is None or rate <= mean:
                 chosen = sm
                 break
         tracer = self._tracer
@@ -143,7 +135,7 @@ class TLBAwareScheduler(TBScheduler):
         return chosen
 
 
-def make_scheduler(kind, num_sms: int, **kwargs) -> TBScheduler:
+def make_scheduler(kind, num_sms: int) -> TBScheduler:
     """Factory keyed by :class:`repro.arch.config.TBSchedulerKind`."""
     # Imported here to keep this module importable without the arch package.
     from ..arch.config import TBSchedulerKind
@@ -151,5 +143,5 @@ def make_scheduler(kind, num_sms: int, **kwargs) -> TBScheduler:
     if kind is TBSchedulerKind.ROUND_ROBIN:
         return RoundRobinScheduler()
     if kind is TBSchedulerKind.TLB_AWARE:
-        return TLBAwareScheduler(num_sms, **kwargs)
+        return TLBAwareScheduler(num_sms)
     raise ValueError(f"unknown scheduler kind {kind!r}")

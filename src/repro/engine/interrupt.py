@@ -1,8 +1,8 @@
 """Two-stage SIGINT/SIGTERM handling: graceful drain, then hard exit.
 
 Every long-running CLI command installs a :class:`GracefulInterrupt`
-around its sweep.  The first signal requests a *drain*: in raising mode
-the handler raises :class:`~repro.engine.errors.InterruptedRunError`
+around its sweep.  The first signal requests a *drain*: the handler
+raises :class:`~repro.engine.errors.InterruptedRunError`
 straight out of the simulation loop, so the command can flush its
 checkpoint and telemetry, mark unfinished cells ``FAILED(interrupted)``,
 and exit with the interrupted exit code.  A second signal means the
@@ -44,15 +44,12 @@ DUPLICATE_WINDOW_SECONDS = 0.5
 class GracefulInterrupt:
     """Context manager that converts the first signal into a drain.
 
-    ``raising=True`` (the CLI default) raises
-    :class:`InterruptedRunError` from the first signal so a sweep
-    unwinds at the next bytecode boundary; ``raising=False`` only sets
-    :attr:`requested`, and the loop is expected to check it between
-    units of work.
+    The first signal raises :class:`InterruptedRunError` so a sweep
+    unwinds at the next bytecode boundary (or, inside :meth:`shield`,
+    when the shield is released).
     """
 
-    def __init__(self, raising: bool = True) -> None:
-        self.raising = raising
+    def __init__(self) -> None:
         #: a drain signal has been received
         self.requested = False
         #: the signal number that requested the drain
@@ -88,14 +85,13 @@ class GracefulInterrupt:
         self.requested = True
         self.signum = signum
         self._first_at = time.monotonic()
-        if self.raising:
-            if self._shielded:
-                self._pending_raise = True
-            else:
-                raise InterruptedRunError(
-                    f"interrupted by {signal.Signals(signum).name}; "
-                    f"draining (second signal hard-exits)"
-                )
+        if self._shielded:
+            self._pending_raise = True
+        else:
+            raise InterruptedRunError(
+                f"interrupted by {signal.Signals(signum).name}; "
+                f"draining (second signal hard-exits)"
+            )
 
     @contextlib.contextmanager
     def shield(self) -> Iterator[None]:
@@ -109,15 +105,4 @@ class GracefulInterrupt:
             self._pending_raise = False
             raise InterruptedRunError(
                 "interrupted; drained critical section before unwinding"
-            )
-
-    def check(self) -> None:
-        """Raise :class:`InterruptedRunError` if a drain was requested.
-
-        For non-raising loops that still want the raising idiom at
-        explicit cancellation points (e.g. between sweep cells).
-        """
-        if self.requested:
-            raise InterruptedRunError(
-                "interrupted; draining at a cancellation point"
             )

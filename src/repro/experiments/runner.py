@@ -65,7 +65,6 @@ from ..sanitizer import normalize_mode
 from ..telemetry import (
     RunManifest,
     TelemetrySettings,
-    manifest_path_for,
     merge_traces,
 )
 from ..tenancy import TenancyResult, TenancySpec
@@ -201,10 +200,8 @@ class ExperimentRunner:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._trace_parts: List[Tuple[str, str]] = []
         self._trace_seq = 0
+        #: first config hash declared under each tag, for the manifest
         self._config_hashes: Dict[str, str] = {}
-        #: config hashes recorded by the manifest of a resumed checkpoint;
-        #: declaring a tag whose current hash differs is refused
-        self._resumed_hashes: Dict[str, str] = {}
         if self.sanitize is not None:
             # fail fast on a bad mode string ("off" stays distinct from
             # None: it must override REPRO_SANITIZE inside workers)
@@ -220,46 +217,11 @@ class ExperimentRunner:
                 self.checkpoint_path, scale=self.scale, seed=self.seed
             )
             if self.resume:
-                self._validate_resume_manifest()
                 for key, payload in self._store.load().items():
                     self._results[tuple(key)] = decode_result(payload)
                     self.cells_restored += 1
             elif self._store.exists():
                 self._store.discard()
-
-    def _validate_resume_manifest(self) -> None:
-        """Refuse a checkpoint whose manifest contradicts this invocation.
-
-        The checkpoint header already pins scale and seed; the manifest
-        sidecar additionally records a hash of every configuration the
-        producing run simulated, which lets us reject resumes after a
-        config edit of a tag — a sweep no single configuration ever
-        generated.  A missing sidecar (interrupted run, pre-manifest
-        checkpoint) is tolerated; the header checks still apply.
-        """
-        manifest_path = manifest_path_for(self.checkpoint_path)
-        if not os.path.exists(manifest_path):
-            return
-        try:
-            manifest = RunManifest.load(manifest_path)
-        except (ValueError, OSError) as exc:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: unreadable "
-                f"manifest sidecar {manifest_path!r} ({exc})"
-            ) from exc
-        if manifest.seed != self.seed:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: checkpoint was "
-                f"produced with seed {manifest.seed}, this run uses "
-                f"seed {self.seed}"
-            )
-        if manifest.scale != self.scale:
-            raise CheckpointError(
-                f"cannot resume {self.checkpoint_path!r}: checkpoint was "
-                f"produced at scale {manifest.scale!r}, this run uses "
-                f"scale {self.scale!r}"
-            )
-        self._resumed_hashes = dict(manifest.config_hashes)
 
     # ------------------------------------------------------------------ #
     # Workload construction
@@ -325,7 +287,7 @@ class ExperimentRunner:
                 cell.benchmark, cell.config, cell.occupancy_override,
                 cell.tenancy,
             )
-            self._check_tag_hash(cell.tag, key[1])
+            self._config_hashes.setdefault(cell.tag, key[1])
             planned = self._plan.get(key)
             if planned is None:
                 planned = self._plan[key] = _Planned(key, len(self._plan), cell)
@@ -360,19 +322,6 @@ class ExperimentRunner:
             sum(1 for p in self._plan.values() if p.cell.tenancy is not None),
             sum(1 for p in self._plan.values() if self._done(p)),
         )
-
-    def _check_tag_hash(self, tag: str, hash_: str) -> None:
-        """Record the first hash seen for ``tag`` and refuse a resumed
-        checkpoint whose manifest recorded another one."""
-        current = self._config_hashes.setdefault(tag, hash_)
-        resumed = self._resumed_hashes.get(tag)
-        if resumed is not None and resumed != current:
-            raise CheckpointError(
-                f"cannot reuse checkpoint {self.checkpoint_path!r}: config "
-                f"{tag!r} hashes to {current} but the checkpoint was "
-                f"produced with {resumed}; rerun without --resume (or "
-                f"restore the original configuration)"
-            )
 
     def _done(self, planned: _Planned) -> bool:
         if planned.key in self._failed:
@@ -455,6 +404,14 @@ class ExperimentRunner:
             if pending is None:
                 spec, part = self._spec(planned)
                 result = self._execute(spec)
+            self.cells_simulated += 1
+            if part is not None:
+                self._trace_parts.append(
+                    (f"{planned.cell.benchmark}:{planned.tags[0]}", part)
+                )
+            # a refused append fails this cell like any other failure
+            if self._store is not None:
+                self._store.append(planned.key, result.to_dict())
         except SimulationError as exc:
             failure = CellFailure(
                 error_class=classify(exc),
@@ -470,14 +427,7 @@ class ExperimentRunner:
                 planned.cell.benchmark, failure.error_class
             )
             return
-        self.cells_simulated += 1
         self._results[planned.key] = result
-        if part is not None:
-            self._trace_parts.append(
-                (f"{planned.cell.benchmark}:{planned.tags[0]}", part)
-            )
-        if self._store is not None:
-            self._store.append(planned.key, result.to_dict())
 
     @property
     def supervised(self) -> bool:

@@ -14,6 +14,20 @@ from typing import List, Optional
 from ..engine.stats import StatGroup
 
 
+def line_shift(line_bytes: int) -> int:
+    """``log2(line_bytes)``: line addresses are ``addr >> line_shift``.
+
+    Shifting is exact for negative addresses too (it floors, like
+    ``//``).  Lines must be a positive power of two, as ``GPUConfig``
+    also enforces.
+    """
+    if line_bytes <= 0 or line_bytes & (line_bytes - 1):
+        raise ValueError(
+            f"line_bytes must be a positive power of two, got {line_bytes}"
+        )
+    return line_bytes.bit_length() - 1
+
+
 class Cache:
     """Physically-addressed set-associative cache with LRU replacement."""
 
@@ -25,8 +39,9 @@ class Cache:
         stats: Optional[StatGroup] = None,
         name: str = "cache",
     ) -> None:
-        if size_bytes <= 0 or associativity <= 0 or line_bytes <= 0:
+        if size_bytes <= 0 or associativity <= 0:
             raise ValueError("cache dimensions must be positive")
+        self._line_shift = line_shift(line_bytes)
         if size_bytes % (associativity * line_bytes) != 0:
             raise ValueError(
                 f"{size_bytes}B cache not divisible into {associativity}-way "
@@ -44,22 +59,6 @@ class Cache:
         self._misses = self.stats.counter("misses")
         self._evictions = self.stats.counter("evictions")
         self._writebacks = self.stats.counter("writebacks")
-        # every standard config uses power-of-two lines: shift instead
-        # of dividing on each access (exact for negatives too, both are
-        # floor operations)
-        if line_bytes & (line_bytes - 1) == 0:
-            self._line_shift: Optional[int] = line_bytes.bit_length() - 1
-        else:
-            self._line_shift = None
-
-    def _line_addr(self, addr: int) -> int:
-        shift = self._line_shift
-        if shift is not None:
-            return addr >> shift
-        return addr // self.line_bytes
-
-    def _set_index(self, line_addr: int) -> int:
-        return line_addr % self.num_sets
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Access a byte address; returns True on hit.
@@ -67,8 +66,7 @@ class Cache:
         A miss does *not* allocate — call :meth:`fill` when the refill
         arrives so that timing models control allocation order.
         """
-        shift = self._line_shift
-        line = addr >> shift if shift is not None else addr // self.line_bytes
+        line = addr >> self._line_shift
         entry_set = self.sets[line % self.num_sets]
         if line in entry_set:
             entry_set.move_to_end(line)
@@ -82,8 +80,7 @@ class Cache:
     def fill(self, addr: int, is_write: bool = False) -> Optional[int]:
         """Allocate the line containing ``addr``; returns the evicted line
         address (if any).  Dirty evictions bump the writeback counter."""
-        shift = self._line_shift
-        line = addr >> shift if shift is not None else addr // self.line_bytes
+        line = addr >> self._line_shift
         entry_set = self.sets[line % self.num_sets]
         if line in entry_set:
             entry_set.move_to_end(line)
@@ -100,12 +97,12 @@ class Cache:
         return evicted_line
 
     def contains(self, addr: int) -> bool:
-        line = self._line_addr(addr)
-        return line in self.sets[self._set_index(line)]
+        line = addr >> self._line_shift
+        return line in self.sets[line % self.num_sets]
 
     def invalidate(self, addr: int) -> bool:
-        line = self._line_addr(addr)
-        entry_set = self.sets[self._set_index(line)]
+        line = addr >> self._line_shift
+        entry_set = self.sets[line % self.num_sets]
         if line in entry_set:
             del entry_set[line]
             return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..engine.stats import StatGroup, StatRegistry
-from .cache import Cache
+from .cache import Cache, line_shift
 from .dram import DRAMChannel
 
 
@@ -71,10 +71,7 @@ class PartitionedMemory:
         if num_partitions <= 0:
             raise ValueError(f"need at least one partition, got {num_partitions}")
         self.line_bytes = line_bytes
-        if line_bytes & (line_bytes - 1) == 0:
-            self._line_shift: Optional[int] = line_bytes.bit_length() - 1
-        else:
-            self._line_shift = None
+        self._line_shift = line_shift(line_bytes)
         self.partitions: List[MemoryPartition] = []
         for i in range(num_partitions):
             group = registry.group(f"partition{i}") if registry is not None else None
@@ -84,14 +81,12 @@ class PartitionedMemory:
 
     def partition_for(self, paddr: int) -> MemoryPartition:
         """Line-interleaved partition selection."""
-        shift = self._line_shift
-        line = paddr >> shift if shift is not None else paddr // self.line_bytes
+        line = paddr >> self._line_shift
         return self.partitions[line % len(self.partitions)]
 
     def access(self, paddr: int, now: float, is_write: bool = False) -> float:
         # partition_for inlined: this runs once per L1 miss
-        shift = self._line_shift
-        line = paddr >> shift if shift is not None else paddr // self.line_bytes
+        line = paddr >> self._line_shift
         parts = self.partitions
         return parts[line % len(parts)].access(paddr, now, is_write)
 

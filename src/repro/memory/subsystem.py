@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..engine.simulator import Simulator
 from ..engine.stats import StatGroup
-from .cache import Cache
+from .cache import Cache, line_shift
 from .interconnect import Interconnect
 from .partition import PartitionedMemory
 
@@ -48,11 +48,7 @@ class SMMemoryPath:
         self._l1_access = l1_cache.access
         self._noc_traverse = interconnect.traverse
         self._partitions_access = partitions.access
-        line_bytes = l1_cache.line_bytes
-        if line_bytes & (line_bytes - 1) == 0:
-            self._line_shift: Optional[int] = line_bytes.bit_length() - 1
-        else:
-            self._line_shift = None
+        self._line_shift = line_shift(l1_cache.line_bytes)
         self.stats = stats if stats is not None else StatGroup(f"sm{sm_id}_mem")
         self._merged = self.stats.counter("mshr_merged")
         self._pending: Dict[int, List[CompletionCallback]] = {}
@@ -73,8 +69,7 @@ class SMMemoryPath:
         if self._l1_access(paddr, is_write):
             self._post(l1_done, callback)
             return
-        shift = self._line_shift
-        line = paddr >> shift if shift is not None else paddr // self.l1.line_bytes
+        line = paddr >> self._line_shift
         waiting = self._pending.get(line)
         if waiting is not None:
             waiting.append(callback)

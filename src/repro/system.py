@@ -70,7 +70,7 @@ def build_gpu(
         config,
         sim,
         record_tlb_trace,
-        page_tables=uvm,
+        walked=uvm,
         address_spaces=((uvm, 0),),
         l2_tlb=partial(
             SetAssociativeTLB,
@@ -94,7 +94,7 @@ def _assemble(
     sim: Simulator,
     record_tlb_trace: bool,
     *,
-    page_tables,
+    walked,
     address_spaces: Sequence[Tuple[UVMManager, int]],
     l2_tlb: Callable[..., SetAssociativeTLB],
     l1_tlb: Callable[..., SetAssociativeTLB],
@@ -103,7 +103,7 @@ def _assemble(
 ) -> GPU:
     """Wire the machine every builder shares around the parts that differ.
 
-    ``page_tables`` is what the walkers walk (a UVM or a router over
+    ``walked`` is what the walkers walk (a UVM or a router over
     several); ``address_spaces`` pairs each UVM with the VPN tag its
     local pages carry in the TLBs, so an eviction shoots down exactly its
     own translations.  ``l2_tlb`` and ``l1_tlb`` are called with the
@@ -127,7 +127,7 @@ def _assemble(
 
     # Shared translation machinery (Fig 1 right-hand side).
     walkers = WalkerPool(
-        page_tables,
+        walked,
         num_walkers=config.num_walkers,
         walk_latency=config.walk_latency,
         stats=sim.stats.group("walkers"),

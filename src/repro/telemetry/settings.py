@@ -34,17 +34,3 @@ class TelemetrySettings:
     @property
     def active(self) -> bool:
         return self.trace_path is not None or self.sample_every is not None
-
-    @property
-    def key(self) -> tuple:
-        """The result-affecting part of the settings, for cell memo keys.
-
-        Sampling changes the result payload (``timeseries``); the trace
-        path itself does not change the result, only whether a side file
-        is written, so only its presence participates.
-        """
-        return (self.sample_every, self.trace_path is not None)
-
-
-#: memo-key fragment for "no telemetry requested"
-NO_TELEMETRY_KEY = (None, False)

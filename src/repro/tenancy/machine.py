@@ -277,7 +277,7 @@ def build_tenant_gpu(
         config,
         sim,
         record_tlb_trace,
-        page_tables=router,
+        walked=router,
         # evictions shoot down only the evicting tenant's entries: its
         # local VPNs carry its ASID tag in every TLB
         address_spaces=[(uvm, asid << v_shift) for asid, uvm in enumerate(uvms)],

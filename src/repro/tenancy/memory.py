@@ -47,8 +47,7 @@ class TenantAffinityMemory(PartitionedMemory):
     def partition_for(self, paddr: int) -> MemoryPartition:
         asid = (paddr >> self.asid_shift) % self.num_tenants
         lo, hi = self._bounds[asid], self._bounds[asid + 1]
-        shift = self._line_shift
-        line = paddr >> shift if shift is not None else paddr // self.line_bytes
+        line = paddr >> self._line_shift
         return self.partitions[lo + line % (hi - lo)]
 
     def access(self, paddr: int, now: float, is_write: bool = False) -> float:

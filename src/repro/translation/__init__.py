@@ -1,4 +1,5 @@
-"""Address-translation substrate: TLBs, page table, walkers, UVM."""
+"""Address-translation substrate: TLBs, walkers, UVM (whose resident map
+is the page table the walkers consult)."""
 
 from .address import (
     GB,
@@ -11,7 +12,6 @@ from .address import (
     PageGeometry,
 )
 from .compression import CompressedTLB, ContiguityTLB
-from .page_table import PageTable, WalkOutcome
 from .pagesize import (
     FragmentationReport,
     MosaicAllocator,
@@ -44,12 +44,10 @@ __all__ = [
     "PAGE_2M",
     "PAGE_4K",
     "PageGeometry",
-    "PageTable",
     "SetAssociativeTLB",
     "SharedTranslationService",
     "UVMManager",
     "VPNIndexPolicy",
-    "WalkOutcome",
     "WalkerPool",
     "fragmentation_from_addresses",
     "geometry_for",

@@ -2,8 +2,8 @@
 
 Addresses are plain ints (byte addresses).  A :class:`PageGeometry` captures
 the page size in use (4 KB baseline, 2 MB for the huge-page study) and
-provides VPN/offset splitting.  Keeping geometry explicit — rather than
-hard-coding ``>> 12`` — lets the same TLB/page-table code serve both page
+provides the VPN split.  Keeping geometry explicit — rather than
+hard-coding ``>> 12`` — lets the same TLB and walker code serve both page
 sizes.
 """
 
@@ -44,27 +44,6 @@ class PageGeometry:
     def vpn(self, vaddr: int) -> int:
         """Virtual page number of a virtual byte address."""
         return vaddr >> self.offset_bits
-
-    def offset(self, addr: int) -> int:
-        return addr & self.offset_mask
-
-    def base(self, addr: int) -> int:
-        """Page-aligned base address containing ``addr``."""
-        return addr & ~self.offset_mask
-
-    def address(self, vpn: int, offset: int = 0) -> int:
-        """Compose a byte address from a page number and offset."""
-        if offset < 0 or offset > self.offset_mask:
-            raise ValueError(f"offset {offset} outside page of {self.page_size} bytes")
-        return (vpn << self.offset_bits) | offset
-
-    def pages_spanned(self, addr: int, size: int) -> int:
-        """Number of pages touched by ``size`` bytes starting at ``addr``."""
-        if size <= 0:
-            return 0
-        first = self.vpn(addr)
-        last = self.vpn(addr + size - 1)
-        return last - first + 1
 
 
 GEOMETRY_4K = PageGeometry(PAGE_4K)

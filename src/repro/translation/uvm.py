@@ -6,6 +6,10 @@ page-table walk that discovers the hole triggers a *far fault*: the driver
 migrates the page from host memory and installs the mapping.  We model
 that as a configurable one-off latency plus a frame allocation.
 
+The manager's resident map (VPN -> PPN) is the page table: a walk's cost
+is the walker pool's fixed latency (Table III), so nothing needs the
+per-level structure of a radix table.
+
 The frame-allocation policy matters to two studies:
 
 * the TLB-compression comparator (Fig 12) benefits when virtually
@@ -28,8 +32,11 @@ from collections import OrderedDict
 from typing import Callable, Optional, Tuple
 
 from .address import PAGE_2M, PAGE_4K, PageGeometry
-from .page_table import PageTable
 from .pagesize import MosaicAllocator
+
+
+#: multiplier of the FRAGMENTED policy's deterministic frame hash
+FRAME_SCRAMBLE = 0x5BD1E995
 
 
 class AllocationPolicy(enum.Enum):
@@ -47,7 +54,7 @@ class AllocationPolicy(enum.Enum):
 
 
 class UVMManager:
-    """Demand-paging manager over a :class:`PageTable`.
+    """Demand-paging manager; its resident map is the page table.
 
     ``ensure_mapped`` is the single entry point used by the page-table
     walker: it returns the PPN and the extra latency (0 for an already
@@ -56,21 +63,16 @@ class UVMManager:
 
     def __init__(
         self,
-        page_table: Optional[PageTable] = None,
         geometry: PageGeometry = PageGeometry(PAGE_4K),
         policy: AllocationPolicy = AllocationPolicy.CONTIGUOUS,
         far_fault_latency: float = 2000.0,
-        frame_scramble_seed: int = 0x5BD1E995,
         gpu_memory_bytes: Optional[int] = None,
         invalidate_hook: Optional[Callable[[int], None]] = None,
         stats=None,
     ) -> None:
         self.geometry = geometry
-        self.page_table = page_table if page_table is not None else PageTable(geometry)
         self.policy = policy
         self.far_fault_latency = far_fault_latency
-        self._next_frame = 0
-        self._seed = frame_scramble_seed
         self._fault_count = 0
         self._eviction_count = 0
         #: LRU order = fault/re-touch recency (for oversubscription).
@@ -97,8 +99,6 @@ class UVMManager:
     # Allocation
     # ------------------------------------------------------------------ #
     def _allocate_frame(self, vpn: int) -> int:
-        frame = self._next_frame
-        self._next_frame += 1
         if self.policy is AllocationPolicy.CONTIGUOUS:
             # First touch in virtual order yields contiguous frames; even
             # out-of-order touches keep a stable VPN-anchored layout so
@@ -108,7 +108,7 @@ class UVMManager:
             return self.mosaic.allocate(vpn)
         # Fragmented: a multiplicative hash scatters frames while staying
         # deterministic for reproducibility.
-        return ((vpn * self._seed) ^ (vpn >> 7)) & ((1 << 40) - 1)
+        return ((vpn * FRAME_SCRAMBLE) ^ (vpn >> 7)) & ((1 << 40) - 1)
 
     # ------------------------------------------------------------------ #
     # Demand paging
@@ -121,7 +121,6 @@ class UVMManager:
             return ppn, 0.0
         self._evict_if_full()
         ppn = self._allocate_frame(vpn)
-        self.page_table.map(vpn, ppn)
         self._resident[vpn] = ppn
         self._fault_count += 1
         return ppn, self.far_fault_latency
@@ -132,7 +131,6 @@ class UVMManager:
             return
         while len(self._resident) >= self.capacity_pages:
             victim, _ppn = self._resident.popitem(last=False)
-            self.page_table.unmap(victim)
             self._eviction_count += 1
             if self.mosaic is not None:
                 self.mosaic.release(victim)
@@ -140,15 +138,6 @@ class UVMManager:
                 # TLB shootdown: stale translations must not survive the
                 # page's migration back to the host.
                 self.invalidate_hook(victim)
-
-    def populate(self, first_vpn: int, num_pages: int) -> None:
-        """Pre-fault a virtual range (e.g. to model a warmed-up region)."""
-        for vpn in range(first_vpn, first_vpn + num_pages):
-            if vpn not in self._resident:
-                self._evict_if_full()
-                ppn = self._allocate_frame(vpn)
-                self.page_table.map(vpn, ppn)
-                self._resident[vpn] = ppn
 
     def is_resident(self, vpn: int) -> bool:
         return vpn in self._resident

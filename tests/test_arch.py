@@ -4,7 +4,7 @@ GTO issue port."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arch.coalescer import coalesce, coalesce_strided
+from repro.arch.coalescer import coalesce
 from repro.arch.config import GPUConfig
 from repro.arch.kernel import (
     Kernel,
@@ -31,13 +31,13 @@ class TestCoalescer:
     def test_order_is_first_appearance(self):
         assert coalesce([512, 0, 513]) == [512, 0]
 
-    def test_strided_helper(self):
-        assert coalesce_strided(0, 4, 32) == [0]
-        assert len(coalesce_strided(0, 128, 32)) == 32
-
     def test_invalid_line_size(self):
         with pytest.raises(ValueError):
             coalesce([0], line_bytes=0)
+
+    def test_non_power_of_two_line_refused(self):
+        with pytest.raises(ValueError, match="power of two"):
+            coalesce([0, 200], line_bytes=96)
 
     @given(st.lists(st.integers(min_value=0, max_value=1 << 30), min_size=1,
                     max_size=32))

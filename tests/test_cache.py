@@ -18,6 +18,12 @@ class TestCache:
         with pytest.raises(ValueError):
             Cache(0, 4, 128)
 
+    def test_non_power_of_two_line_refused(self):
+        # 768 B divides into 2-way sets of 96 B lines: only the line
+        # size itself is wrong
+        with pytest.raises(ValueError, match="power of two"):
+            Cache(768, 2, 96)
+
     def test_miss_does_not_allocate(self):
         c = Cache(1024, 2, 128)
         assert not c.access(0)
@@ -97,6 +103,13 @@ class TestPartitions:
         mem = PartitionedMemory(num_partitions=4, line_bytes=128)
         seen = {mem.partition_for(i * 128).partition_id for i in range(8)}
         assert seen == {0, 1, 2, 3}
+
+    def test_non_power_of_two_line_refused(self):
+        with pytest.raises(ValueError, match="power of two"):
+            PartitionedMemory(
+                num_partitions=2, line_bytes=96,
+                l2_slice_bytes=96 * 8 * 16, l2_associativity=8,
+            )
 
     def test_l2_hit_is_faster_than_dram(self):
         part = MemoryPartition(0, l2_latency=30.0, dram_latency=220.0)

@@ -463,12 +463,40 @@ def test_report_degrades_on_failed_append_and_resumes(
     _resume_equals_cold(ckpt, runner.cells_simulated - 1, cold_report)
 
 
-class TestResumeManifestValidation:
-    """Satellite (ISSUE 3): --resume cross-validates the RunManifest.
+def test_failed_append_degrades_one_cell_not_its_figure(
+    tmp_path, monkeypatch
+):
+    """A refused append fails only the cell it was saving: the report
+    lists that one cell under "Degraded run" and no whole experiment,
+    and the rolled-back store resumes to a cold run's report."""
+    from repro.experiments.report import render_markdown, run_all
 
-    The checkpoint header pins scale/seed; the manifest sidecar
-    additionally pins a hash per simulated config, so resuming after a
-    config edit is refused instead of silently mixing results.
+    def report(**kwargs):
+        reports, runner = run_all(
+            scale="micro", benchmarks=("nw", "gemm"), **kwargs
+        )
+        return render_markdown(reports, "micro", runner)
+
+    ckpt = str(tmp_path / "ck.jsonl")
+    _fail_nth(monkeypatch, CheckpointStore, "_write_line", 3, _torn_write)
+    degraded = report(checkpoint_path=ckpt).splitlines()
+    monkeypatch.undo()
+    assert not [line for line in degraded if line.startswith("- experiment ")]
+    failed = [
+        line for line in degraded
+        if line.startswith("- cell (") and "FAILED(checkpoint)" in line
+    ]
+    assert len(failed) == 1
+    assert report(checkpoint_path=ckpt, resume=True) == report()
+
+
+class TestResumeManifestValidation:
+    """--resume trusts the content-keyed store, not the manifest.
+
+    The checkpoint header pins scale/seed; a record is restored only for
+    a planned cell with the same content key, so a config edit
+    re-simulates exactly the edited cells.  The manifest sidecar is
+    written for the reader and never read back.
     """
 
     def produce(self, tmp_path, seed=0):
@@ -499,15 +527,14 @@ class TestResumeManifestValidation:
 
     def test_seed_mismatch_refused_via_manifest(self, tmp_path):
         path = self.produce(tmp_path, seed=1)
-        # remove the header guard's input by keeping the store's seed but
-        # changing the invocation: the manifest check must fire first
+        # the store's header pins the producing seed
         with pytest.raises(CheckpointError, match="seed"):
             ExperimentRunner(
                 scale="micro", seed=2, benchmarks=("nw",),
                 checkpoint_path=path, resume=True,
             )
 
-    def test_config_drift_refused(self, tmp_path):
+    def test_config_edit_resimulates_only_the_edited_cell(self, tmp_path):
         import dataclasses
 
         from repro.experiments.configs import get_config
@@ -520,8 +547,10 @@ class TestResumeManifestValidation:
         edited = dataclasses.replace(
             get_config("baseline"), l2_tlb_entries=128
         )
-        with pytest.raises(CheckpointError, match="baseline"):
-            runner.run_config("nw", edited, "baseline")
+        assert runner.run_config("nw", edited, "baseline").ok
+        assert runner.cells_simulated == 1
+        assert runner.run("nw", "baseline").ok  # the unedited cell
+        assert (runner.cells_simulated, runner.cells_restored) == (1, 1)
 
     def test_unknown_tag_not_blocked(self, tmp_path):
         """Configs the producing run never simulated are fair game."""
@@ -545,13 +574,3 @@ class TestResumeManifestValidation:
             resume=True,
         )
         assert runner.cells_restored == 1
-
-    def test_unreadable_manifest_refused(self, tmp_path):
-        path = self.produce(tmp_path)
-        with open(path + ".manifest.json", "w") as handle:
-            handle.write('{"kind": "not-a-manifest"}')
-        with pytest.raises(CheckpointError, match="manifest"):
-            ExperimentRunner(
-                scale="micro", benchmarks=("nw",), checkpoint_path=path,
-                resume=True,
-            )

@@ -57,6 +57,11 @@ class TestTLBGeometry:
             BASELINE_CONFIG.replace(page_size=5000)
         assert info.value.field == "page_size"
 
+    def test_line_bytes_power_of_two(self):
+        with pytest.raises(ConfigError) as info:
+            BASELINE_CONFIG.replace(line_bytes=96)
+        assert info.value.field == "line_bytes"
+
 
 class TestPartitioning:
     def test_partition_count_must_align_with_sets(self):

@@ -32,21 +32,15 @@ def test_first_signal_raises_in_raising_mode():
     assert interrupt.signum == signal.SIGTERM
 
 
-def test_non_raising_mode_sets_flag_only():
-    with GracefulInterrupt(raising=False) as interrupt:
-        self_signal()
-        assert interrupt.requested
-        with pytest.raises(InterruptedRunError):
-            interrupt.check()
-
-
 def test_duplicate_burst_is_one_delivery():
     # senders like GNU timeout signal the process group AND the pid;
     # the duplicate must not escalate a drain into a hard exit (which
     # would kill this very test process)
-    with GracefulInterrupt(raising=False) as interrupt:
-        self_signal()
-        self_signal()
+    with pytest.raises(InterruptedRunError):
+        with GracefulInterrupt() as interrupt:
+            with interrupt.shield():
+                self_signal()
+                self_signal()
     assert interrupt.requested
 
 
@@ -63,7 +57,7 @@ def test_shield_defers_the_raise():
 
 def test_previous_handlers_restored_on_exit():
     before = signal.getsignal(signal.SIGTERM)
-    with GracefulInterrupt(raising=False):
+    with GracefulInterrupt():
         assert signal.getsignal(signal.SIGTERM) != before
     assert signal.getsignal(signal.SIGTERM) == before
 
@@ -94,9 +88,12 @@ def test_second_distinct_signal_hard_exits():
         """
         import time
         from repro.engine.interrupt import GracefulInterrupt
-        with GracefulInterrupt(raising=False):
-            for _ in range(600):
-                time.sleep(0.1)
+        with GracefulInterrupt() as interrupt:
+            # the shield defers the first signal's raise, so the
+            # second one finds the drain still running
+            with interrupt.shield():
+                for _ in range(600):
+                    time.sleep(0.1)
         """,
         send=signal.SIGTERM, gap=1.0, count=2,
     )

@@ -1,73 +1,14 @@
-"""Unit tests for the radix page table and UVM manager."""
+"""Unit tests for page geometry and the UVM manager, whose resident map
+is the page table the walkers consult."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.translation.address import GEOMETRY_2M, GEOMETRY_4K, PageGeometry
-from repro.translation.page_table import PageTable
 from repro.translation.uvm import AllocationPolicy, UVMManager
 
 
-class TestPageTable:
-    def test_map_and_walk(self):
-        pt = PageTable()
-        pt.map(0x1234, 0x9999)
-        outcome = pt.walk(0x1234)
-        assert not outcome.faulted
-        assert outcome.ppn == 0x9999
-        assert outcome.levels_touched == 4
-
-    def test_walk_unmapped_faults(self):
-        pt = PageTable()
-        outcome = pt.walk(0x42)
-        assert outcome.faulted
-        assert 1 <= outcome.levels_touched <= 4
-
-    def test_huge_pages_use_three_levels(self):
-        pt = PageTable(GEOMETRY_2M)
-        pt.map(1, 2)
-        assert pt.walk(1).levels_touched == 3
-
-    def test_unmap(self):
-        pt = PageTable()
-        pt.map(5, 6)
-        assert pt.unmap(5)
-        assert not pt.unmap(5)
-        assert pt.walk(5).faulted
-        assert len(pt) == 0
-
-    def test_remap_replaces(self):
-        pt = PageTable()
-        pt.map(5, 6)
-        pt.map(5, 7)
-        assert pt.lookup(5) == 7
-        assert len(pt) == 1
-
-    def test_contains(self):
-        pt = PageTable()
-        pt.map(10, 20)
-        assert 10 in pt
-        assert 11 not in pt
-
-    @given(st.dictionaries(st.integers(min_value=0, max_value=2**36 - 1),
-                           st.integers(min_value=0, max_value=2**30),
-                           min_size=1, max_size=100))
-    @settings(max_examples=50)
-    def test_property_walk_returns_mapped_value(self, mapping):
-        pt = PageTable()
-        for vpn, ppn in mapping.items():
-            pt.map(vpn, ppn)
-        assert len(pt) == len(mapping)
-        for vpn, ppn in mapping.items():
-            assert pt.lookup(vpn) == ppn
-
-
 class TestGeometry:
-    def test_vpn_offset_roundtrip(self):
-        g = GEOMETRY_4K
-        addr = 0x12345678
-        assert g.address(g.vpn(addr), g.offset(addr)) == addr
-
     def test_page_sizes(self):
         assert GEOMETRY_4K.offset_bits == 12
         assert GEOMETRY_2M.offset_bits == 21
@@ -75,16 +16,6 @@ class TestGeometry:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             PageGeometry(3000)
-
-    def test_pages_spanned(self):
-        g = GEOMETRY_4K
-        assert g.pages_spanned(0, 4096) == 1
-        assert g.pages_spanned(4095, 2) == 2
-        assert g.pages_spanned(0, 0) == 0
-
-    def test_offset_out_of_range(self):
-        with pytest.raises(ValueError):
-            GEOMETRY_4K.address(1, 4096)
 
 
 class TestUVM:
@@ -108,17 +39,10 @@ class TestUVM:
         p1, _ = uvm.ensure_mapped(101)
         assert p1 != p0 + 1
 
-    def test_populate_prefaults(self):
-        uvm = UVMManager(far_fault_latency=1000.0)
-        uvm.populate(0, 16)
-        assert uvm.resident_pages == 16
-        _ppn, latency = uvm.ensure_mapped(3)
-        assert latency == 0.0
-        assert uvm.fault_count == 0
-
     def test_footprint_accounting(self):
         uvm = UVMManager()
-        uvm.populate(0, 4)
+        for vpn in range(4):
+            uvm.ensure_mapped(vpn)
         assert uvm.footprint_bytes == 4 * 4096
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
