@@ -26,7 +26,7 @@ from .arch.config import (
     WarpSchedulerKind,
 )
 from .arch.gpu import GPU, RunResult
-from .system import build_gpu, run_kernel
+from .system import build_gpu
 
 __version__ = "1.0.0"
 
@@ -40,6 +40,5 @@ __all__ = [
     "TBSchedulerKind",
     "WarpSchedulerKind",
     "build_gpu",
-    "run_kernel",
     "__version__",
 ]

@@ -63,15 +63,6 @@ class RunResult:
         rates = [r for r in self.per_sm_l1_tlb_hit_rate if r is not None]
         return sum(rates) / len(rates) if rates else 0.0
 
-    @property
-    def overall_l1_tlb_hit_rate(self) -> float:
-        """Access-weighted hit rate across all SMs."""
-        if self.failure is not None:
-            return float("nan")
-        if self.l1_tlb_accesses == 0:
-            return 0.0
-        return self.l1_tlb_hits / self.l1_tlb_accesses
-
     # ------------------------------------------------------------------ #
     # Serialization (checkpoint store / supervised-worker pipe)
     # ------------------------------------------------------------------ #

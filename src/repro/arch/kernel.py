@@ -39,9 +39,6 @@ class WarpTrace:
 
     instructions: Sequence[MemoryInstruction] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.instructions)
-
     def addresses(self) -> Iterator[int]:
         for instr in self.instructions:
             yield from instr.transactions
@@ -57,10 +54,6 @@ class TBTrace:
     @property
     def num_warps(self) -> int:
         return len(self.warps)
-
-    @property
-    def num_instructions(self) -> int:
-        return sum(len(w) for w in self.warps)
 
     @property
     def num_transactions(self) -> int:

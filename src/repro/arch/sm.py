@@ -48,7 +48,6 @@ class StreamingMultiprocessor:
         l1_tlb: SetAssociativeTLB,
         translation_service: SharedTranslationService,
         memory_path: SMMemoryPath,
-        on_tb_finished: Callable[["StreamingMultiprocessor", TBRuntime], None],
         record_tlb_trace: bool = False,
     ) -> None:
         self.sim = sim
@@ -63,7 +62,10 @@ class StreamingMultiprocessor:
         self.l1_tlb = l1_tlb
         self.translation = translation_service
         self.memory = memory_path
-        self.on_tb_finished = on_tb_finished
+        #: ``on_tb_finished(sm, tb)``; the GPU owning this SM binds it
+        self.on_tb_finished: Optional[
+            Callable[["StreamingMultiprocessor", TBRuntime], None]
+        ] = None
         if config.warp_scheduler is WarpSchedulerKind.TRANSLATION_AWARE:
             self.issue_port = TranslationAwareIssuePort(
                 sim, config.issue_interval
@@ -122,10 +124,6 @@ class StreamingMultiprocessor:
 
     def has_free_slot(self) -> bool:
         return len(self.resident) < self.occupancy_limit
-
-    @property
-    def resident_tbs(self) -> int:
-        return len(self.resident)
 
     def dispatch_tb(self, trace: TBTrace, now: float, age_base: int) -> TBRuntime:
         """Make ``trace`` resident and start its warps."""

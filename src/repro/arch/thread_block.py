@@ -38,17 +38,6 @@ class TBRuntime:
         self.live_warps -= 1
         return self.live_warps <= 0
 
-    @property
-    def tb_index(self) -> int:
-        """Global (software) TB index within the kernel."""
-        return self.trace.tb_index
-
-    def __repr__(self) -> str:
-        return (
-            f"TBRuntime(tb{self.trace.tb_index} hw{self.hw_tb_id} "
-            f"sm{self.sm_id} live={self.live_warps})"
-        )
-
 
 class TBIDAllocator:
     """Hardware TB-id allocation for one SM.
@@ -82,7 +71,3 @@ class TBIDAllocator:
     @property
     def in_use(self) -> int:
         return self.capacity - len(self._free)
-
-    @property
-    def available(self) -> int:
-        return len(self._free)

@@ -60,14 +60,6 @@ class WarpRuntime:
         self.tx_issued = 0
         return instr
 
-    def next_transaction(self) -> int:
-        """Address of the next transaction to issue for the current
-        instruction (advances the issue pointer)."""
-        instr = self.trace.instructions[self.pc]
-        addr = instr.transactions[self.tx_issued]
-        self.tx_issued += 1
-        return addr
-
     def transaction_done(self) -> bool:
         """One transaction completed; True when the instruction retires."""
         self.outstanding -= 1
@@ -78,10 +70,6 @@ class WarpRuntime:
                 self.done = True
             return True
         return False
-
-    @property
-    def instructions_remaining(self) -> int:
-        return len(self.trace.instructions) - self.pc
 
     def __repr__(self) -> str:
         return (

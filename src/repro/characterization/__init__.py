@@ -8,7 +8,6 @@ from .reuse import (
     inter_tb_intensity,
     intra_tb_bins,
     intra_tb_intensity,
-    reuse_summary,
     tb_page_profiles,
 )
 from .reuse_distance import (
@@ -39,7 +38,6 @@ __all__ = [
     "intra_tb_intensity",
     "intra_warp_bins",
     "isolated_distances",
-    "reuse_summary",
     "tb_page_profiles",
     "warp_reuse_summary",
 ]

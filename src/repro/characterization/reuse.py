@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..arch.kernel import Kernel
 from ..translation.address import PAGE_4K
@@ -33,14 +33,6 @@ class ReuseBins:
     def __post_init__(self) -> None:
         if len(self.fractions) != NUM_BINS:
             raise ValueError(f"expected {NUM_BINS} bins")
-
-    @property
-    def b1(self) -> float:
-        return self.fractions[0]
-
-    @property
-    def b5(self) -> float:
-        return self.fractions[4]
 
 
 def bin_index(intensity: float) -> int:
@@ -127,11 +119,3 @@ def inter_tb_bins(
     return ReuseBins(
         [c / sampled for c in counts] if sampled else [0.0] * NUM_BINS
     )
-
-
-def reuse_summary(kernel: Kernel, page_size: int = PAGE_4K) -> Dict[str, ReuseBins]:
-    """Both characterizations for one kernel."""
-    return {
-        "inter": inter_tb_bins(kernel, page_size),
-        "intra": intra_tb_bins(kernel, page_size),
-    }

@@ -154,9 +154,9 @@ class TenantIndexPolicy(IndexPolicy):
     insertion ever leaves the owner's slice — the strict-isolation
     invariant the sanitizer's ``tenant.cross_tlb`` tag audits.
 
-    Deliberately exposes ``sets_for_tenant`` (not ``sets_for``): the
-    single-tenant :class:`~repro.sanitizer.checkers.PartitionChecker` is
-    keyed on ``sets_for`` and does not apply here.
+    Deliberately exposes no ``sets_for``: the single-tenant
+    :class:`~repro.sanitizer.checkers.PartitionChecker` is keyed on
+    ``sets_for`` and does not apply here.
     """
 
     def __init__(self, num_sets: int, num_tenants: int, tag_shift: int) -> None:
@@ -182,16 +182,8 @@ class TenantIndexPolicy(IndexPolicy):
         )
         self._set_tuples = tuple((s,) for s in range(num_sets))
 
-    def sets_for_tenant(self, asid: int) -> Sequence[int]:
-        """The contiguous set slice owned by tenant ``asid``."""
-        if not 0 <= asid < self.num_tenants:
-            raise ValueError(
-                f"ASID {asid} out of range for {self.num_tenants} tenants"
-            )
-        return self._slices[asid]
-
     def tenant_for_set(self, set_idx: int) -> int:
-        """The ASID owning ``set_idx`` (inverse of ``sets_for_tenant``)."""
+        """The ASID owning ``set_idx`` (the inverse of the slicing)."""
         for asid in range(self.num_tenants):
             if self._bounds[asid] <= set_idx < self._bounds[asid + 1]:
                 return asid

@@ -110,14 +110,6 @@ class FaultPlan:
     # ------------------------------------------------------------------ #
     # Environment round-trip (CLI / CI injection)
     # ------------------------------------------------------------------ #
-    def to_env(self) -> str:
-        parts = []
-        for (bench, tag), spec in sorted(self.specs.items()):
-            part = f"{bench}:{tag}:{spec.kind.value}"
-            if spec.times >= 0:
-                part += f":{spec.times}"
-            parts.append(part)
-        return ";".join(parts)
 
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":

@@ -82,10 +82,6 @@ class Simulator:
     def events_run(self) -> int:
         return self._events_run
 
-    @property
-    def progress_marks(self) -> int:
-        return self._progress_marks
-
     def note_progress(self) -> None:
         """Record a unit of real forward progress (resets the watchdog)."""
         self._progress_marks += 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 
 class Counter:
@@ -27,9 +27,6 @@ class Counter:
     def reset(self) -> None:
         self.value = 0
 
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
-
 
 class Histogram:
     """A sparse integer-keyed histogram (e.g. power-of-two buckets)."""
@@ -46,18 +43,6 @@ class Histogram:
     @property
     def total(self) -> int:
         return sum(self.buckets.values())
-
-    def cdf(self) -> List[Tuple[int, float]]:
-        """Cumulative distribution as ``[(key, fraction <= key), ...]``."""
-        total = self.total
-        if total == 0:
-            return []
-        out: List[Tuple[int, float]] = []
-        running = 0
-        for key in sorted(self.buckets):
-            running += self.buckets[key]
-            out.append((key, running / total))
-        return out
 
     def percentile(self, p: float) -> Optional[int]:
         """Smallest key whose cumulative fraction reaches ``p`` percent.
@@ -113,12 +98,6 @@ class StatGroup:
         num = self._counters[numerator].value if numerator in self._counters else 0
         return num / den
 
-    def counters(self) -> Iterator[Counter]:
-        return iter(self._counters.values())
-
-    def histograms(self) -> Iterator[Histogram]:
-        return iter(self._histograms.values())
-
     def reset(self) -> None:
         for c in self._counters.values():
             c.reset()
@@ -162,10 +141,6 @@ class StatRegistry:
 
     def groups(self) -> Iterator[StatGroup]:
         return iter(self._groups.values())
-
-    def reset(self) -> None:
-        for g in self._groups.values():
-            g.reset()
 
     def dump(self) -> Dict[str, Dict[str, int]]:
         """Nested ``{group: {counter: value}}`` snapshot of all counters."""

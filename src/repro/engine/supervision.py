@@ -96,13 +96,6 @@ class CellSpec:
     alias_tags: Tuple[str, ...] = ()
     tenancy: Optional[Any] = None
 
-    @property
-    def key(self) -> Tuple[Any, ...]:
-        """The content key (:func:`cell_key`) of this cell."""
-        return cell_key(
-            self.benchmark, self.config, self.occupancy_override, self.tenancy
-        )
-
 
 @dataclass
 class CellFailure:

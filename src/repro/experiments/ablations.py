@@ -126,12 +126,6 @@ def compute_sharing_ablation(
     return SharingAblationResult(times, hits, failures)
 
 
-def run_sharing_ablation(runner: ExperimentRunner) -> SharingAblationResult:
-    return compute_sharing_ablation(
-        runner, runner.execute(sharing_ablation_cells(runner))
-    )
-
-
 @dataclass
 class GeometrySweepResult:
     #: mean hit rate across benchmarks per (entries, assoc)
@@ -199,15 +193,6 @@ def compute_geometry_sweep(
         if rates:
             hit_rates[(entries, assoc)] = sum(rates) / len(rates)
     return GeometrySweepResult(hit_rates, failures)
-
-
-def run_geometry_sweep(
-    runner: ExperimentRunner, geometries=GEOMETRIES
-) -> GeometrySweepResult:
-    return compute_geometry_sweep(
-        runner, runner.execute(geometry_sweep_cells(runner, geometries)),
-        geometries,
-    )
 
 
 @dataclass
@@ -321,11 +306,3 @@ def compute_warp_scheduler_ablation(
         hits_gto[b] = base.avg_l1_tlb_hit_rate
         hits_aware[b] = aware.avg_l1_tlb_hit_rate
     return WarpSchedulerAblationResult(times, hits_gto, hits_aware, failures)
-
-
-def run_warp_scheduler_ablation(
-    runner: ExperimentRunner,
-) -> WarpSchedulerAblationResult:
-    return compute_warp_scheduler_ablation(
-        runner, runner.execute(warp_scheduler_cells(runner))
-    )

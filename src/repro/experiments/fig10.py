@@ -131,7 +131,3 @@ def compute(runner: ExperimentRunner, results: Results) -> Fig10Result:
         partition[b] = rp.avg_l1_tlb_hit_rate
         sharing[b] = rs.avg_l1_tlb_hit_rate
     return Fig10Result(baseline, partition, sharing, failures)
-
-
-def run(runner: ExperimentRunner) -> Fig10Result:
-    return compute(runner, runner.execute(cells(runner)))

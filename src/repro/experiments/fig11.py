@@ -122,7 +122,3 @@ def compute(runner: ExperimentRunner, results: Results) -> Fig11Result:
         partition[b] = rp.cycles / rb.cycles
         sharing[b] = rsh.cycles / rb.cycles
     return Fig11Result(sched, partition, sharing, base, failures)
-
-
-def run(runner: ExperimentRunner) -> Fig11Result:
-    return compute(runner, runner.execute(cells(runner)))

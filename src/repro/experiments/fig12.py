@@ -81,7 +81,3 @@ def compute(runner: ExperimentRunner, results: Results) -> Fig12Result:
         combined_cycles[b] = ro.cycles
         speedup[b] = rc.cycles / ro.cycles
     return Fig12Result(speedup, comp_cycles, combined_cycles, failures)
-
-
-def run(runner: ExperimentRunner) -> Fig12Result:
-    return compute(runner, runner.execute(cells(runner)))

@@ -96,7 +96,3 @@ def compute(runner: ExperimentRunner, results: Results) -> Fig2Result:
         hit64[b] = r64.avg_l1_tlb_hit_rate
         hit256[b] = r256.avg_l1_tlb_hit_rate
     return Fig2Result(hit64, hit256, failures)
-
-
-def run(runner: ExperimentRunner) -> Fig2Result:
-    return compute(runner, runner.execute(cells(runner)))

@@ -11,10 +11,10 @@ hit rates of Fig 2 are poor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..engine.stats import Histogram
-from ..characterization import cdf_points, fraction_within, interleaved_distances
+from ..characterization import fraction_within, interleaved_distances
 from .runner import (
     Cell,
     ExperimentRunner,
@@ -33,9 +33,6 @@ L1_CAPACITY = 64
 class Fig5Result:
     histograms: Dict[str, Histogram]
     failures: Dict[str, str] = field(default_factory=dict)
-
-    def cdf(self, benchmark: str) -> List[Tuple[int, float]]:
-        return cdf_points(self.histograms[benchmark])
 
     def within_capacity(self) -> Dict[str, float]:
         return {
@@ -83,7 +80,3 @@ def compute(runner: ExperimentRunner, results: Results) -> Fig5Result:
             continue
         histograms[b] = interleaved_distances(result.tlb_traces or [])
     return Fig5Result(histograms, failures)
-
-
-def run(runner: ExperimentRunner) -> Fig5Result:
-    return compute(runner, runner.execute(cells(runner)))

@@ -10,14 +10,14 @@ shorter distances for most benchmarks — the motivation for partitioning.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..engine.errors import SimulationError, classify
 from ..engine.stats import Histogram
 from ..characterization import fraction_within, isolated_distances
 from . import fig5 as fig5_mod
 from .runner import Cell, ExperimentRunner, Results, ShapeCheck, failed_rows
-from .fig5 import L1_CAPACITY, Fig5Result
+from .fig5 import L1_CAPACITY
 
 
 @dataclass
@@ -75,13 +75,8 @@ def cells(runner: ExperimentRunner) -> List[Cell]:
     return fig5_mod.cells(runner)
 
 
-def compute(
-    runner: ExperimentRunner,
-    results: Results,
-    fig5: Optional[Fig5Result] = None,
-) -> Fig6Result:
-    if fig5 is None:
-        fig5 = fig5_mod.compute(runner, results)
+def compute(runner: ExperimentRunner, results: Results) -> Fig6Result:
+    fig5 = fig5_mod.compute(runner, results)
     isolated: Dict[str, Histogram] = {}
     failures: Dict[str, str] = dict(fig5.failures)
     for b in runner.benchmarks:
@@ -94,8 +89,3 @@ def compute(
                 raise
             failures[b] = classify(exc)
     return Fig6Result(isolated, fig5.histograms, failures)
-
-
-def run(runner: ExperimentRunner, fig5: Optional[Fig5Result] = None) -> Fig6Result:
-    results = runner.execute(cells(runner)) if fig5 is None else {}
-    return compute(runner, results, fig5)

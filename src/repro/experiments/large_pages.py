@@ -115,7 +115,3 @@ def compute(runner: ExperimentRunner, results: Results) -> LargePageResult:
         report = fragmentation_from_addresses(runner.kernel(b).addresses())
         util[b] = report.utilization
     return LargePageResult(hit4, hit2, ours_time, util, failures)
-
-
-def run(runner: ExperimentRunner) -> LargePageResult:
-    return compute(runner, runner.execute(cells(runner)))

@@ -189,12 +189,3 @@ def compute(
         slowdown, fault_rate, ours_speedup,
         mosaic_speedup, mosaic_utilization, failures,
     )
-
-
-def run(
-    runner: ExperimentRunner,
-    capacity_fraction: float = 0.5,
-    benchmarks=OVERSUB_BENCHMARKS,
-) -> OversubscriptionResult:
-    results = runner.execute(cells(runner, capacity_fraction, benchmarks))
-    return compute(runner, results, benchmarks)

@@ -232,43 +232,11 @@ class ExperimentRunner:
     # ------------------------------------------------------------------ #
     # Single cells
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        benchmark: str,
-        config_name: str,
-        record_tlb_trace: bool = False,
-        occupancy_override: Optional[int] = None,
-        sample_every: Optional[int] = None,
-    ) -> RunResult:
+    def run(self, benchmark: str, config_name: str) -> RunResult:
         """Simulate one named-configuration cell (memoized by content)."""
-        return self.run_config(
-            benchmark,
-            get_config(config_name),
-            config_name,
-            record_tlb_trace=record_tlb_trace,
-            occupancy_override=occupancy_override,
-            sample_every=sample_every,
-        )
-
-    def run_config(
-        self,
-        benchmark: str,
-        config: GPUConfig,
-        tag: str,
-        record_tlb_trace: bool = False,
-        occupancy_override: Optional[int] = None,
-        sample_every: Optional[int] = None,
-    ) -> RunResult:
-        """Simulate one cell for an explicit config: a one-cell plan."""
-        cell = Cell(
-            benchmark,
-            tag,
-            config,
-            occupancy_override=occupancy_override,
-            record_tlb_trace=record_tlb_trace,
-            sample_every=sample_every,
-        )
-        return self.execute([cell])[benchmark, tag]
+        return self.execute([named_cell(benchmark, config_name)])[
+            benchmark, config_name
+        ]
 
     # ------------------------------------------------------------------ #
     # The plan and its executor
@@ -461,12 +429,6 @@ class ExperimentRunner:
             (key[0], self._plan[key].tags[0]) + key[1:]: failure
             for key, failure in self._failures.items()
         }
-
-    def failure_for(self, benchmark: str, tag: str) -> Optional[CellFailure]:
-        for key, failure in self._failures.items():
-            if key[0] == benchmark and tag in self._plan[key].tags:
-                return failure
-        return None
 
     def failure_summary(self) -> List[str]:
         """One human-readable line per failed cell, naming every tag."""

@@ -187,12 +187,3 @@ def compute(
         failures=failures,
         scale=runner.scale,
     )
-
-
-def run(
-    runner: ExperimentRunner,
-    config: GPUConfig = BASELINE_CONFIG,
-    mix: Tuple[str, ...] = REPORT_MIX,
-) -> TenancyExperimentResult:
-    """The report section: one mix, every partition mode, plus solos."""
-    return compute(runner, runner.execute(cells(runner, config, mix)), mix)

@@ -175,7 +175,3 @@ def compute(runner: ExperimentRunner, results: Results) -> TimeSeriesResult:
     return TimeSeriesResult(
         benchmark, interval, rates, cycles, accesses, failures
     )
-
-
-def run(runner: ExperimentRunner) -> TimeSeriesResult:
-    return compute(runner, runner.execute(cells(runner)))

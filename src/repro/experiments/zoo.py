@@ -151,8 +151,3 @@ def compute(
                 if result.l1_tlb_accesses else 0.0
             )
     return ZooResult(norm_time, hit_rate, dict(ZOO_SPECS), failures)
-
-
-def run(runner: ExperimentRunner, benchmarks=ZOO_BENCHMARKS) -> ZooResult:
-    results = runner.execute(cells(runner, benchmarks))
-    return compute(runner, results, benchmarks)

@@ -95,34 +95,3 @@ class Cache:
                 self._writebacks.value += 1
         entry_set[line] = is_write
         return evicted_line
-
-    def contains(self, addr: int) -> bool:
-        line = addr >> self._line_shift
-        return line in self.sets[line % self.num_sets]
-
-    def invalidate(self, addr: int) -> bool:
-        line = addr >> self._line_shift
-        entry_set = self.sets[line % self.num_sets]
-        if line in entry_set:
-            del entry_set[line]
-            return True
-        return False
-
-    def flush(self) -> None:
-        for entry_set in self.sets:
-            entry_set.clear()
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self.sets)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self._hits.value + self._misses.value
-        return self._hits.value / total if total else 0.0
-
-    def __repr__(self) -> str:
-        return (
-            f"Cache({self.name}: {self.size_bytes}B, {self.associativity}-way, "
-            f"{self.num_sets} sets, {self.occupancy} lines valid)"
-        )

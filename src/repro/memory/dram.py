@@ -39,7 +39,3 @@ class DRAMChannel:
         if grant > now:
             self._queue_hist.add(int(grant - now))
         return grant + self.access_latency
-
-    @property
-    def requests(self) -> int:
-        return self._requests.value

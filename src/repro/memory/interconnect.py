@@ -43,7 +43,3 @@ class Interconnect:
         grant = self._ports[sm_id].acquire(now)
         self._packets.value += 1
         return grant + self.traversal_latency
-
-    @property
-    def num_sms(self) -> int:
-        return len(self._ports)

@@ -89,13 +89,3 @@ class PartitionedMemory:
         line = paddr >> self._line_shift
         parts = self.partitions
         return parts[line % len(parts)].access(paddr, now, is_write)
-
-    @property
-    def num_partitions(self) -> int:
-        return len(self.partitions)
-
-    def total_l2_hit_rate(self) -> float:
-        hits = sum(p.l2.stats.counter("hits").value for p in self.partitions)
-        misses = sum(p.l2.stats.counter("misses").value for p in self.partitions)
-        total = hits + misses
-        return hits / total if total else 0.0

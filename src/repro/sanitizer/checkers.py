@@ -564,15 +564,15 @@ class TenantIsolationChecker:
 
     def _check_cross_tlb(self, san) -> None:
         from ..core.partitioned_tlb import TenantIndexPolicy
-        from ..translation.compression import CompressedTLB
 
         shift = self._vpn_shift
-        # in exclusive mode lane ``tid`` is tenant ``tid``'s SM slice
+        # in exclusive mode lane ``tid`` is tenant ``tid``'s SM slice;
+        # every L1 format keys its entries by a tagged VPN (a compressed
+        # range or region never crosses an aligned region, so its base
+        # carries the tag of every page it covers)
         for tid, lane in enumerate(self.gpu.lanes):
             for sm in lane.sms:
                 tlb = sm.l1_tlb
-                if isinstance(tlb, CompressedTLB):
-                    continue  # range-keyed sets; keys are not raw VPNs
                 for set_idx, entry_set in enumerate(tlb.sets):
                     for vpn in entry_set:
                         if vpn >> shift != tid:

@@ -94,7 +94,7 @@ class Sanitizer:
         self.violations = 0
         # telemetry binding (attach); None keeps violation emission cheap
         self._tracer = None
-        self._clock: Optional[Callable[[], float]] = None
+        self._queue = None
         self._track = 0
         # queue-monotonicity state (clock-change path, see EventQueue)
         self._last_watch_time: Optional[float] = None
@@ -132,7 +132,7 @@ class Sanitizer:
         tracer = sim.tracer
         if tracer is not None and tracer.enabled:
             self._tracer = tracer
-            self._clock = lambda: sim.queue.now
+            self._queue = sim.queue
             self._track = tracer.track("sanitizer")
 
     def register(self, checker: Any) -> None:
@@ -156,7 +156,7 @@ class Sanitizer:
         tracer = self._tracer
         if tracer is not None:
             tracer.instant(
-                CAT_SANITIZER, tag, self._clock(), self._track, context or {}
+                CAT_SANITIZER, tag, self._queue.now, self._track, context or {}
             )
         detail = ""
         if context:

@@ -199,7 +199,6 @@ def _assemble(
                 l1,
                 translation,
                 memory_path,
-                on_tb_finished=lambda sm, tb: None,  # GPU rebinds this
                 record_tlb_trace=record_tlb_trace,
             )
         )
@@ -264,15 +263,3 @@ def _register_checkers(sim, sms, l2_tlb, walkers, translation, schedulers) -> No
     for scheduler in schedulers:
         if isinstance(scheduler, TLBAwareScheduler):
             san.register(StatusTableChecker(scheduler))
-
-
-def run_kernel(
-    config: GPUConfig,
-    kernel,
-    record_tlb_trace: bool = False,
-    occupancy_override: Optional[int] = None,
-):
-    """One-shot convenience: build a GPU, run ``kernel``, return the
-    :class:`~repro.arch.gpu.RunResult`."""
-    gpu = build_gpu(config, record_tlb_trace=record_tlb_trace)
-    return gpu.run(kernel, occupancy_override=occupancy_override)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -112,13 +111,6 @@ class RunManifest:
         payload["version"] = MANIFEST_VERSION
         return payload
 
-    def deterministic_dict(self) -> Dict[str, Any]:
-        """The manifest minus its wall-time fields (determinism tests)."""
-        payload = self.to_dict()
-        for name in WALL_TIME_FIELDS:
-            payload.pop(name, None)
-        return payload
-
     def write(self, path: Optional[str] = None) -> str:
         """Write next to the artifact (default) or to an explicit path.
 
@@ -132,19 +124,3 @@ class RunManifest:
 
         payload = json.dumps(self.to_dict(), indent=2, sort_keys=True)
         return atomic_write(path, payload + "\n")
-
-    @classmethod
-    def load(cls, path: str) -> "RunManifest":
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        if payload.get("kind") != _MANIFEST_KIND:
-            raise ValueError(f"{path}: not a repro manifest")
-        if payload.get("version") != MANIFEST_VERSION:
-            raise ValueError(
-                f"{path}: manifest version {payload.get('version')} "
-                f"!= supported {MANIFEST_VERSION}"
-            )
-        payload.pop("kind")
-        payload.pop("version")
-        known = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in payload.items() if k in known})

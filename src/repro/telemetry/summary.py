@@ -111,7 +111,7 @@ def summarize_trace(payload: Dict[str, Any]) -> TraceSummary:
     summary = TraceSummary()
     # lane names: (pid, tid) -> name, process labels: pid -> label
     lane_names: Dict[Tuple[int, int], str] = {}
-    process_labels: Dict[int, str] = defaultdict(lambda: "gpu")
+    process_labels: Dict[int, str] = {}
     events = payload.get("traceEvents", [])
     for event in events:
         if event.get("ph") != "M":
@@ -144,7 +144,7 @@ def summarize_trace(payload: Dict[str, Any]) -> TraceSummary:
         by_name[(cat, name)] += 1
         pid = event.get("pid", 0)
         lane = lane_names.get((pid, event.get("tid", 0)), f"tid{event.get('tid', 0)}")
-        lane_counts[(process_labels[pid], lane)] += 1
+        lane_counts[(process_labels.get(pid, "gpu"), lane)] += 1
         if lane.startswith("SM"):
             sm_counts[lane.split(" ")[0].split(".")[0]] += 1
         if cat == CAT_TB and ph == "X":

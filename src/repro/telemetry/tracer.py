@@ -77,10 +77,6 @@ class NullTracer:
     def counter(self, name, ts, values) -> None:
         pass
 
-    @property
-    def num_events(self) -> int:
-        return 0
-
 
 #: the shared disabled tracer; identity-checked by the overhead tests
 NULL_TRACER = NullTracer()
@@ -108,10 +104,6 @@ class Tracer(NullTracer):
             tid = len(self._tracks) + 1  # tid 0 reserved for counters
             self._tracks[name] = tid
         return tid
-
-    @property
-    def tracks(self) -> Dict[str, int]:
-        return dict(self._tracks)
 
     # ------------------------------------------------------------------ #
     # Recording (hot path when enabled)
@@ -142,14 +134,6 @@ class Tracer(NullTracer):
     def counter(self, name: str, ts: float, values: Dict[str, float]) -> None:
         """A counter sample; viewers render these as per-name graphs."""
         self._events.append((_PH_COUNTER, ts, 0.0, 0, CAT_SAMPLE, name, values))
-
-    @property
-    def num_events(self) -> int:
-        return len(self._events)
-
-    def events(self) -> Sequence[_Event]:
-        """Read-only view of the raw internal event tuples (tests)."""
-        return tuple(self._events)
 
     # ------------------------------------------------------------------ #
     # Export

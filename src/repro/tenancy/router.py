@@ -47,15 +47,3 @@ class ASIDRouter:
         ppn = (asid << PPN_TAG_SHIFT) | local_ppn
         self.audit.append((vpn, ppn))
         return ppn, extra
-
-    # ---------------------------------------------------------------- #
-    # Aggregates (RunResult collection reads the walker's own counters
-    # for walks; faults/evictions live in the per-tenant managers)
-    # ---------------------------------------------------------------- #
-    @property
-    def fault_count(self) -> int:
-        return sum(uvm.fault_count for uvm in self.uvms)
-
-    @property
-    def eviction_count(self) -> int:
-        return sum(uvm.eviction_count for uvm in self.uvms)

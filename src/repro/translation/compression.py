@@ -76,12 +76,6 @@ class CompressedTLB(SetAssociativeTLB):
                 return base_ppn + (vpn - base)
         return None
 
-    def _peek_set(self, set_idx: int, vpn: int) -> bool:
-        return any(
-            self._covers(base, length, vpn)
-            for base, (_ppn, length) in self.sets[set_idx].items()
-        )
-
     def _refresh(self, set_idx: int, vpn: int, ppn: int) -> bool:
         """Coalesce ``vpn`` into an existing range entry when possible."""
         entry_set = self.sets[set_idx]
@@ -140,18 +134,11 @@ class CompressedTLB(SetAssociativeTLB):
         return found
 
     # ------------------------------------------------------------------ #
-    # Timing and introspection
+    # Timing
     # ------------------------------------------------------------------ #
     def probe_latency(self, sets_probed: int) -> float:
         base = super().probe_latency(sets_probed)
         return base + self.decompression_latency
-
-    @property
-    def pages_covered(self) -> int:
-        """Total translations reachable from currently valid entries."""
-        return sum(
-            length for s in self.sets for (_ppn, length) in s.values()
-        )
 
 
 class ContiguityTLB(CompressedTLB):
@@ -185,11 +172,6 @@ class ContiguityTLB(CompressedTLB):
         if self._refresh_lru:
             entry_set.move_to_end(base)
         return entry[0] + offset
-
-    def _peek_set(self, set_idx: int, vpn: int) -> bool:
-        base, offset = self._split(vpn)
-        entry = self.sets[set_idx].get(base)
-        return entry is not None and bool((entry[1] >> offset) & 1)
 
     def _refresh(self, set_idx: int, vpn: int, ppn: int) -> bool:
         """Fold ``vpn`` into its region's entry when the anchor agrees."""
@@ -240,11 +222,3 @@ class ContiguityTLB(CompressedTLB):
                     del entry_set[base]
                 found = True
         return found
-
-    @property
-    def pages_covered(self) -> int:
-        return sum(
-            bin(bitmap).count("1")
-            for s in self.sets
-            for (_anchor, bitmap) in s.values()
-        )

@@ -42,10 +42,6 @@ class FragmentationReport:
         return self.huge_pages_committed * PAGE_2M
 
     @property
-    def wasted_bytes(self) -> int:
-        return self.committed_bytes - self.touched_bytes
-
-    @property
     def utilization(self) -> float:
         """Fraction of committed huge-page bytes actually touched."""
         if self.committed_bytes == 0:
@@ -125,26 +121,6 @@ class MosaicAllocator:
                 self.stats.counter("mosaic_regions_decommitted").inc()
         else:
             self._region_pages[vregion] = count - 1
-
-    @property
-    def committed_regions(self) -> int:
-        return len(self._regions)
-
-    @property
-    def resident_pages(self) -> int:
-        return sum(self._region_pages.values())
-
-    def fragmentation(self, base_page_size: int = PAGE_4K) -> FragmentationReport:
-        """Internal fragmentation of the currently committed regions.
-
-        ``base_page_size`` is the size of the pages this allocator hands
-        frames to (``PAGE_2M // pages_per_region`` in the usual wiring).
-        """
-        return FragmentationReport(
-            touched_small_pages=self.resident_pages
-            * base_page_size // PAGE_4K,
-            huge_pages_committed=self.committed_regions,
-        )
 
 
 def geometry_for(page_size: int) -> PageGeometry:

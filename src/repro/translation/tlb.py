@@ -9,7 +9,7 @@ chosen once at construction, so the paper's mechanisms compose:
   :mod:`repro.core.partitioned_tlb`);
 * the entry format is the class itself: per-page entries here, and
   three subclasses that override only the per-set hooks
-  (``_probe_set``, ``_refresh``, ``_insert_new``, ``_peek_set``) —
+  (``_probe_set``, ``_refresh``, ``_insert_new``) —
   stride-compressed ranges and contiguity bitmaps
   (:mod:`repro.translation.compression`) and per-ASID sub-entries
   (:class:`SubEntrySharedTLB`);
@@ -375,14 +375,6 @@ class SetAssociativeTLB:
             observe(vpn, False)
         return None, probed
 
-    def contains(self, vpn: int, tb_id: Optional[int] = None) -> bool:
-        """Non-destructive presence check (no LRU update, no stats)."""
-        sets = self.policy.lookup_sets(vpn, tb_id)
-        return any(self._peek_set(s, vpn) for s in sets)
-
-    def _peek_set(self, set_idx: int, vpn: int) -> bool:
-        return vpn in self.sets[set_idx]
-
     def probe_latency(self, sets_probed: int) -> float:
         """Latency of a lookup that serialized over ``sets_probed`` sets."""
         return self.lookup_latency * max(sets_probed, 1)
@@ -447,15 +439,6 @@ class SetAssociativeTLB:
     # Introspection
     # ------------------------------------------------------------------ #
     @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self.sets)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self._hits.value + self._misses.value
-        return self._hits.value / total if total else 0.0
-
-    @property
     def hits(self) -> int:
         return self._hits.value
 
@@ -466,15 +449,6 @@ class SetAssociativeTLB:
     @property
     def accesses(self) -> int:
         return self._hits.value + self._misses.value
-
-    def set_occupancies(self) -> List[int]:
-        return [len(s) for s in self.sets]
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}({self.name}: {self.num_entries} entries, "
-            f"{self.associativity}-way, {self.occupancy} valid)"
-        )
 
 
 def _page_lru_path(
@@ -605,10 +579,6 @@ class SubEntrySharedTLB(SetAssociativeTLB):
         self._tag_hit_sub_miss = self.stats.counter("tag_hit_sub_miss")
         self._sub_entry_evictions = self.stats.counter("sub_entry_evictions")
 
-    def split(self, vpn: int) -> Tuple[int, int]:
-        """``tagged vpn -> (asid, base_vpn)``."""
-        return vpn >> self.tag_shift, vpn & self._base_mask
-
     # ------------------------------------------------------------------ #
     # Per-set storage hooks (entries are {base_vpn: {asid: ppn}})
     # ------------------------------------------------------------------ #
@@ -653,10 +623,6 @@ class SubEntrySharedTLB(SetAssociativeTLB):
             self._sub_entry_evictions.value += len(evicted[1])
         entry_set[base] = {asid: ppn}
         return evicted
-
-    def _peek_set(self, set_idx: int, vpn: int) -> bool:
-        sub = self.sets[set_idx].get(vpn & self._base_mask)
-        return sub is not None and (vpn >> self.tag_shift) in sub
 
     def invalidate(self, vpn: int) -> bool:
         """Remove the probing ASID's sub-entry for ``vpn`` everywhere."""
@@ -741,6 +707,3 @@ class DeadEntryFilter:
     @property
     def bypassed_fills(self) -> int:
         return self._bypassed_fills.value
-
-    def streak(self, vpn: int) -> int:
-        return self._streak.get(vpn, 0)

@@ -139,9 +139,6 @@ class UVMManager:
                 # page's migration back to the host.
                 self.invalidate_hook(victim)
 
-    def is_resident(self, vpn: int) -> bool:
-        return vpn in self._resident
-
     @property
     def fault_count(self) -> int:
         return self._fault_count
@@ -149,17 +146,3 @@ class UVMManager:
     @property
     def eviction_count(self) -> int:
         return self._eviction_count
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
-    @property
-    def footprint_bytes(self) -> int:
-        return len(self._resident) * self.geometry.page_size
-
-    def fragmentation_report(self):
-        """Mosaic internal-fragmentation snapshot (None unless mosaic)."""
-        if self.mosaic is None:
-            return None
-        return self.mosaic.fragmentation(self.geometry.page_size)

@@ -82,7 +82,3 @@ class WalkerPool:
                 },
             )
         return done, ppn
-
-    @property
-    def num_walkers(self) -> int:
-        return self._pool.n_servers

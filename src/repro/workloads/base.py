@@ -82,9 +82,6 @@ class AddressSpace:
         self._next = base + span
         return base
 
-    def footprint_bytes(self) -> int:
-        return sum(size for _base, size in self.regions.values())
-
 
 class TraceBuilder:
     """Builds one TB's warp traces from per-thread address lists."""
@@ -143,12 +140,6 @@ class TraceBuilder:
                     is_write=write,
                 )
             )
-
-    def broadcast(
-        self, warp: int, address: int, gap: Optional[float] = None, write: bool = False
-    ) -> None:
-        """All threads read the same address (one transaction)."""
-        self.access(warp, (address,), gap, write)
 
     def strided(
         self,

@@ -31,15 +31,6 @@ class CSRGraph:
     def num_arcs(self) -> int:
         return int(self.col_idx.shape[0])
 
-    def degree(self, v: int) -> int:
-        return int(self.row_ptr[v + 1] - self.row_ptr[v])
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_idx[self.row_ptr[v]: self.row_ptr[v + 1]]
-
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.row_ptr)
-
     def validate(self) -> None:
         if self.row_ptr.shape[0] != self.num_nodes + 1:
             raise ValueError("row_ptr length mismatch")

@@ -91,6 +91,35 @@ def build_kernel(
     return Kernel(name, threads_per_tb=threads_per_tb, tbs=tbs)
 
 
+def entries(store):
+    """Valid entries of a TLB (or lines of a cache), read off its sets."""
+    return sum(len(s) for s in store.sets)
+
+
+def tlb_holds(tlb, vpn, tb_id=None):
+    """Whether a per-page TLB holds ``vpn`` in a set that a probe from
+    ``tb_id`` reads; unlike a probe it moves no LRU order and no stat."""
+    return any(vpn in tlb.sets[s] for s in tlb.policy.lookup_sets(vpn, tb_id))
+
+
+def pages_covered(tlb):
+    """Pages a compressed TLB translates: the lengths of its stride
+    ranges, or the set bits of its contiguity bitmaps."""
+    from repro.translation.compression import ContiguityTLB
+
+    if isinstance(tlb, ContiguityTLB):
+        return sum(
+            bin(bitmap).count("1") for s in tlb.sets for _, bitmap in s.values()
+        )
+    return sum(length for s in tlb.sets for _, length in s.values())
+
+
+def figure(runner, module):
+    """One figure built the way ``repro report`` builds it: declare the
+    module's cells, execute them, compute the result."""
+    return module.compute(runner, runner.execute(module.cells(runner)))
+
+
 @pytest.fixture
 def tiny_kernel():
     return build_kernel()

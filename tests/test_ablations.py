@@ -12,7 +12,9 @@ def runner():
 
 
 def test_sharing_ablation_structure(runner):
-    result = ablations.run_sharing_ablation(runner)
+    result = ablations.compute_sharing_ablation(
+        runner, runner.execute(ablations.sharing_ablation_cells(runner))
+    )
     for b in ("nw", "gemm"):
         assert set(result.times[b]) == {"one_bit", "counter", "all_to_all"}
         for t in result.times[b].values():
@@ -22,8 +24,11 @@ def test_sharing_ablation_structure(runner):
 
 
 def test_geometry_sweep_structure(runner):
-    result = ablations.run_geometry_sweep(
-        runner, geometries=((64, 4), (256, 4))
+    geometries = ((64, 4), (256, 4))
+    result = ablations.compute_geometry_sweep(
+        runner,
+        runner.execute(ablations.geometry_sweep_cells(runner, geometries)),
+        geometries,
     )
     assert set(result.hit_rates) == {(64, 4), (256, 4)}
     assert result.hit_rates[(256, 4)] >= result.hit_rates[(64, 4)] - 0.02
@@ -38,7 +43,9 @@ def test_warp_reuse_structure(runner):
 
 
 def test_warp_scheduler_ablation_structure(runner):
-    result = ablations.run_warp_scheduler_ablation(runner)
+    result = ablations.compute_warp_scheduler_ablation(
+        runner, runner.execute(ablations.warp_scheduler_cells(runner))
+    )
     for b in ("nw", "gemm"):
         assert result.times[b] > 0
         assert 0 <= result.hits_aware[b] <= 1
@@ -46,8 +53,11 @@ def test_warp_scheduler_ablation_structure(runner):
 
 
 def test_oversubscription_structure(runner):
-    result = oversubscription.run(
+    cells = oversubscription.cells(
         runner, capacity_fraction=0.3, benchmarks=("nw",)
+    )
+    result = oversubscription.compute(
+        runner, runner.execute(cells), benchmarks=("nw",)
     )
     assert result.slowdown["nw"] > 0
     assert result.fault_rate["nw"] > 0

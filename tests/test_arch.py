@@ -96,7 +96,7 @@ class TestKernelModel:
     def test_counts(self):
         w = WarpTrace([MemoryInstruction(0.0, (0, 128))])
         tb = TBTrace(0, [w])
-        assert tb.num_instructions == 1
+        assert len(w.instructions) == 1
         assert tb.num_transactions == 2
 
 

@@ -538,6 +538,7 @@ class TestResumeManifestValidation:
         import dataclasses
 
         from repro.experiments.configs import get_config
+        from repro.experiments.runner import Cell
 
         path = self.produce(tmp_path)
         runner = ExperimentRunner(
@@ -547,7 +548,8 @@ class TestResumeManifestValidation:
         edited = dataclasses.replace(
             get_config("baseline"), l2_tlb_entries=128
         )
-        assert runner.run_config("nw", edited, "baseline").ok
+        edited_cell = Cell("nw", "baseline", edited)
+        assert runner.execute([edited_cell])["nw", "baseline"].ok
         assert runner.cells_simulated == 1
         assert runner.run("nw", "baseline").ok  # the unedited cell
         assert (runner.cells_simulated, runner.cells_restored) == (1, 1)

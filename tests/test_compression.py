@@ -1,5 +1,6 @@
 """Unit tests for the stride-compressed TLB (PACT'20 comparator)."""
 
+from conftest import entries, pages_covered
 from hypothesis import given, settings, strategies as st
 
 from repro.translation.compression import CompressedTLB
@@ -13,8 +14,8 @@ def test_contiguous_fills_coalesce_into_one_entry():
     tlb = make()
     for v in range(8):
         tlb.insert(v, 100 + v)
-    assert tlb.occupancy == 1
-    assert tlb.pages_covered == 8
+    assert entries(tlb) == 1
+    assert pages_covered(tlb) == 8
     for v in range(8):
         r_ppn, _ = tlb.probe(v)
         assert r_ppn == 100 + v
@@ -24,21 +25,21 @@ def test_range_never_exceeds_max_ratio():
     tlb = make(max_ratio=4)
     for v in range(8):
         tlb.insert(v, 100 + v)
-    assert tlb.occupancy == 2  # two aligned ranges of 4
+    assert entries(tlb) == 2  # two aligned ranges of 4
 
 
 def test_ranges_do_not_cross_region_boundary():
     tlb = make(max_ratio=4)
     tlb.insert(3, 103)
     tlb.insert(4, 104)  # next region: cannot extend
-    assert tlb.occupancy == 2
+    assert entries(tlb) == 2
 
 
 def test_non_contiguous_ppn_does_not_coalesce():
     tlb = make()
     tlb.insert(0, 100)
     tlb.insert(1, 555)  # inconsistent stride
-    assert tlb.occupancy == 2
+    assert entries(tlb) == 2
     assert tlb.probe(0)[0] == 100
     assert tlb.probe(1)[0] == 555
 
@@ -47,7 +48,7 @@ def test_backward_extension():
     tlb = make()
     tlb.insert(5, 105)
     tlb.insert(4, 104)
-    assert tlb.occupancy == 1
+    assert entries(tlb) == 1
     assert tlb.probe(4)[0] is not None and tlb.probe(5)[0] is not None
 
 
@@ -81,7 +82,7 @@ def test_eviction_counts_and_bounds():
     tlb = make(entries=4, assoc=4, max_ratio=1)  # degenerate: no ranges
     for v in range(0, 50, 2):  # non-contiguous
         tlb.insert(v, v)
-    assert tlb.occupancy <= 4
+    assert entries(tlb) <= 4
 
 
 @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1,
@@ -105,6 +106,6 @@ def test_property_hardware_entries_bounded(vpns):
     tlb = make(entries=16, assoc=4)
     for v in vpns:
         tlb.insert(v, v + 1000)
-    assert tlb.occupancy <= 16
+    assert entries(tlb) <= 16
     # Compression reach can exceed entries but never ratio * entries.
-    assert tlb.pages_covered <= 16 * tlb.max_ratio
+    assert pages_covered(tlb) <= 16 * tlb.max_ratio

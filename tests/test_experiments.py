@@ -6,6 +6,7 @@ we verify the machinery: caching, table formats, check plumbing.
 """
 
 import pytest
+from conftest import figure
 
 from repro.experiments import fig2, fig3, fig4, fig5, fig6, fig10, fig11, fig12
 from repro.experiments import large_pages
@@ -48,7 +49,7 @@ def test_geomean():
 
 
 def test_fig2_structure(runner):
-    result = fig2.run(runner)
+    result = figure(runner, fig2)
     assert set(result.hit_64) == {"gemm", "nw"}
     assert "64-entry" in result.format_table()
     assert result.shape_checks()
@@ -63,8 +64,8 @@ def test_fig3_fig4_bins_sum_to_one(runner):
 
 
 def test_fig5_fig6_cdf(runner):
-    f5 = fig5.run(runner)
-    f6 = fig6.run(runner, f5)
+    f5 = figure(runner, fig5)
+    f6 = figure(runner, fig6)
     for b in ("gemm", "nw"):
         assert f5.histograms[b].total > 0
         assert f6.histograms[b].total > 0
@@ -72,19 +73,19 @@ def test_fig5_fig6_cdf(runner):
 
 
 def test_fig10_fig11_fig12(runner):
-    f10 = fig10.run(runner)
+    f10 = figure(runner, fig10)
     assert set(f10.baseline) == {"gemm", "nw"}
-    f11 = fig11.run(runner)
+    f11 = figure(runner, fig11)
     for value in f11.partition.values():
         assert value > 0
-    f12 = fig12.run(runner)
+    f12 = figure(runner, fig12)
     for value in f12.speedup.values():
         assert value > 0
     assert f10.format_table() and f11.format_table() and f12.format_table()
 
 
 def test_large_pages(runner):
-    result = large_pages.run(runner)
+    result = figure(runner, large_pages)
     for b in ("gemm", "nw"):
         assert 0 < result.utilization[b] <= 1.0
     assert result.format_table()
@@ -101,7 +102,7 @@ def test_tables():
 def test_timeseries_experiment(runner):
     from repro.experiments import timeseries
 
-    result = timeseries.run(runner)
+    result = figure(runner, timeseries)
     assert result.benchmark == runner.benchmarks[0]
     assert set(result.rates) == {"baseline", "partition_sharing"}
     for check in result.shape_checks():

@@ -49,8 +49,8 @@ class TestFaultPlan:
         plan = FaultPlan()
         plan.add("bfs", "baseline", FaultKind.LIVELOCK)
         plan.add("nw", ANY_CONFIG, FaultKind.CRASH, times=2)
-        text = plan.to_env()
-        back = FaultPlan.parse(text)
+        text = "bfs:baseline:livelock;nw:*:crash:2"
+        back = FaultPlan.from_env({FAULT_ENV_VAR: text})
         assert back.specs == plan.specs
 
     def test_parse_formats(self):

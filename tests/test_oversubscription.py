@@ -13,7 +13,7 @@ class TestUVMEviction:
         uvm = UVMManager(gpu_memory_bytes=4 * 4096)
         for vpn in range(10):
             uvm.ensure_mapped(vpn)
-        assert uvm.resident_pages <= 4
+        assert len(uvm._resident) <= 4
         assert uvm.eviction_count == 6
 
     def test_lru_victim_selection(self):
@@ -89,7 +89,7 @@ class TestSystemOversubscription:
         for sm in gpu.sms:
             for entry_set in sm.l1_tlb.sets:
                 for vpn in entry_set:
-                    assert uvm.is_resident(vpn), f"stale L1 entry {vpn}"
+                    assert vpn in uvm._resident, f"stale L1 entry {vpn}"
         for entry_set in gpu.l2_tlb.sets:
             for vpn in entry_set:
-                assert uvm.is_resident(vpn), f"stale L2 entry {vpn}"
+                assert vpn in uvm._resident, f"stale L2 entry {vpn}"

@@ -43,7 +43,7 @@ class TestUVM:
         uvm = UVMManager()
         for vpn in range(4):
             uvm.ensure_mapped(vpn)
-        assert uvm.footprint_bytes == 4 * 4096
+        assert len(uvm._resident) * uvm.geometry.page_size == 4 * 4096
 
     @given(st.lists(st.integers(min_value=0, max_value=10_000), min_size=1,
                     max_size=200))

@@ -21,7 +21,7 @@ def test_dense_region_has_high_utilization():
     report = fragmentation_from_addresses(addrs)
     assert report.huge_pages_committed == 1
     assert report.utilization == 1.0
-    assert report.wasted_bytes == 0
+    assert report.committed_bytes == report.touched_bytes
 
 
 def test_sparse_touches_waste_huge_pages():
@@ -30,7 +30,9 @@ def test_sparse_touches_waste_huge_pages():
     assert report.huge_pages_committed == 8
     assert report.touched_small_pages == 8
     assert report.utilization == PAGE_4K / PAGE_2M
-    assert report.wasted_bytes == 8 * (PAGE_2M - PAGE_4K)
+    assert report.committed_bytes - report.touched_bytes == 8 * (
+        PAGE_2M - PAGE_4K
+    )
 
 
 def test_empty_report():

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import entries
+
 from repro.core.partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
 from repro.core.set_sharing import (
     AllToAllSharingRegister,
@@ -77,7 +79,7 @@ class TestPartitionedL1TLB:
         tlb = self.make()
         for v in range(5):  # 4-way set: fifth insert evicts
             tlb.insert(v, v, tb_id=0)
-        assert tlb.occupancy == 4
+        assert entries(tlb) == 4
         assert tlb.probe(0, tb_id=0)[0] is None  # LRU evicted
 
     def test_multi_set_tb_probes_cost_more(self):
@@ -210,6 +212,6 @@ class TestCompressedPartitioned:
         tlb.configure_occupancy(16)
         for v in range(8):
             tlb.insert(v, 100 + v, tb_id=0)
-        assert tlb.occupancy == 1          # one compressed range entry
+        assert entries(tlb) == 1          # one compressed range entry
         assert tlb.probe(3, tb_id=0)[0] == 103
         assert tlb.probe(3, tb_id=1)[0] is None

@@ -16,7 +16,7 @@ from repro.experiments import (
     tenancy,
     zoo,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, named_cell
 
 #: sections that read nw's baseline cell when the sweep is nw alone
 BASELINE_SECTIONS = (
@@ -72,7 +72,9 @@ def test_late_observer_request_resimulates_the_cell():
     runner = ExperimentRunner(scale="micro", benchmarks=("nw",))
     plain = runner.run("nw", "baseline")
     assert plain.tlb_traces is None
-    traced = runner.run("nw", "baseline", record_tlb_trace=True)
+    traced = runner.execute(
+        [named_cell("nw", "baseline", record_tlb_trace=True)]
+    )["nw", "baseline"]
     assert traced.tlb_traces and traced.cycles == plain.cycles
     assert runner.run("nw", "baseline") is traced
     assert runner.cells_simulated == 2
@@ -141,9 +143,11 @@ def test_fault_on_an_alias_tag_fails_the_shared_cell():
         scale="micro", benchmarks=("nw",), fault_plan=plan
     )
     assert len(runner.failures) == 1
-    failure = runner.failure_for("nw", "baseline")
-    assert failure is runner.failure_for("nw", "geo_64x4")
+    [failure] = runner.failures.values()
     assert failure.marker == "FAILED(livelock)"
+    # the one failure is reported under every tag that shares the cell
+    [line] = runner.failure_summary()
+    assert "baseline" in line and "geo_64x4" in line
     tables = {r.experiment_id: r.table for r in reports}
     for section in BASELINE_SECTIONS:
         assert "nw         FAILED(livelock)" in tables[section], section

@@ -22,6 +22,8 @@ import weakref
 
 import pytest
 
+from conftest import entries, pages_covered
+
 from repro.engine.event_queue import EventQueue
 from repro.translation.tlb import SetAssociativeTLB
 from repro.core.partitioned_tlb import TBIDIndexPolicy
@@ -528,7 +530,7 @@ def run_contiguity_ops(num_sets, assoc, max_ratio, ops):
     assert tlb.stats.counter("misses").value == misses
     assert tlb.stats.counter("evictions").value == evictions
     assert tlb.stats.counter("coalesced").value == coalesced
-    assert tlb.pages_covered == sum(
+    assert pages_covered(tlb) == sum(
         bin(e[2]).count("1") for s in oracle for e in s
     )
     for set_idx in range(num_sets):
@@ -612,7 +614,7 @@ def test_contiguity_run_of_one_degenerates_to_stock():
     assert stock.stats.counter("evictions").value == \
         contig.stats.counter("evictions").value
     assert [list(s) for s in stock.sets] == [list(s) for s in contig.sets]
-    assert contig.pages_covered == stock.occupancy
+    assert pages_covered(contig) == entries(stock)
 
 
 # --------------------------------------------------------------------- #
@@ -646,18 +648,19 @@ def run_mosaic_ops(touches, capacity_pages=64):
         placements[vpn] = ppn_m
         assert mosaic.fault_count == reference.fault_count
         assert mosaic.eviction_count == reference.eviction_count
-        assert mosaic.resident_pages == reference.resident_pages
-    resident = {v for v in placements if mosaic.is_resident(v)}
-    assert resident == {v for v in placements if reference.is_resident(v)}
+        assert len(mosaic._resident) == len(reference._resident)
+    resident = {v for v in placements if v in mosaic._resident}
+    assert resident == {v for v in placements if v in reference._resident}
     live = {v: mosaic.ensure_mapped(v)[0] for v in sorted(resident)}
     assert len(set(live.values())) == len(live), "mosaic frames collided"
     regions = {}
     for vpn, ppn in live.items():
         # all pages of one virtual region sit in one physical region
         assert regions.setdefault(vpn // ppr, ppn // ppr) == ppn // ppr
-    report = mosaic.fragmentation_report()
-    assert report.huge_pages_committed == len(set(regions.values()))
-    assert 0.0 < report.utilization <= 1.0
+    allocator = mosaic.mosaic
+    assert sorted(allocator._regions.values()) == sorted(set(regions.values()))
+    resident_pages = sum(allocator._region_pages.values())
+    assert 0 < resident_pages <= len(allocator._regions) * ppr
 
 
 def _random_touches(rng: random.Random, n: int = 400):

@@ -1,5 +1,7 @@
 """End-to-end degradation: a report survives injected cell failures."""
 
+from conftest import figure
+
 from repro.engine.faults import FaultKind, FaultPlan
 from repro.experiments import fig2, fig11, report
 from repro.experiments.runner import ExperimentRunner, failed_rows
@@ -15,7 +17,7 @@ def degraded_runner(kind=FaultKind.LIVELOCK, benchmarks=("bfs", "nw")):
 class TestFigureDegradation:
     def test_fig2_marks_failed_cell(self):
         runner = degraded_runner()
-        result = fig2.run(runner)
+        result = figure(runner, fig2)
         table = result.format_table()
         assert "FAILED(livelock)" in table
         assert "nw" in table  # the healthy benchmark still reports
@@ -23,7 +25,7 @@ class TestFigureDegradation:
 
     def test_fig11_geomean_skips_failed_cell(self):
         runner = degraded_runner()
-        result = fig11.run(runner)
+        result = figure(runner, fig11)
         assert "bfs" in result.failures
         # normalized times only exist for surviving benchmarks ...
         assert "bfs" not in result.sharing

@@ -86,12 +86,16 @@ class TestModeSelection:
         assert Sanitizer.make("cheap").mode == "cheap"
 
     def test_sanitize_not_in_cell_key(self):
-        base = CellSpec("bfs", get_config("baseline"), "baseline")
-        sanitized = CellSpec(
-            "bfs", get_config("baseline"), "baseline", sanitize="strict"
-        )
+        from repro.experiments.runner import ExperimentRunner, named_cell
+
+        keys = [
+            ExperimentRunner(scale="micro", sanitize=mode).declare(
+                [named_cell("bfs", "baseline")]
+            )
+            for mode in (None, "strict")
+        ]
         # memoized/checkpointed results stay valid with the flag on/off
-        assert base.key == sanitized.key
+        assert keys[0] == keys[1]
 
 
 class TestTaxonomy:
@@ -305,14 +309,14 @@ class TestDegradation:
         )
         result = runner.run("bfs", "baseline")
         assert result.failure == "sanitizer:injected"
-        failure = runner.failure_for("bfs", "baseline")
+        [failure] = runner.failures.values()
         assert failure.marker == "FAILED(sanitizer:injected)"
 
     def test_fault_plan_env_round_trip(self):
         from repro.engine.faults import FaultKind, FaultPlan
 
         plan = FaultPlan().add("bfs", "*", FaultKind.SANITIZER)
-        assert FaultPlan.parse(plan.to_env()).specs == plan.specs
+        assert FaultPlan.parse("bfs:*:sanitizer").specs == plan.specs
 
 
 class TestCLI:

@@ -20,6 +20,8 @@ from random import Random
 
 import pytest
 
+from conftest import entries
+
 from repro.core.partitioned_tlb import SetSharingSpill, TBIDIndexPolicy
 from repro.core.set_sharing import (
     AllToAllSharingRegister,
@@ -160,11 +162,11 @@ class TestPartitionedTLBFinishPath:
                 spilled = True
                 break
         assert spilled, "never spilled — sharing path not exercised"
-        occupancy_before = tlb.occupancy
+        occupancy_before = entries(tlb)
         tlb.on_tb_finished(1)  # TB 1's sets hosted the spill
         assert not sharing.is_sharing(0)
         # entries are never flushed on finish (ids recycle; reuse stays)
-        assert tlb.occupancy == occupancy_before
+        assert entries(tlb) == occupancy_before
 
     def test_spill_targets_only_adjacent_sets(self):
         sharing = SharingRegister(4)

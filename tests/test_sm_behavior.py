@@ -6,7 +6,7 @@ import pytest
 from repro import BASELINE_CONFIG, L1TLBMode, build_gpu
 from repro.arch.kernel import Kernel, MemoryInstruction, TBTrace, WarpTrace
 
-from conftest import build_kernel
+from conftest import build_kernel, tlb_holds
 
 
 def single_sm_config(**kw):
@@ -63,8 +63,8 @@ def test_partitioned_redundant_fills_per_tb():
     # One walk (SM-level MSHR merge), but both TBs' later probes hit.
     assert result.walks == 1
     tlb = gpu.sms[0].l1_tlb
-    assert tlb.contains(7, tb_id=0)
-    assert tlb.contains(7, tb_id=1)
+    assert tlb_holds(tlb, 7, tb_id=0)
+    assert tlb_holds(tlb, 7, tb_id=1)
 
 
 def test_sharing_flag_reset_when_tb_finishes():
@@ -103,7 +103,7 @@ def test_dispatch_respects_occupancy_limit():
     def tracking(trace, now, age):
         nonlocal max_resident
         tb = original(trace, now, age)
-        max_resident = max(max_resident, gpu.sms[0].resident_tbs)
+        max_resident = max(max_resident, len(gpu.sms[0].resident))
         return tb
 
     gpu.sms[0].dispatch_tb = tracking

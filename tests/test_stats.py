@@ -1,5 +1,6 @@
 """Unit tests for the statistics layer."""
 
+from repro.characterization import cdf_points
 from repro.engine.stats import Counter, Histogram, StatGroup, StatRegistry
 
 
@@ -17,12 +18,12 @@ def test_histogram_totals_and_cdf():
     h.add(1, 2)
     h.add(3, 2)
     assert h.total == 4
-    cdf = h.cdf()
-    assert cdf == [(1, 0.5), (3, 1.0)]
+    cdf = cdf_points(h, max_bucket=3)
+    assert cdf == [(0, 0.0), (1, 0.5), (2, 0.5), (3, 1.0)]
 
 
 def test_histogram_empty_cdf():
-    assert Histogram("x").cdf() == []
+    assert cdf_points(Histogram("x")) == []
 
 
 def test_stat_group_reuses_counters():

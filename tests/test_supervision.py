@@ -153,8 +153,8 @@ class TestSupervisedRunner:
         assert result.failure == "livelock"
         # failure is cached: the cell is not attempted again
         assert runner.run("nw", "baseline") is result
-        failure = runner.failure_for("nw", "baseline")
-        assert failure is not None and failure.marker == "FAILED(livelock)"
+        [failure] = runner.failures.values()
+        assert failure.marker == "FAILED(livelock)"
         assert any("livelock" in line for line in runner.failure_summary())
 
     def test_unaffected_cells_still_succeed(self):

@@ -114,8 +114,8 @@ class TestBuildGPU:
         gpu = build_gpu(BASELINE_CONFIG)
         assert len(gpu.sms) == 16
         assert gpu.l2_tlb.num_entries == 512
-        assert gpu.walkers.num_walkers == 8
-        assert gpu.partitions.num_partitions == 12
+        assert gpu.walkers._pool.n_servers == 8
+        assert len(gpu.partitions.partitions) == 12
 
     def test_each_sm_gets_private_structures(self):
         gpu = build_gpu(BASELINE_CONFIG)

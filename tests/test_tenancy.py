@@ -177,6 +177,45 @@ class TestMultiTenant:
         l2 = result.combined.stats["l2_tlb"]
         assert l2["sub_entry_fills"] > 0
 
+    def test_sub_entry_shootdown_removes_only_the_evicted_tenants_page(
+        self, monkeypatch
+    ):
+        """Oversubscribed sub-entry tenants: each page eviction drops
+        that tenant's sub-entry from every TLB and keeps the co-tenants'
+        sub-entries for the same base page."""
+        from repro.arch.config import BASELINE_CONFIG
+        from repro.translation.tlb import SubEntrySharedTLB
+
+        removed = []
+        invalidate = SubEntrySharedTLB.invalidate
+
+        def checked(tlb, vpn):
+            asid, base = vpn >> tlb.tag_shift, vpn & tlb._base_mask
+
+            def sub_entries():
+                return [
+                    (a, ppn)
+                    for entry_set in tlb.sets
+                    for a, ppn in entry_set.get(base, {}).items()
+                ]
+
+            others = [(a, ppn) for a, ppn in sub_entries() if a != asid]
+            removed.append(invalidate(tlb, vpn))
+            assert sub_entries() == others
+            return removed[-1]
+
+        monkeypatch.setattr(SubEntrySharedTLB, "invalidate", checked)
+        spec = TenancySpec(
+            mix=("bfs", "gemm"), mode=PartitionMode.SUB_ENTRY, scale="micro"
+        )
+        config = BASELINE_CONFIG.replace(gpu_memory_bytes=16 * 4096)
+        machine = build_tenant_gpu(spec, config)
+        gpu = machine.gpu
+        for tlb in [gpu.l2_tlb] + [sm.l1_tlb for sm in gpu.sms]:
+            assert isinstance(tlb, SubEntrySharedTLB)
+        machine.run_tenants()
+        assert any(removed)
+
     def test_jain_fairness(self):
         assert jain_fairness([1.0, 1.0, 1.0]) == pytest.approx(1.0)
         assert jain_fairness([1.0, 0.0]) == pytest.approx(0.5)
@@ -289,6 +328,28 @@ class TestIsolationSanitizer:
             gpu.run_tenants()
         assert err.value.tag == "tenant.cross_tlb"
 
+    @pytest.mark.parametrize("config", ["compression", "comp_ours"])
+    def test_cross_tlb_sweeps_compressed_l1s(self, config):
+        """Range keys are tagged base VPNs: a foreign-tenant key planted
+        in an exclusive slice's compressed L1 is a violation."""
+        from repro.sanitizer import TenantIsolationChecker
+        from repro.sanitizer.core import Sanitizer
+        from repro.translation.compression import CompressedTLB
+
+        spec = TenancySpec(
+            mix=("bfs", "gemm"), mode=PartitionMode.EXCLUSIVE, scale="micro"
+        )
+        machine = build_tenant_gpu(spec, get_config(config))
+        checker = TenantIsolationChecker(machine)
+        checker.sweep(Sanitizer("strict"), None)
+        tlb = machine.gpu.lanes[0].sms[0].l1_tlb
+        assert isinstance(tlb, CompressedTLB)
+        foreign = (1 << machine.router.vpn_tag_shift) | 8
+        tlb.sets[0][foreign] = (8, 1)
+        with pytest.raises(SanitizerError) as err:
+            checker.sweep(Sanitizer("strict"), None)
+        assert err.value.tag == "tenant.cross_tlb"
+
     def test_asid_leak_injection_detected(self, monkeypatch):
         gpu = self._sanitized(
             PartitionMode.SHARED_TLB, monkeypatch, "tenant.asid_leak"
@@ -374,11 +435,13 @@ class TestPlumbing:
 # ---------------------------------------------------------------------- #
 class TestSurface:
     def test_experiment_section(self):
+        from conftest import figure
+
+        from repro.experiments import tenancy
         from repro.experiments.runner import ExperimentRunner
-        from repro.experiments.tenancy import run as run_tenancy
 
         runner = ExperimentRunner(scale="micro", benchmarks=("bfs", "gemm"))
-        result = run_tenancy(runner)
+        result = figure(runner, tenancy)
         runner.close()
         assert set(result.results) == set(PARTITION_MODES)
         table = result.format_table()

@@ -1,6 +1,7 @@
 """Unit tests for the set-associative TLB."""
 
 import pytest
+from conftest import entries
 from hypothesis import given, settings, strategies as st
 
 from repro.translation.tlb import SetAssociativeTLB, VPNIndexPolicy
@@ -34,14 +35,13 @@ class TestBasics:
         assert tlb.hits == 1
         assert tlb.misses == 1
         assert tlb.accesses == 2
-        assert tlb.hit_rate == 0.5
 
     def test_insert_refreshes_existing(self):
         tlb = make_tlb()
         tlb.insert(5, 50)
         assert tlb.insert(5, 51) is None
         assert tlb.probe(5)[0] == 51
-        assert tlb.occupancy == 1
+        assert entries(tlb) == 1
 
     def test_invalidate(self):
         tlb = make_tlb()
@@ -55,15 +55,7 @@ class TestBasics:
         for v in range(10):
             tlb.insert(v, v)
         tlb.flush()
-        assert tlb.occupancy == 0
-
-    def test_contains_does_not_touch_lru_or_stats(self):
-        tlb = make_tlb(8, 2)  # 4 sets
-        tlb.insert(0, 0)
-        before = tlb.accesses
-        assert tlb.contains(0)
-        assert not tlb.contains(99)
-        assert tlb.accesses == before
+        assert entries(tlb) == 0
 
 
 class TestLRU:
@@ -84,9 +76,8 @@ class TestLRU:
         tlb.insert(0, 0)
         tlb.insert(2, 2)
         tlb.insert(4, 4)  # evicts within set 0 only
-        assert tlb.occupancy <= 4
-        sets = tlb.set_occupancies()
-        assert sets[0] == 2
+        assert entries(tlb) <= 4
+        assert len(tlb.sets[0]) == 2
 
     def test_probe_latency_scales_with_sets_probed(self):
         tlb = make_tlb(latency=2.0)
@@ -116,9 +107,9 @@ class TestProperties:
         tlb = make_tlb(16, 4)
         for v in vpns:
             tlb.insert(v, v + 1000)
-        assert tlb.occupancy <= 16
-        for s in tlb.set_occupancies():
-            assert s <= 4
+        assert entries(tlb) <= 16
+        for s in tlb.sets:
+            assert len(s) <= 4
 
     @given(st.lists(st.integers(min_value=0, max_value=100), min_size=1,
                     max_size=300))

@@ -31,7 +31,7 @@ class TestAddressSpace:
         space = AddressSpace()
         space.alloc("a", 100)
         space.alloc("b", 200)
-        assert space.footprint_bytes() == 300
+        assert sum(size for _, size in space.regions.values()) == 300
 
 
 class TestTraceBuilder:
@@ -42,8 +42,9 @@ class TestTraceBuilder:
         assert tb.num_transactions == 1
 
     def test_broadcast(self):
+        # every thread reads one address: one transaction
         b = TraceBuilder(1)
-        b.broadcast(0, 4096)
+        b.access(0, [4096] * 32)
         tb = b.build(0)
         assert list(tb.addresses()) == [4096]
 
@@ -51,7 +52,7 @@ class TestTraceBuilder:
         b = TraceBuilder(1, max_tx_per_instr=8)
         b.access(0, (i * 4096 for i in range(32)))
         tb = b.build(0)
-        assert tb.num_instructions == 4
+        assert len(tb.warps[0].instructions) == 4
         assert tb.num_transactions == 32
         gaps = [i.compute_gap for i in tb.warps[0].instructions]
         assert gaps[0] > 0 and all(g == 0 for g in gaps[1:])
@@ -59,25 +60,25 @@ class TestTraceBuilder:
     def test_no_batching_by_default(self):
         b = TraceBuilder(1)
         b.access(0, (i * 4096 for i in range(32)))
-        assert b.build(0).num_instructions == 1
+        assert len(b.build(0).warps[0].instructions) == 1
 
     def test_warp_stagger_applied_to_later_warps(self):
         b = TraceBuilder(2, compute_gap=5.0, warp_stagger=100.0)
-        b.broadcast(0, 0)
-        b.broadcast(1, 0)
+        b.access(0, (0,))
+        b.access(1, (0,))
         tb = b.build(0)
         assert tb.warps[0].instructions[0].compute_gap == 5.0
         assert tb.warps[1].instructions[0].compute_gap == 105.0
 
     def test_empty_warps_are_dropped(self):
         b = TraceBuilder(4)
-        b.broadcast(2, 0)
+        b.access(2, (0,))
         tb = b.build(0)
         assert tb.num_warps == 1
 
     def test_write_flag_propagates(self):
         b = TraceBuilder(1)
-        b.broadcast(0, 0, write=True)
+        b.access(0, (0,), write=True)
         assert b.build(0).warps[0].instructions[0].is_write
 
     def test_invalid_warp_count(self):
@@ -97,7 +98,7 @@ class TestHelpers:
 
     def test_make_kernel_metadata(self):
         b = TraceBuilder(1)
-        b.broadcast(0, 0)
+        b.access(0, (0,))
         kernel = make_kernel("k", [b.build(0)], threads_per_tb=64,
                              registers_per_thread=16, shared_mem_per_tb=1024)
         assert kernel.registers_per_thread == 16

@@ -130,7 +130,7 @@ class TestPowerLawGraph:
 
     def test_degrees_are_skewed(self):
         g = generate_power_law_graph(5000, edges_per_node=4, seed=1)
-        degrees = sorted(g.degrees(), reverse=True)
+        degrees = sorted(np.diff(g.row_ptr), reverse=True)
         # Power law: the top node's degree dwarfs the median.
         assert degrees[0] > 10 * degrees[len(degrees) // 2]
 
@@ -138,7 +138,7 @@ class TestPowerLawGraph:
         g = generate_power_law_graph(500, edges_per_node=3, seed=2)
         edges = set()
         for v in range(g.num_nodes):
-            for u in g.neighbors(v):
+            for u in g.col_idx[g.row_ptr[v]: g.row_ptr[v + 1]]:
                 edges.add((v, int(u)))
         for v, u in edges:
             assert (u, v) in edges
