@@ -108,9 +108,8 @@ class FaultPlan:
         return bool(self.specs)
 
     # ------------------------------------------------------------------ #
-    # Environment round-trip (CLI / CI injection)
+    # Environment parsing (CLI / CI injection)
     # ------------------------------------------------------------------ #
-
     @classmethod
     def parse(cls, text: str) -> "FaultPlan":
         """Parse ``bench:config:kind[:times][;...]`` (see module docstring)."""

@@ -93,8 +93,9 @@ class TestInterconnect:
 class TestPartitions:
     def test_line_interleaving_covers_all_partitions(self):
         mem = PartitionedMemory(num_partitions=4, line_bytes=128)
-        seen = {mem.partition_for(i * 128).partition_id for i in range(8)}
-        assert seen == {0, 1, 2, 3}
+        for i in range(8):
+            mem.access(i * 128, 0.0)
+        assert [entries(p.l2) for p in mem.partitions] == [2, 2, 2, 2]
 
     def test_non_power_of_two_line_refused(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -32,7 +32,7 @@ function.  ``tools/reach_allow.txt`` holds one entry per line,
     python tools/reach.py --only list check   # a subset, to look around
 
 Tier-1 under the profile takes about three times its plain wall time;
-the whole list takes about ten minutes on two cores.
+the whole list takes about five minutes on two cores.
 """
 
 from __future__ import annotations
