@@ -102,18 +102,6 @@ def tlb_holds(tlb, vpn, tb_id=None):
     return any(vpn in tlb.sets[s] for s in tlb.policy.lookup_sets(vpn, tb_id))
 
 
-def pages_covered(tlb):
-    """Pages a compressed TLB translates: the lengths of its stride
-    ranges, or the set bits of its contiguity bitmaps."""
-    from repro.translation.compression import ContiguityTLB
-
-    if isinstance(tlb, ContiguityTLB):
-        return sum(
-            bin(bitmap).count("1") for s in tlb.sets for _, bitmap in s.values()
-        )
-    return sum(length for s in tlb.sets for _, length in s.values())
-
-
 def figure(runner, module):
     """One figure built the way ``repro report`` builds it: declare the
     module's cells, execute them, compute the result."""

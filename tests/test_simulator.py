@@ -129,6 +129,7 @@ class TestForwardProgressWatchdog:
         sim.queue.post(0.0, tick)
         sim.run()                         # 200 events >> window of 50
         assert len(seen) == 200
+        assert "progress_marks=200" in sim.livelock_diagnostics()
 
     def test_livelock_error_carries_diagnostics(self):
         sim = self._respawning_sim(progress_window=10)

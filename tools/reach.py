@@ -29,7 +29,6 @@ function.  ``tools/reach_allow.txt`` holds one entry per line,
 
     python tools/reach.py                     # every run, then the verdict
     python tools/reach.py --map reach.json    # also write the whole map
-    python tools/reach.py --only list check   # a subset, to look around
 
 Tier-1 under the profile takes about three times its plain wall time;
 the whole list takes about five minutes on two cores.
@@ -381,9 +380,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv[:1] == ["--child"]:
         return _child(argv[1:])
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="RUN",
-                        choices=[run.name for run in RUNS],
-                        help="take the map over these runs only")
     parser.add_argument("--map", metavar="PATH",
                         help="write every function's class and runs as JSON")
     args = parser.parse_args(argv)
@@ -392,11 +388,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AllowlistError as exc:
         print(f"reach: {exc}", file=sys.stderr)
         return 2
-    runs = [run for run in RUNS if not args.only or run.name in args.only]
     found = functions(ROOT)
     with tempfile.TemporaryDirectory(prefix="reach-") as work:
         try:
-            reach = take(ROOT, runs, work)
+            reach = take(ROOT, RUNS, work)
         except RuntimeError as exc:
             print(f"reach: {exc}", file=sys.stderr)
             return 2
